@@ -1,14 +1,15 @@
 """Injection-kernel throughput: the CI performance-regression gate.
 
 Measures trials/second of the reliability campaign's shard kernels
-(``reference`` builds real codec objects per trial, ``batch`` classifies
-against pooled pre-encoded lines, ``vector`` — when numpy is installed —
-classifies whole blocks with table gathers; see ``repro.reliability``)
+(``reference`` builds real codec objects per trial, ``batch`` looks
+sampled error patterns up in a memoised classifier, ``vector`` — when
+numpy is installed — classifies whole blocks with table gathers; see
+``repro.reliability``)
 and an end-to-end campaign wall time, then writes the numbers to a JSON
 artifact (schema v5: per-backend entries under ``kernels``, per-scenario
-batch rates under ``scenarios`` — the correlated-fault presets run the
-generic classification path, which has its own throughput profile worth
-gating — an ``autotune`` section timing the Pareto explorer's cold
+batch rates under ``scenarios`` — the correlated-fault presets draw
+other strike shapes and patterns, with their own throughput profile
+worth gating — an ``autotune`` section timing the Pareto explorer's cold
 pass against a warm re-run over the same result cache, whose speedup
 ratio gates the content-addressed point cache, and a ``runner`` section
 timing the reference-stream runner with the standard variant against
@@ -198,7 +199,8 @@ def measure_throughput(
         "vector": vector_trials,
     }
     # Warm up every kernel once: the shared pool, the plan caches and
-    # the syndrome tables are one-time costs that must not skew rates.
+    # the first classification of each pattern are one-time costs that
+    # must not skew rates.
     for scheme in schemes:
         for kernel in kernels:
             _measure(scheme, kernel, 200, seed)

@@ -891,10 +891,11 @@ def build_parser() -> argparse.ArgumentParser:
     # same backend listing the HTTP service returns as a 400.
     p.add_argument(
         "--kernel", default="batch",
-        help="shard execution kernel: 'batch' mutates pooled "
-             "pre-encoded lines via syndrome tables (~20x faster than "
-             "'reference', bit-identical results); 'reference' builds "
-             "a live LineProtection per trial; 'vector' classifies "
+        help="shard execution kernel: 'batch' classifies each sampled "
+             "error pattern through a memoised pattern classifier (~20x "
+             "faster than 'reference', bit-identical results); "
+             "'reference' builds a live LineProtection per trial; "
+             "'vector' classifies "
              "whole trial blocks with numpy gathers (needs the [fast] "
              "extra; same distribution, not the same per-trial stream)",
     )

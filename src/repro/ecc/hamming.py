@@ -60,36 +60,12 @@ def _encode_reference(word: int) -> int:
 #: 8-bit check value of the word whose byte ``k`` (little-endian, bits
 #: ``8k..8k+7``) is ``b`` and whose other bytes are zero.  The code is
 #: GF(2)-linear, so the check bits of any word are the XOR of its eight
-#: per-byte contributions — and the *syndrome* of an error pattern is
-#: the encode of the pattern itself, which is what lets the batched
-#: fault-injection kernel classify a strike with eight table lookups
-#: instead of a full re-encode.
+#: per-byte contributions — eight table lookups instead of a full
+#: loop-based encode.
 SYNDROME_TABLES: List[tuple] = [
     tuple(_encode_reference(value << (8 * k)) for value in range(256))
     for k in range(8)
 ]
-
-_SYNDROME_ARRAY = None
-
-
-def syndrome_table_array():
-    """:data:`SYNDROME_TABLES` as a read-only ``(8, 256)`` uint8 ndarray.
-
-    The vectorized kernel's gather target: row ``k`` indexed by byte
-    value gives that byte's check-bit contribution, so a whole block of
-    error patterns decodes as eight fancy-indexed XORs.  Built lazily so
-    this module never requires numpy (the ``[fast]`` extra); callers
-    must ensure numpy is importable first.
-    """
-    global _SYNDROME_ARRAY
-    if _SYNDROME_ARRAY is None:
-        import numpy
-
-        array = numpy.array(SYNDROME_TABLES, dtype=numpy.uint8)
-        array.setflags(write=False)
-        _SYNDROME_ARRAY = array
-    return _SYNDROME_ARRAY
-
 
 def encode_word(word: int) -> int:
     """Table-driven SECDED encode of one 64-bit word (≈7× the loop)."""

@@ -23,30 +23,6 @@ def _parity64(word: int) -> int:
     return word & 1
 
 
-#: Even parity of every byte value: ``BYTE_PARITY[b] == _parity64(b)``.
-#: The batched injection kernel folds a word's bytes with XOR and does a
-#: single table lookup instead of a six-shift reduction per word.
-BYTE_PARITY: tuple = tuple(_parity64(value) for value in range(256))
-
-_BYTE_PARITY_ARRAY = None
-
-
-def byte_parity_array():
-    """:data:`BYTE_PARITY` as a read-only ``(256,)`` uint8 ndarray.
-
-    Lazy numpy view for the vectorized injection kernel (the ``[fast]``
-    extra); this module itself stays importable without numpy.
-    """
-    global _BYTE_PARITY_ARRAY
-    if _BYTE_PARITY_ARRAY is None:
-        import numpy
-
-        array = numpy.array(BYTE_PARITY, dtype=numpy.uint8)
-        array.setflags(write=False)
-        _BYTE_PARITY_ARRAY = array
-    return _BYTE_PARITY_ARRAY
-
-
 class ParityCodec(Codec):
     """Single even-parity bit per 64-bit word (detect-only)."""
 

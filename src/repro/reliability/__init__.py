@@ -10,10 +10,10 @@ not a handful of fixed-trial loops.  This package is that harness:
 * :mod:`repro.reliability.model` — the fault model: protection domains
   (data / tag / status / check arrays), per-trial lifecycle, and the
   outcome taxonomy (masked / corrected / refetch / DUE / SDC);
-* :mod:`repro.reliability.kernel` — the batched injection kernel:
-  pooled pre-encoded codewords and syndrome-table decoding give ~20×
-  the reference path's trial throughput with bit-identical outcomes
-  (``--kernel batch|reference``);
+* :mod:`repro.reliability.kernel` — the batched injection kernel: the
+  shared samplers plus a memoised pattern → outcome classifier give
+  ~20× the reference path's trial throughput with bit-identical
+  outcomes (``--kernel batch|reference``);
 * :mod:`repro.reliability.vector` — the numpy-vectorized kernel
   (``--kernel vector``, the optional ``[fast]`` extra): whole-block
   draws and table gathers for another order of magnitude, with

@@ -81,8 +81,8 @@ DEFAULT_DIRTY_FRACTIONS: Dict[str, float] = {
 #: Per-trial outcome samples a shard carries back for event tracing.
 SAMPLES_PER_SHARD = 32
 
-#: Shard execution kernels.  ``batch`` classifies strikes against
-#: pooled pre-encoded lines via syndrome-table lookups
+#: Shard execution kernels.  ``batch`` classifies each sampled error
+#: pattern through the memoised pattern classifier
 #: (:mod:`repro.reliability.kernel`); ``reference`` builds a live
 #: :class:`~repro.core.policy.LineProtection` per trial.  Those two
 #: replay the identical random stream under one shard seed, so they
@@ -125,8 +125,9 @@ class ShardSpec:
     seed: int
     model: FaultModelConfig
     sample_limit: int = SAMPLES_PER_SHARD
-    #: ``batch`` or ``reference`` (see :data:`KERNELS`); either yields
-    #: the same :class:`ShardResult` for the same spec.
+    #: One of :data:`KERNELS`.  ``batch`` and ``reference`` yield the
+    #: same :class:`ShardResult` for the same spec; ``vector`` yields a
+    #: result of the same distribution.
     kernel: str = "batch"
 
 

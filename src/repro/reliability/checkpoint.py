@@ -29,6 +29,8 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.reliability.model import DOMAIN_ORDER, TrialOutcome
+
 #: Version 2: the per-trial random stream changed when payloads moved
 #: from the trial stream to the pre-encoded line pool (PR 4) — a v1
 #: checkpoint's shards would splice a different trial population into a
@@ -38,6 +40,40 @@ CHECKPOINT_VERSION = 2
 
 class CheckpointError(ValueError):
     """The checkpoint file cannot be used with this campaign."""
+
+
+_DOMAIN_NAMES = frozenset(domain.value for domain in DOMAIN_ORDER)
+_OUTCOME_NAMES = frozenset(outcome.value for outcome in TrialOutcome)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _shard_problem(record: Dict[str, Any]) -> Optional[str]:
+    """Why a ``shard`` record cannot be resumed from, or ``None``."""
+    if not isinstance(record.get("scheme"), str):
+        return "shard 'scheme' must be a string"
+    for key in ("index", "trials", "seed"):
+        if not _is_int(record.get(key)):
+            return f"shard {key!r} must be an integer"
+    outcomes = record.get("outcomes")
+    if not isinstance(outcomes, dict):
+        return "shard 'outcomes' must be an object"
+    for domain, per in outcomes.items():
+        if domain not in _DOMAIN_NAMES:
+            return f"unknown fault domain {domain!r} in shard 'outcomes'"
+        if not isinstance(per, dict):
+            return f"shard outcomes[{domain!r}] must be an object"
+        for name, count in per.items():
+            if name not in _OUTCOME_NAMES:
+                return f"unknown outcome {name!r} in shard 'outcomes'"
+            if not _is_int(count) or count < 0:
+                return (
+                    f"shard outcome count {domain}/{name} must be a "
+                    "non-negative integer"
+                )
+    return None
 
 
 def config_digest(payload: Dict[str, Any]) -> str:
@@ -63,7 +99,8 @@ class CampaignCheckpoint:
         Returns ``{}`` when the file does not exist yet.  Raises
         :class:`CheckpointError` on a version or configuration-digest
         mismatch.  A torn trailing line is skipped; any other malformed
-        line is an error (the file is not ours to guess about).
+        line — bad JSON, or a record of the wrong shape — is an error
+        naming the line (the file is not ours to guess about).
         """
         if not self.path.exists():
             return {}
@@ -74,16 +111,22 @@ class CampaignCheckpoint:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
                 if i == len(lines) - 1:
                     break  # torn final line: the shard never completed
                 raise CheckpointError(
                     f"{self.path}: malformed checkpoint line {i + 1}"
                 ) from None
+            if not isinstance(record, dict):
+                raise CheckpointError(
+                    f"{self.path}: malformed checkpoint line {i + 1}: "
+                    "a record must be a JSON object"
+                )
+            records.append((i + 1, record))
         if not records:
             return {}
-        header = records[0]
+        header = records[0][1]
         if header.get("type") != "header":
             raise CheckpointError(f"{self.path}: missing header record")
         if header.get("version") != CHECKPOINT_VERSION:
@@ -98,7 +141,7 @@ class CampaignCheckpoint:
                 "original flags to resume"
             )
         done: Dict[Tuple[str, int], Dict[str, Any]] = {}
-        for record in records[1:]:
+        for lineno, record in records[1:]:
             if record.get("type") == "header":
                 # Two fabric replicas sharing one checkpoint file can
                 # race write_header's exists() check; an identical
@@ -115,6 +158,12 @@ class CampaignCheckpoint:
                 raise CheckpointError(
                     f"{self.path}: unexpected record type "
                     f"{record.get('type')!r}"
+                )
+            problem = _shard_problem(record)
+            if problem is not None:
+                raise CheckpointError(
+                    f"{self.path}: malformed checkpoint line {lineno}: "
+                    f"{problem}"
                 )
             done[(record["scheme"], record["index"])] = record
         return done

@@ -1,4 +1,4 @@
-"""The batched injection kernel: pooled codewords + syndrome tables.
+"""The batched injection kernel: shared samplers + pattern classifier.
 
 :func:`repro.reliability.model.run_trial` is the campaign's semantic
 oracle: it builds a real :class:`~repro.core.policy.LineProtection`
@@ -6,36 +6,32 @@ oracle: it builds a real :class:`~repro.core.policy.LineProtection`
 strike — ~100 µs/trial, which bounds how tight a campaign's confidence
 intervals can be (±0.1% needs ~10⁶ trials per scheme).
 
-This module is the fast path.  Three observations make it possible:
+This module is the fast path.  Two observations make it possible:
 
-1. **Outcomes are payload-independent.**  Parity and SECDED are
+1. **Outcomes are payload-independent.**  Every registered code is
    GF(2)-linear, so what a decoder sees is a pure function of the
    injected *error pattern*: syndrome(stored) = syndrome(error), and
    "repaired == golden" holds exactly when the correction cancels the
-   error.  No per-trial payload needs to exist.
-2. **Pre-encoded lines can be reused.**  A :class:`LinePool` holds a
-   fixed population of payloads with their parity and SECDED check
-   bytes in flat ``bytearray`` buffers, encoded once.  A trial flips
-   bits of a pooled line in place, classifies the strike, and flips
-   them back — no construction, no re-encode.
-3. **Decoding is eight table lookups.**  The per-byte
-   :data:`repro.ecc.hamming.SYNDROME_TABLES` give a word's SECDED check
-   bits as the XOR of eight 256-entry lookups;
-   :data:`repro.ecc.parity.BYTE_PARITY` does the same for parity.
+   error.  No per-trial line needs to exist.
+2. **The pattern space is small.**  A strike's outcome depends only on
+   the line state, the struck column and its per-word error masks, so
+   :meth:`repro.reliability.model.TrialPlan.classify` decodes each
+   distinct pattern once and memoises it; every later trial with that
+   pattern is a dictionary lookup.
 
 **Exact parity with the reference path.**  ``run_trials_batch`` draws
-the same random variates in the same order as ``run_trial`` (state,
-domain, multiplicity, pooled line index, flip positions, read roll),
-and both source payloads from the same pool — so under one shard seed
-the two kernels produce *identical* per-trial outcomes, not merely the
-same distribution.  The campaign's checkpoints are therefore
+through the same sampler functions as ``run_trial``
+(:mod:`repro.reliability.scenarios`), in the same order, and spends the
+same pooled-line index draw — so under one shard seed the two kernels
+produce *identical* per-trial outcomes, not merely the same
+distribution.  The campaign's checkpoints are therefore
 kernel-portable: a file written under ``--kernel reference`` resumes
 under ``--kernel batch`` bit-identically (pinned in
 ``tests/reliability/test_kernel.py``).
 
 Numpy is deliberately not used here: exact parity binds the kernel to
 the Mersenne-Twister draw order of :class:`random.Random`, which a
-vectorized RNG cannot replay.  The flat buffers keep the door open.
+vectorized RNG cannot replay.
 """
 
 from __future__ import annotations
@@ -43,39 +39,27 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.policy import (
-    ProtectionDomain,
-    ProtectionPolicy,
-    RecoveryAction,
-    domain_codec,
-)
-from repro.ecc.codec import Codec
-from repro.ecc.events import CheckOutcome
-from repro.ecc.hamming import _POS_TO_DATABIT, SYNDROME_TABLES, encode_word
-from repro.ecc.parity import BYTE_PARITY, _parity64
+from repro.core.policy import ProtectionPolicy
 from repro.reliability.scenarios import (
     check_error_masks,
-    class_cdf,
     data_error_masks,
     draw_burst_length,
     draw_class,
     flips_for,
-    get_scenario,
 )
 from repro.reliability.model import (
     DOMAIN_ORDER,
-    FaultDomain,
     FaultModelConfig,
     TrialOutcome,
-    _ACTION_TO_OUTCOME,
     _inject_status,
     _inject_tag,
-    domain_bits,
+    plan_for,
 )
 
 #: Pooled lines per :class:`LinePool`.  Part of the determinism
-#: contract: both kernels draw line indices as ``randrange(POOL_SIZE)``,
-#: so changing this constant changes every seeded campaign.
+#: contract: both kernels draw one line index below ``POOL_SIZE`` per
+#: data or check strike, so changing this constant changes every seeded
+#: campaign.
 POOL_SIZE = 256
 
 #: Fixed seed for pool payload generation.  Pool contents are *not*
@@ -85,12 +69,11 @@ POOL_SEED = 0x9E3779B97F4A7C15
 
 
 class LinePool:
-    """A fixed population of pre-encoded cache lines in flat buffers.
+    """A fixed population of line payloads in one flat buffer.
 
-    ``payload`` holds ``size`` lines back to back; ``parity`` and
-    ``ecc`` hold one check byte per 64-bit word (parity uses only bit
-    0), regardless of which codes a given policy/state actually stores
-    — selection happens per trial, so one pool serves every scheme.
+    ``payload`` holds ``size`` lines back to back.  The reference kernel
+    builds its live lines around them; the batched kernel only spends
+    the index draw, which keeps the two kernels on one random stream.
     """
 
     _shared: Dict[Tuple[int, int], "LinePool"] = {}
@@ -107,19 +90,9 @@ class LinePool:
             raise ValueError("pool needs at least one line")
         self.line_bytes = line_bytes
         self.size = size
-        #: ``randrange(size)`` draw width (see :func:`_randbelow`).
-        self.k_size = size.bit_length()
-        self.words_per_line = line_bytes // 8
-        rng = random.Random(seed)
-        self.payload = bytearray(rng.randbytes(size * line_bytes))
-        n_words = size * self.words_per_line
-        self.parity = bytearray(n_words)
-        self.ecc = bytearray(n_words)
-        view = memoryview(self.payload)
-        for j in range(n_words):
-            word = int.from_bytes(view[j * 8 : j * 8 + 8], "little")
-            self.parity[j] = _parity64(word)
-            self.ecc[j] = encode_word(word)
+        self.payload = bytearray(
+            random.Random(seed).randbytes(size * line_bytes)
+        )
 
     @classmethod
     def shared(cls, line_bytes: int = 64, size: int = POOL_SIZE) -> "LinePool":
@@ -138,400 +111,6 @@ class LinePool:
         return bytes(self.payload[start : start + self.line_bytes])
 
 
-class _KernelPlan:
-    """Per-(policy, config) precomputation shared by every trial."""
-
-    __slots__ = (
-        "words", "cum", "total", "recovery", "parity_bits", "ecc_bits",
-        "k_line", "k_words", "codec_by_domain", "classes", "cdf",
-    )
-
-    def __init__(self, policy: ProtectionPolicy, config: FaultModelConfig):
-        self.words = config.line_bytes // 8
-        self.k_line = config.line_bytes.bit_length()
-        self.k_words = self.words.bit_length()
-        codecs = config.codecs()
-        #: The live codec guarding each slot (registry defaults unless
-        #: the config overrides the ECC code) — the generic scenario
-        #: path classifies error masks through these directly.
-        self.codec_by_domain: Dict[ProtectionDomain, Codec] = {
-            domain: domain_codec(domain, codecs)
-            for domain in (ProtectionDomain.PARITY, ProtectionDomain.ECC)
-        }
-        self.classes = get_scenario(config.scenario).resolve(
-            config.double_bit_fraction
-        )
-        self.cdf = class_cdf(self.classes)
-        self.cum: Dict[bool, List[float]] = {}
-        self.total: Dict[bool, float] = {}
-        self.recovery: Dict[bool, ProtectionDomain] = {}
-        self.parity_bits: Dict[bool, int] = {}
-        self.ecc_bits: Dict[bool, int] = {}
-        for dirty in (False, True):
-            weights = domain_bits(policy, dirty, config)
-            # Same float accumulation order as model._choose_domain, so
-            # the roll-vs-cumulative comparisons are bit-identical.
-            acc, cum = 0.0, []
-            for domain in DOMAIN_ORDER:
-                acc += weights[domain]
-                cum.append(acc)
-            self.cum[dirty] = cum
-            self.total[dirty] = float(
-                sum(weights[d] for d in DOMAIN_ORDER)
-            )
-            self.recovery[dirty] = policy.recovery_domain(dirty, codecs)
-            domains = policy.domains_for(dirty)
-            self.parity_bits[dirty] = (
-                self.codec_by_domain[
-                    ProtectionDomain.PARITY
-                ].check_bits_per_word
-                if ProtectionDomain.PARITY in domains
-                else 0
-            )
-            self.ecc_bits[dirty] = (
-                self.codec_by_domain[ProtectionDomain.ECC].check_bits_per_word
-                if ProtectionDomain.ECC in domains
-                else 0
-            )
-
-
-_PLANS: Dict[Tuple[str, FaultModelConfig], _KernelPlan] = {}
-
-
-def _plan_for(policy: ProtectionPolicy, config: FaultModelConfig) -> _KernelPlan:
-    key = (policy.name, config)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _PLANS[key] = _KernelPlan(policy, config)
-    return plan
-
-
-def _randbelow(getrandbits, k: int, n: int) -> int:
-    """Uniform int in ``[0, n)`` drawing exactly like ``randrange(n)``.
-
-    This is CPython's ``Random._randbelow_with_getrandbits`` rejection
-    scheme (``k = n.bit_length()``, unchanged since well before 3.9)
-    with the ``randrange`` argument plumbing peeled off — the hot loop's
-    single biggest cost.  Consuming the identical ``getrandbits`` calls
-    is what keeps the batched kernel on the reference path's
-    Mersenne-Twister stream (pinned by the parity tests, which compare
-    final rng state as well as outcomes).
-    """
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _secded_action(
-    word_parity: int, enc: int, check: int, data_err: int
-) -> RecoveryAction:
-    """Classify one struck word under SECDED recovery.
-
-    Mirrors :meth:`repro.ecc.hamming.SecDedCodec.check` +
-    :meth:`repro.core.policy.LineProtection.access` (ECC domain) exactly:
-    ``enc`` is the table-encode of the *corrupted* word, ``check`` the
-    stored (possibly corrupted) check byte, ``data_err`` the injected
-    error mask within the word (0 for pure check-bit strikes) —
-    "repaired == golden" reduces to "the correction cancels the error".
-    """
-    syndrome = (check ^ enc) & 0x7F
-    overall = word_parity ^ BYTE_PARITY[check]
-    if syndrome == 0 and overall == 0:
-        return (
-            RecoveryAction.CLEAN_READ
-            if data_err == 0
-            else RecoveryAction.SILENT_CORRUPTION
-        )
-    if overall == 1:
-        if syndrome == 0 or syndrome & (syndrome - 1) == 0:
-            # A check bit itself is repaired; the data word is intact.
-            return (
-                RecoveryAction.CORRECTED_IN_PLACE
-                if data_err == 0
-                else RecoveryAction.SILENT_CORRUPTION
-            )
-        databit = _POS_TO_DATABIT.get(syndrome)
-        if databit is None:
-            return RecoveryAction.DATA_LOSS  # ≥3 flips: detected
-        return (
-            RecoveryAction.CORRECTED_IN_PLACE
-            if data_err == 1 << databit
-            else RecoveryAction.SILENT_CORRUPTION
-        )
-    return RecoveryAction.DATA_LOSS  # detected double-bit error
-
-
-def _finish(
-    action: RecoveryAction, dirty: bool, config: FaultModelConfig
-) -> TrialOutcome:
-    """The controller model of ``model._observe``, post-decode."""
-    if (
-        config.controller_refetch
-        and not dirty
-        and action is RecoveryAction.DATA_LOSS
-    ):
-        return TrialOutcome.REFETCHED
-    return _ACTION_TO_OUTCOME[action]
-
-
-def _data_trial(
-    pool: LinePool,
-    plan: _KernelPlan,
-    dirty: bool,
-    flips: int,
-    config: FaultModelConfig,
-    rng: random.Random,
-) -> TrialOutcome:
-    # Identical draw order to model._inject_data: line index, first
-    # flip, optional second flip (same word), then the read roll.
-    getrandbits = rng.getrandbits
-    idx = _randbelow(getrandbits, pool.k_size, pool.size)
-    byte_idx = _randbelow(getrandbits, plan.k_line, config.line_bytes)
-    bit1 = _randbelow(getrandbits, 4, 8)
-    word_start = byte_idx - byte_idx % 8
-    rel1 = byte_idx - word_start
-    if flips > 1:
-        rel2 = _randbelow(getrandbits, 4, 8)
-        bit2 = _randbelow(getrandbits, 4, 8)
-    if not dirty and rng.random() >= config.read_fraction:
-        return TrialOutcome.MASKED
-
-    err = 1 << (rel1 * 8 + bit1)
-    if flips > 1:
-        err ^= 1 << (rel2 * 8 + bit2)
-    recovery = plan.recovery[dirty]
-    if recovery is ProtectionDomain.PARITY:
-        # Only the struck word can mismatch; no decode needed beyond
-        # the error's own parity (the code is linear).
-        if _parity64(err):
-            action = (
-                RecoveryAction.DATA_LOSS
-                if dirty
-                else RecoveryAction.REFETCHED
-            )
-        elif err == 0:
-            action = RecoveryAction.CLEAN_READ
-        else:
-            action = RecoveryAction.SILENT_CORRUPTION
-        return _finish(action, dirty, config)
-
-    # SECDED recovery: flip the pooled word in place, decode it via the
-    # syndrome tables, restore the flips.
-    buf = pool.payload
-    base = idx * config.line_bytes + word_start
-    buf[base + rel1] ^= 1 << bit1
-    if flips > 1:
-        buf[base + rel2] ^= 1 << bit2
-    b0, b1, b2, b3, b4, b5, b6, b7 = buf[base : base + 8]
-    t = SYNDROME_TABLES
-    enc = (
-        t[0][b0] ^ t[1][b1] ^ t[2][b2] ^ t[3][b3]
-        ^ t[4][b4] ^ t[5][b5] ^ t[6][b6] ^ t[7][b7]
-    )
-    word_parity = BYTE_PARITY[b0 ^ b1 ^ b2 ^ b3 ^ b4 ^ b5 ^ b6 ^ b7]
-    check = pool.ecc[idx * plan.words + word_start // 8]
-    buf[base + rel1] ^= 1 << bit1
-    if flips > 1:
-        buf[base + rel2] ^= 1 << bit2
-    action = _secded_action(word_parity, enc, check, err)
-    return _finish(action, dirty, config)
-
-
-def _check_trial(
-    pool: LinePool,
-    plan: _KernelPlan,
-    dirty: bool,
-    flips: int,
-    config: FaultModelConfig,
-    rng: random.Random,
-) -> TrialOutcome:
-    # Identical draw order to model._inject_check: line index, struck
-    # word, column roll, flip bits (ECC column only), read roll.
-    getrandbits = rng.getrandbits
-    idx = _randbelow(getrandbits, pool.k_size, pool.size)
-    parity_bits = plan.parity_bits[dirty]
-    ecc_bits = plan.ecc_bits[dirty]
-    word = _randbelow(getrandbits, plan.k_words, plan.words)
-    strike_ecc = rng.random() * (parity_bits + ecc_bits) < ecc_bits
-    if strike_ecc:
-        check_err = 1 << _randbelow(getrandbits, 4, 8)
-        if flips > 1:
-            check_err ^= 1 << _randbelow(getrandbits, 4, 8)
-    if not dirty and rng.random() >= config.read_fraction:
-        return TrialOutcome.MASKED
-
-    recovery = plan.recovery[dirty]
-    if not strike_ecc:
-        if recovery is ProtectionDomain.ECC:
-            # Stale parity shadowed by intact ECC: nothing observed.
-            action = RecoveryAction.CLEAN_READ
-        else:
-            # The struck parity word(s) mismatch against intact data.
-            action = (
-                RecoveryAction.DATA_LOSS
-                if dirty
-                else RecoveryAction.REFETCHED
-            )
-        return _finish(action, dirty, config)
-
-    # Struck ECC column: a line storing ECC always recovers through it.
-    pos = idx * plan.words + word
-    pool.ecc[pos] ^= check_err
-    check = pool.ecc[pos]
-    pool.ecc[pos] ^= check_err
-    base = idx * config.line_bytes + word * 8
-    buf = pool.payload
-    b0, b1, b2, b3, b4, b5, b6, b7 = buf[base : base + 8]
-    t = SYNDROME_TABLES
-    enc = (
-        t[0][b0] ^ t[1][b1] ^ t[2][b2] ^ t[3][b3]
-        ^ t[4][b4] ^ t[5][b5] ^ t[6][b6] ^ t[7][b7]
-    )
-    word_parity = BYTE_PARITY[b0 ^ b1 ^ b2 ^ b3 ^ b4 ^ b5 ^ b6 ^ b7]
-    action = _secded_action(word_parity, enc, check, 0)
-    return _finish(action, dirty, config)
-
-
-#: CheckOutcome severity, mirroring ``LineCodec.check_line``'s worst-of
-#: ordering (UNDETECTED classifies like DETECTED in ``access``).
-_SEVERITY = {
-    CheckOutcome.OK: 0,
-    CheckOutcome.CORRECTED: 1,
-    CheckOutcome.DETECTED: 2,
-    CheckOutcome.UNDETECTED: 2,
-}
-
-
-def _classify_masks(
-    codec: Codec,
-    pairs: List[Tuple[int, int]],
-    dirty: bool,
-) -> RecoveryAction:
-    """Classify a strike from its per-word (data, check) error masks.
-
-    GF(2) linearity again: decoding the stored line is equivalent to
-    decoding the pure error pattern against the all-zero codeword, so
-    ``codec.check(e_data, e_check)`` per struck word plus the worst-of
-    reduction of :meth:`repro.ecc.codec.LineCodec.check_line` and the
-    recovery contract of :meth:`repro.core.policy.LineProtection.access`
-    reproduce the reference path exactly — "repaired == golden" becomes
-    "every residual is zero".
-    """
-    worst = 0
-    residual = 0
-    for e_data, e_check in pairs:
-        result = codec.check(e_data, e_check)
-        severity = _SEVERITY[result.outcome]
-        if severity > worst:
-            worst = severity
-        residual |= result.data
-    if worst == 2:
-        if codec.corrects:
-            # Beyond the code's correction power: signalled; _finish
-            # decides whether the controller can refetch a clean line.
-            return RecoveryAction.DATA_LOSS
-        # Detect-only recovery refetches clean lines unconditionally
-        # (the line-level path, independent of controller_refetch).
-        return (
-            RecoveryAction.DATA_LOSS if dirty else RecoveryAction.REFETCHED
-        )
-    if residual:
-        return RecoveryAction.SILENT_CORRUPTION
-    if worst == 1:
-        return RecoveryAction.CORRECTED_IN_PLACE
-    return RecoveryAction.CLEAN_READ
-
-
-def _run_trials_scenario(
-    policy: ProtectionPolicy,
-    config: FaultModelConfig,
-    n: int,
-    rng: random.Random,
-    pool: LinePool,
-    sample_limit: int,
-    plan: _KernelPlan,
-) -> Tuple[Dict[str, Dict[str, int]], List[Tuple[int, str, bool, str]]]:
-    """The batched kernel's generic scenario path.
-
-    Calls the *same* sampler functions as
-    :func:`repro.reliability.model._run_trial_scenario`, with the same
-    rng, in the same order — bit-identical trial streams by
-    construction rather than by draw replication.  Classification then
-    runs on the pure error masks (no pooled-buffer mutation at all).
-    """
-    outcomes: Dict[str, Dict[str, int]] = {}
-    samples: List[Tuple[int, str, bool, str]] = []
-    rand = rng.random
-    per = {
-        domain.value: outcomes.setdefault(domain.value, {})
-        for domain in DOMAIN_ORDER
-    }
-    value_of = {out: out.value for out in TrialOutcome}
-    classes, cdf = plan.classes, plan.cdf
-    for trial in range(n):
-        dirty = rand() < config.dirty_fraction
-        cum = plan.cum[dirty]
-        roll = rand() * plan.total[dirty]
-        cls = draw_class(rng, classes, cdf)
-        length = draw_burst_length(rng, cls)
-        if roll < cum[0]:
-            domain_value = "data"
-            rng.randrange(pool.size)  # pooled line index (outcome-inert)
-            masks = data_error_masks(rng, cls, length, config.line_bytes)
-            if not dirty and rand() >= config.read_fraction:
-                outcome = TrialOutcome.MASKED
-            else:
-                codec = plan.codec_by_domain[plan.recovery[dirty]]
-                action = _classify_masks(
-                    codec, [(e, 0) for e in masks.values()], dirty
-                )
-                outcome = _finish(action, dirty, config)
-        elif roll < cum[1]:
-            domain_value = "tag"
-            outcome = _inject_tag(
-                dirty, flips_for(cls, length), config, rng
-            )
-        elif roll < cum[2]:
-            domain_value = "status"
-            outcome = _inject_status(
-                dirty, flips_for(cls, length), config, rng
-            )
-        else:
-            domain_value = "check"
-            rng.randrange(pool.size)  # pooled line index (outcome-inert)
-            column, cmasks = check_error_masks(
-                rng, cls, length, plan.words,
-                plan.parity_bits[dirty], plan.ecc_bits[dirty],
-            )
-            if not dirty and rand() >= config.read_fraction:
-                outcome = TrialOutcome.MASKED
-            else:
-                recovery = plan.recovery[dirty]
-                recovery_column = (
-                    "ecc" if recovery is ProtectionDomain.ECC else "parity"
-                )
-                if column != recovery_column:
-                    # Stale check bits of a column the recovery code
-                    # never consults (e.g. parity shadowed by ECC).
-                    action = RecoveryAction.CLEAN_READ
-                else:
-                    codec = plan.codec_by_domain[recovery]
-                    action = _classify_masks(
-                        codec, [(0, m) for m in cmasks.values()], dirty
-                    )
-                outcome = _finish(action, dirty, config)
-        key = value_of[outcome]
-        per_domain = per[domain_value]
-        per_domain[key] = per_domain.get(key, 0) + 1
-        if len(samples) < sample_limit:
-            samples.append((trial, domain_value, dirty, key))
-    for domain_value in tuple(outcomes):
-        if not outcomes[domain_value]:
-            del outcomes[domain_value]
-    return outcomes, samples
-
-
 def run_trials_batch(
     policy: ProtectionPolicy,
     config: FaultModelConfig,
@@ -540,7 +119,7 @@ def run_trials_batch(
     pool: Optional[LinePool] = None,
     sample_limit: int = 0,
 ) -> Tuple[Dict[str, Dict[str, int]], List[Tuple[int, str, bool, str]]]:
-    """Run ``n`` trials against pooled lines; aggregate outcome counts.
+    """Run ``n`` trials through the pattern classifier; aggregate counts.
 
     Returns ``(outcomes, samples)`` in exactly the shapes
     :func:`repro.reliability.campaign.run_shard` builds: outcome counts
@@ -554,52 +133,61 @@ def run_trials_batch(
         pool = LinePool.shared(config.line_bytes)
     if pool.line_bytes != config.line_bytes:
         raise ValueError("pool line size does not match the fault model")
-    plan = _plan_for(policy, config)
-    if config.scenario != "nominal" or config.ecc_codec != "secded":
-        # Correlated scenarios and non-default codecs take the generic
-        # mask-classification path; below is the historical nominal
-        # fast path, preserved bit for bit.
-        return _run_trials_scenario(
-            policy, config, n, rng, pool, sample_limit, plan
-        )
+    plan = plan_for(policy, config)
     outcomes: Dict[str, Dict[str, int]] = {}
     samples: List[Tuple[int, str, bool, str]] = []
     rand = rng.random
+    randbelow = rng._randbelow
+    classify = plan.classify
+    classes, cdf = plan.classes, plan.cdf
     dirty_fraction = config.dirty_fraction
-    double_bit_fraction = config.double_bit_fraction
+    read_fraction = config.read_fraction
+    line_bytes = config.line_bytes
+    words = line_bytes // 8
+    size = pool.size
     # Hoisted per-domain count dicts and enum .value strings: the enum
-    # descriptor lookups are measurable at ~300 ns/trial budgets.
-    per_data = outcomes.setdefault(FaultDomain.DATA.value, {})
-    per_tag = outcomes.setdefault(FaultDomain.TAG.value, {})
-    per_status = outcomes.setdefault(FaultDomain.STATUS.value, {})
-    per_check = outcomes.setdefault(FaultDomain.CHECK.value, {})
+    # descriptor lookups are measurable at a few µs/trial budgets.
+    per = {
+        domain.value: outcomes.setdefault(domain.value, {})
+        for domain in DOMAIN_ORDER
+    }
     value_of = {out: out.value for out in TrialOutcome}
-    clean_cum = plan.cum[False]
-    dirty_cum = plan.cum[True]
-    clean_total = plan.total[False]
-    dirty_total = plan.total[True]
+    masked = TrialOutcome.MASKED
     for trial in range(n):
-        # Draw order per trial (the contract with run_trial): dirty
-        # roll, domain roll, flips roll, then the injector's own draws.
         dirty = rand() < dirty_fraction
-        if dirty:
-            cum, roll = dirty_cum, rand() * dirty_total
-        else:
-            cum, roll = clean_cum, rand() * clean_total
-        flips = 2 if rand() < double_bit_fraction else 1
+        cum = plan.cum[dirty]
+        roll = rand() * plan.total[dirty]
+        cls = draw_class(rng, classes, cdf)
+        length = draw_burst_length(rng, cls)
         if roll < cum[0]:
-            domain_value, per_domain = "data", per_data
-            outcome = _data_trial(pool, plan, dirty, flips, config, rng)
+            domain_value = "data"
+            randbelow(size)  # pooled line index (outcome-inert)
+            masks = data_error_masks(rng, cls, length, line_bytes)
+            if not dirty and rand() >= read_fraction:
+                outcome = masked
+            else:
+                outcome = classify(dirty, "data", masks)
         elif roll < cum[1]:
-            domain_value, per_domain = "tag", per_tag
-            outcome = _inject_tag(dirty, flips, config, rng)
+            domain_value = "tag"
+            outcome = _inject_tag(dirty, flips_for(cls, length), config, rng)
         elif roll < cum[2]:
-            domain_value, per_domain = "status", per_status
-            outcome = _inject_status(dirty, flips, config, rng)
+            domain_value = "status"
+            outcome = _inject_status(
+                dirty, flips_for(cls, length), config, rng
+            )
         else:
-            domain_value, per_domain = "check", per_check
-            outcome = _check_trial(pool, plan, dirty, flips, config, rng)
+            domain_value = "check"
+            randbelow(size)  # pooled line index (outcome-inert)
+            column, masks = check_error_masks(
+                rng, cls, length, words,
+                plan.parity_bits[dirty], plan.ecc_bits[dirty],
+            )
+            if not dirty and rand() >= read_fraction:
+                outcome = masked
+            else:
+                outcome = classify(dirty, column, masks)
         key = value_of[outcome]
+        per_domain = per[domain_value]
         per_domain[key] = per_domain.get(key, 0) + 1
         if len(samples) < sample_limit:
             samples.append((trial, domain_value, dirty, key))

@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 from repro.core.policy import (
     LineProtection,
@@ -57,8 +57,20 @@ from repro.core.policy import (
     RecoveryAction,
     UniformEccPolicy,
     UniformParityPolicy,
+    domain_codec,
 )
 from repro.core.tag_protection import ProtectedTag, TagOutcome
+from repro.ecc.codec import Codec
+from repro.ecc.events import CheckOutcome
+from repro.reliability.scenarios import (
+    check_error_masks,
+    class_cdf,
+    data_error_masks,
+    draw_burst_length,
+    draw_class,
+    flips_for,
+    get_scenario,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.reliability.kernel import LinePool
@@ -141,16 +153,14 @@ class FaultModelConfig:
         parity-guarded lines take the refetch path.
     ``scenario``
         Named correlated-fault scenario pack
-        (:mod:`repro.reliability.scenarios`).  ``nominal`` keeps the
-        historical Bernoulli trial stream bit-identical; any other
-        scenario (adjacent bursts, row/column strikes, ...) switches
-        trials to the generic scenario path and changes the checkpoint
-        digest.
+        (:mod:`repro.reliability.scenarios`).  ``nominal`` draws the
+        historical Bernoulli trial stream bit for bit; any other
+        scenario (adjacent bursts, row/column strikes, ...) draws other
+        strike shapes and changes the checkpoint digest.
     ``ecc_codec``
         Registry name of the code in the ECC protection slot (default
         SECDED).  Swapping in ``dected`` or ``rs-symbol`` reruns the
-        same campaign under a stronger geometry; non-default codecs
-        also route through the generic scenario path.
+        same campaign under a stronger geometry.
     """
 
     line_bytes: int = 64
@@ -174,7 +184,6 @@ class FaultModelConfig:
         if self.status_bits < 2:
             raise ValueError("status_bits must include valid and dirty")
         from repro.ecc import available_codecs
-        from repro.reliability.scenarios import get_scenario
 
         get_scenario(self.scenario)  # raises ValueError with the listing
         if self.ecc_codec not in available_codecs():
@@ -217,19 +226,6 @@ def domain_bits(
     }
 
 
-def _choose_domain(
-    rng: random.Random, weights: Dict[FaultDomain, int]
-) -> FaultDomain:
-    total = sum(weights[d] for d in DOMAIN_ORDER)
-    roll = rng.random() * total
-    acc = 0.0
-    for domain in DOMAIN_ORDER:
-        acc += weights[domain]
-        if roll < acc:
-            return domain
-    return DOMAIN_ORDER[-1]  # pragma: no cover - float edge
-
-
 _ACTION_TO_OUTCOME = {
     # A CLEAN_READ after injection means the codecs absorbed the flip
     # without architectural effect (e.g. a stale-parity flip shadowed
@@ -251,15 +247,26 @@ _TAG_TO_OUTCOME = {
 }
 
 
+def _finish(
+    action: RecoveryAction, dirty: bool, controller_refetch: bool
+) -> TrialOutcome:
+    """The controller's verdict on a line-level recovery action."""
+    if controller_refetch and not dirty and action is RecoveryAction.DATA_LOSS:
+        # Detected-uncorrectable on a *clean* line: the line-level
+        # decoder gives up, but the controller knows the line is clean
+        # and refetches the pristine copy from the next level.
+        return TrialOutcome.REFETCHED
+    return _ACTION_TO_OUTCOME[action]
+
+
 def _build_line(
     policy: ProtectionPolicy, dirty: bool, config: FaultModelConfig,
     rng: random.Random, pool: "LinePool",
-    codecs: Optional[dict] = None,
 ) -> LineProtection:
     """Construct a live line around a pooled payload.
 
     The payload comes from the pre-generated :class:`LinePool`, not the
-    trial stream: both codes are GF(2)-linear, so a trial's outcome is a
+    trial stream: every registered code is GF(2)-linear, so an outcome is a
     pure function of the injected *error pattern* and never of the
     payload bits.  Drawing only a pool index here (instead of 64–128
     payload bytes) keeps the per-trial random stream identical between
@@ -269,7 +276,8 @@ def _build_line(
     """
     payload = pool.payload_bytes(rng.randrange(pool.size))
     line = LineProtection(
-        policy, payload, line_bytes=config.line_bytes, codecs=codecs
+        policy, payload, line_bytes=config.line_bytes,
+        codecs=config.codecs(),
     )
     if dirty:
         line.write(payload)
@@ -291,73 +299,7 @@ def _observe(
     if not dirty and rng.random() >= config.read_fraction:
         return TrialOutcome.MASKED
     action, _ = line.access()
-    if (
-        config.controller_refetch
-        and not dirty
-        and action is RecoveryAction.DATA_LOSS
-    ):
-        # Detected-uncorrectable on a *clean* line: the line-level
-        # decoder gives up, but the controller knows the line is clean
-        # and refetches the pristine copy from the next level.
-        return TrialOutcome.REFETCHED
-    return _ACTION_TO_OUTCOME[action]
-
-
-def _inject_data(
-    policy: ProtectionPolicy, dirty: bool, flips: int,
-    config: FaultModelConfig, rng: random.Random, pool: "LinePool",
-) -> TrialOutcome:
-    line = _build_line(policy, dirty, config, rng, pool)
-    byte_idx = rng.randrange(config.line_bytes)
-    line.flip(byte_idx, rng.randrange(8))
-    if flips > 1:
-        # A multi-bit upset stays within one 64-bit codeword — the
-        # worst case for SECDED, which is exactly what must be counted.
-        word_start = (byte_idx // 8) * 8
-        line.flip(word_start + rng.randrange(8), rng.randrange(8))
-    return _observe(line, dirty, config, rng)
-
-
-def _inject_check(
-    policy: ProtectionPolicy, dirty: bool, flips: int,
-    config: FaultModelConfig, rng: random.Random, pool: "LinePool",
-) -> TrialOutcome:
-    line = _build_line(policy, dirty, config, rng, pool)
-    # Choose the struck check structure in proportion to its bits —
-    # the per-word widths come from the codecs actually guarding the
-    # line (1 parity bit vs 8 SECDED bits for the default registry
-    # codes), not from hardcoded knowledge of those two codes.
-    parity_codec = line.codecs[ProtectionDomain.PARITY]
-    ecc_codec = line.codecs[ProtectionDomain.ECC]
-    parity_bits = (
-        parity_codec.check_bits_per_word
-        if line.parity_checks is not None
-        else 0
-    )
-    ecc_bits = (
-        ecc_codec.check_bits_per_word if line.ecc_checks is not None else 0
-    )
-    word = rng.randrange(config.line_bytes // 8)
-    strike_ecc = rng.random() * (parity_bits + ecc_bits) < ecc_bits
-    if strike_ecc:
-        assert line.ecc_checks is not None
-        line.ecc_checks[word] ^= 1 << rng.randrange(ecc_bits)
-        if flips > 1:
-            line.ecc_checks[word] ^= 1 << rng.randrange(ecc_bits)
-    else:
-        assert line.parity_checks is not None
-        # A 1-bit-per-word code has only one target, so no rng draw —
-        # this keeps the trial stream identical to the historical
-        # parity/SECDED special-case (and to the batched kernel).
-        line.parity_checks[word] ^= (
-            1 << rng.randrange(parity_bits) if parity_bits > 1 else 1
-        )
-        if flips > 1:
-            # One parity bit per word: the second upset bit of the
-            # strike lands in the neighbouring word's parity column.
-            other = (word + 1) % (config.line_bytes // 8)
-            line.parity_checks[other] ^= 1
-    return _observe(line, dirty, config, rng)
+    return _finish(action, dirty, config.controller_refetch)
 
 
 def _inject_tag(
@@ -398,37 +340,146 @@ def _inject_status(
     return TrialOutcome.MASKED
 
 
-class _ScenarioPlan:
-    """Precomputed per-(policy, config) state for scenario trials."""
+#: CheckOutcome severity, mirroring ``LineCodec.check_line``'s worst-of
+#: ordering (UNDETECTED classifies like DETECTED in ``access``).
+_SEVERITY = {
+    CheckOutcome.OK: 0,
+    CheckOutcome.CORRECTED: 1,
+    CheckOutcome.DETECTED: 2,
+    CheckOutcome.UNDETECTED: 2,
+}
 
-    __slots__ = ("classes", "cdf", "codecs", "weights")
+
+class TrialPlan:
+    """Per-(policy, config) state shared by every kernel's trials.
+
+    Holds the class mixture, the domain-roll thresholds, the check-column
+    widths per line state and the pattern → outcome memo behind
+    :meth:`classify`.  Obtain one through :func:`plan_for`.
+    """
+
+    __slots__ = (
+        "classes", "cdf", "cum", "total", "recovery", "parity_bits",
+        "ecc_bits", "codec_by_domain", "controller_refetch", "_outcomes",
+    )
 
     def __init__(
         self, policy: ProtectionPolicy, config: FaultModelConfig
     ) -> None:
-        from repro.reliability.scenarios import class_cdf, get_scenario
-
-        scenario = get_scenario(config.scenario)
-        self.classes = scenario.resolve(config.double_bit_fraction)
+        codecs = config.codecs()
+        self.classes = get_scenario(config.scenario).resolve(
+            config.double_bit_fraction
+        )
         self.cdf = class_cdf(self.classes)
-        self.codecs = config.codecs()
-        self.weights = {
-            dirty: domain_bits(policy, dirty, config)
-            for dirty in (False, True)
+        #: The live codec guarding each slot (registry defaults unless
+        #: the config overrides the ECC code).
+        self.codec_by_domain: Dict[ProtectionDomain, Codec] = {
+            domain: domain_codec(domain, codecs)
+            for domain in (ProtectionDomain.PARITY, ProtectionDomain.ECC)
         }
+        self.controller_refetch = config.controller_refetch
+        self.cum: Dict[bool, List[float]] = {}
+        self.total: Dict[bool, float] = {}
+        self.recovery: Dict[bool, ProtectionDomain] = {}
+        self.parity_bits: Dict[bool, int] = {}
+        self.ecc_bits: Dict[bool, int] = {}
+        for dirty in (False, True):
+            weights = domain_bits(policy, dirty, config)
+            # Domain roll thresholds, accumulated in DOMAIN_ORDER: a
+            # strike lands in a domain with probability ∝ its bits.
+            acc, cum = 0.0, []
+            for domain in DOMAIN_ORDER:
+                acc += weights[domain]
+                cum.append(acc)
+            self.cum[dirty] = cum
+            self.total[dirty] = acc
+            self.recovery[dirty] = policy.recovery_domain(dirty, codecs)
+            domains = policy.domains_for(dirty)
+            for slot, widths in (
+                (ProtectionDomain.PARITY, self.parity_bits),
+                (ProtectionDomain.ECC, self.ecc_bits),
+            ):
+                widths[dirty] = (
+                    self.codec_by_domain[slot].check_bits_per_word
+                    if slot in domains
+                    else 0
+                )
+        self._outcomes: Dict[Tuple[bool, str, tuple], TrialOutcome] = {}
+
+    def domain(self, dirty: bool, roll: float) -> FaultDomain:
+        """The domain a ``[0, total)`` roll lands in."""
+        for domain, bound in zip(DOMAIN_ORDER, self.cum[dirty]):
+            if roll < bound:
+                return domain
+        return DOMAIN_ORDER[-1]  # pragma: no cover - float edge
+
+    def classify(
+        self, dirty: bool, column: str, masks: Dict[int, int]
+    ) -> TrialOutcome:
+        """Outcome of reading a line whose ``column`` carries ``masks``.
+
+        ``column`` is ``"data"``, ``"parity"`` or ``"ecc"`` and ``masks``
+        the strike's ``{word index: error mask}`` as the samplers in
+        :mod:`repro.reliability.scenarios` draw it.  The codes are
+        GF(2)-linear, so decoding the stored line is decoding the pure
+        error pattern against the all-zero codeword:
+        ``codec.check(e_data, e_check)`` per struck word, the worst-of
+        reduction of :meth:`repro.ecc.codec.LineCodec.check_line`, the
+        recovery contract of :meth:`LineProtection.access` ("repaired ==
+        golden" becomes "every residual is zero") and then the
+        controller's refetch.  Only the pattern and the line state
+        matter, so outcomes are memoised on ``(dirty, column, masks)``.
+        """
+        key = (dirty, column, tuple(masks.values()))
+        outcome = self._outcomes.get(key)
+        if outcome is not None:
+            return outcome
+        recovery = self.recovery[dirty]
+        if column != "data" and column != recovery.value:
+            # Stale check bits of a column the recovery code never
+            # consults (e.g. parity shadowed by ECC): nothing observed.
+            action = RecoveryAction.CLEAN_READ
+        else:
+            codec = self.codec_by_domain[recovery]
+            worst = residual = 0
+            for mask in masks.values():
+                result = (
+                    codec.check(mask, 0)
+                    if column == "data"
+                    else codec.check(0, mask)
+                )
+                worst = max(worst, _SEVERITY[result.outcome])
+                residual |= result.data
+            if worst == 2:
+                # Signalled.  A correcting code gives up (the controller
+                # may still refetch a clean line); detect-only recovery
+                # refetches clean lines unconditionally.
+                action = (
+                    RecoveryAction.DATA_LOSS
+                    if codec.corrects or dirty
+                    else RecoveryAction.REFETCHED
+                )
+            elif residual:
+                action = RecoveryAction.SILENT_CORRUPTION
+            elif worst == 1:
+                action = RecoveryAction.CORRECTED_IN_PLACE
+            else:
+                action = RecoveryAction.CLEAN_READ
+        outcome = self._outcomes[key] = _finish(
+            action, dirty, self.controller_refetch
+        )
+        return outcome
 
 
-_SCENARIO_PLANS: Dict[Tuple[str, FaultModelConfig], _ScenarioPlan] = {}
+_PLANS: Dict[Tuple[str, FaultModelConfig], TrialPlan] = {}
 
 
-def _scenario_plan(
-    policy: ProtectionPolicy, config: FaultModelConfig
-) -> _ScenarioPlan:
+def plan_for(policy: ProtectionPolicy, config: FaultModelConfig) -> TrialPlan:
+    """The memoised :class:`TrialPlan` of one (policy, config)."""
     key = (policy.name, config)
-    plan = _SCENARIO_PLANS.get(key)
+    plan = _PLANS.get(key)
     if plan is None:
-        plan = _ScenarioPlan(policy, config)
-        _SCENARIO_PLANS[key] = plan
+        plan = _PLANS[key] = TrialPlan(policy, config)
     return plan
 
 
@@ -442,35 +493,49 @@ def _apply_data_masks(line: LineProtection, masks: Dict[int, int]) -> None:
             mask &= mask - 1
 
 
-def _run_trial_scenario(
+def run_trial(
     policy: ProtectionPolicy,
     config: FaultModelConfig,
     rng: random.Random,
-    pool: "LinePool",
+    pool: Optional["LinePool"] = None,
 ) -> Tuple[TrialOutcome, FaultDomain, bool]:
-    """One trial under the generic scenario path.
+    """One strike: sample state, domain and shape; classify.
+
+    Returns ``(outcome, struck domain, line was dirty)``.  This is the
+    **reference kernel**: every trial XORs the sampled error pattern into
+    a live :class:`LineProtection` and decodes it with the real codec
+    machinery, which makes it the oracle the pattern classifier
+    (:meth:`TrialPlan.classify`) is tested against.  ``pool`` supplies the
+    payloads (see :func:`_build_line`); when omitted the process-wide
+    shared pool is used.
 
     Draw order (the cross-kernel determinism contract, see
     :mod:`repro.reliability.scenarios`): dirty roll → domain roll →
     class roll → burst length (burst classes only) → the shared
     samplers' domain-specific draws → read roll (clean lines only).
-    The batched kernel replays this stream through the *same* sampler
-    functions, so its trials are bit-identical by construction.
+    :func:`repro.reliability.kernel.run_trials_batch` consumes the
+    identical stream through the same samplers, so a seeded rng replays
+    the identical trial in either kernel.
     """
-    from repro.reliability import scenarios as sc
+    if pool is None:
+        from repro.reliability.kernel import LinePool
 
-    plan = _scenario_plan(policy, config)
+        pool = LinePool.shared(config.line_bytes)
+    plan = plan_for(policy, config)
     dirty = rng.random() < config.dirty_fraction
-    domain = _choose_domain(rng, plan.weights[dirty])
-    cls = sc.draw_class(rng, plan.classes, plan.cdf)
-    length = sc.draw_burst_length(rng, cls)
+    domain = plan.domain(dirty, rng.random() * plan.total[dirty])
+    cls = draw_class(rng, plan.classes, plan.cdf)
+    length = draw_burst_length(rng, cls)
     if domain is FaultDomain.DATA:
-        line = _build_line(policy, dirty, config, rng, pool, plan.codecs)
-        masks = sc.data_error_masks(rng, cls, length, config.line_bytes)
+        line = _build_line(policy, dirty, config, rng, pool)
+        masks = data_error_masks(rng, cls, length, config.line_bytes)
         _apply_data_masks(line, masks)
         outcome = _observe(line, dirty, config, rng)
     elif domain is FaultDomain.CHECK:
-        line = _build_line(policy, dirty, config, rng, pool, plan.codecs)
+        line = _build_line(policy, dirty, config, rng, pool)
+        # The column widths come from the codecs actually guarding the
+        # live line, not from the plan, so the oracle checks the plan's
+        # widths (through the shared draws) rather than assuming them.
         parity_bits = (
             line.codecs[ProtectionDomain.PARITY].check_bits_per_word
             if line.parity_checks is not None
@@ -481,7 +546,7 @@ def _run_trial_scenario(
             if line.ecc_checks is not None
             else 0
         )
-        column, cmasks = sc.check_error_masks(
+        column, cmasks = check_error_masks(
             rng, cls, length, config.line_bytes // 8, parity_bits, ecc_bits
         )
         target = (
@@ -492,53 +557,12 @@ def _run_trial_scenario(
             target[word] ^= mask
         outcome = _observe(line, dirty, config, rng)
     elif domain is FaultDomain.TAG:
-        outcome = _inject_tag(dirty, sc.flips_for(cls, length), config, rng)
+        outcome = _inject_tag(dirty, flips_for(cls, length), config, rng)
     else:
         outcome = _inject_status(
-            dirty, sc.flips_for(cls, length), config, rng
+            dirty, flips_for(cls, length), config, rng
         )
     return outcome, domain, dirty
-
-
-def run_trial(
-    policy: ProtectionPolicy,
-    config: FaultModelConfig,
-    rng: random.Random,
-    pool: Optional["LinePool"] = None,
-) -> Tuple[TrialOutcome, FaultDomain, bool]:
-    """One strike: sample state, domain and multiplicity; classify.
-
-    Returns ``(outcome, struck domain, line was dirty)``.  Consumes rng
-    state in a fixed order, so a seeded rng replays the identical trial.
-    This is the **reference kernel**: every trial exercises the real
-    codec machinery end to end.  ``pool`` supplies the payloads (see
-    :func:`_build_line`); when omitted the process-wide shared pool is
-    used.  The batched kernel
-    (:func:`repro.reliability.kernel.run_trials_batch`) replays the
-    identical random stream ~30× faster.
-    """
-    if pool is None:
-        from repro.reliability.kernel import LinePool
-
-        pool = LinePool.shared(config.line_bytes)
-    if config.scenario != "nominal" or config.ecc_codec != "secded":
-        # Correlated scenarios (and non-default codecs) take the
-        # generic path; the branch below is the historical nominal
-        # stream, preserved bit for bit.
-        return _run_trial_scenario(policy, config, rng, pool)
-    dirty = rng.random() < config.dirty_fraction
-    domain = _choose_domain(rng, domain_bits(policy, dirty, config))
-    flips = 2 if rng.random() < config.double_bit_fraction else 1
-    if domain is FaultDomain.DATA:
-        outcome = _inject_data(policy, dirty, flips, config, rng, pool)
-    elif domain is FaultDomain.CHECK:
-        outcome = _inject_check(policy, dirty, flips, config, rng, pool)
-    elif domain is FaultDomain.TAG:
-        outcome = _inject_tag(dirty, flips, config, rng)
-    else:
-        outcome = _inject_status(dirty, flips, config, rng)
-    return outcome, domain, dirty
-
 
 def stored_bits_per_line(
     policy: ProtectionPolicy, config: FaultModelConfig, dirty_fraction: float

@@ -12,23 +12,27 @@ per campaign with ``repro reliability --scenario NAME``.
 
 Determinism contract
 --------------------
-Both injection kernels (``reference`` and ``batch``) draw a scenario
-trial through the *same* sampler functions below, in the same order:
-dirty roll → domain roll → class roll (:func:`draw_class`) → burst
-length (:func:`draw_burst_length`, burst classes only) → the
-domain-specific position draws (:func:`data_error_masks` /
-:func:`check_error_masks`).  Sharing the samplers — rather than
-replicating their draw sequences — is what keeps the two kernels
-bit-identical under one shard seed for every scenario, the same
-property the nominal model pins.  Checkpoint digests fold the scenario
-name in (``nominal`` keeps the historical digest), so shards from
-different scenarios can never be spliced together.
+Both exact injection kernels (``reference`` and ``batch``) draw every
+trial, nominal included, through the *same* sampler functions below,
+in the same order: dirty roll → domain roll → class roll
+(:func:`draw_class`) → burst length (:func:`draw_burst_length`, burst
+classes only) → the domain-specific position draws
+(:func:`data_error_masks` / :func:`check_error_masks`).  Sharing the
+samplers — rather than replicating their draw sequences — is what
+keeps the two kernels bit-identical under one shard seed for every
+scenario.  The nominal mixture is ordered so these samplers replay the
+pre-scenario nominal stream exactly (see :meth:`Scenario.resolve`).
+Checkpoint digests fold the scenario name in (``nominal`` keeps the
+historical digest), so shards from different scenarios can never be
+spliced together.
 
 The masks returned are *error patterns*: ``{word index: 64-bit mask}``
 for data strikes, ``(column, {word index: column mask})`` for check
 strikes.  The reference kernel XORs them into a live
-:class:`~repro.core.policy.LineProtection`; the batched kernel decodes
-them directly against the zero codeword (GF(2) linearity).
+:class:`~repro.core.policy.LineProtection`; the batched kernel looks
+them up in the pattern classifier
+(:meth:`repro.reliability.model.TrialPlan.classify`), which decodes them
+against the zero codeword (GF(2) linearity).
 """
 
 from __future__ import annotations
@@ -125,11 +129,18 @@ class Scenario:
     def resolve(
         self, double_bit_fraction: float
     ) -> Tuple[FaultClass, ...]:
-        """The concrete class mixture for one model configuration."""
+        """The concrete class mixture for one model configuration.
+
+        The nominal mixture lists ``word2`` first: its cumulative
+        weights are then ``(dbf, dbf + (1 - dbf))`` and the last one
+        rounds to exactly 1.0, so :func:`draw_class` spends one
+        ``random()`` and picks ``word2`` exactly when ``random() < dbf``
+        — the historical multiplicity roll, bit for bit.
+        """
         if self.from_double_bit_fraction:
             return (
-                FaultClass("single", 1.0 - double_bit_fraction),
                 FaultClass("word2", double_bit_fraction),
+                FaultClass("single", 1.0 - double_bit_fraction),
             )
         return self.classes
 
@@ -164,8 +175,8 @@ register_scenario(Scenario(
     name="nominal",
     description=(
         "The paper's Bernoulli model: single strikes with the "
-        "double_bit_fraction same-word tail.  Bit-identical to the "
-        "pre-scenario trial stream."
+        "double_bit_fraction same-word tail, drawn through the same "
+        "samplers as every other scenario."
     ),
     from_double_bit_fraction=True,
 ))
@@ -217,11 +228,16 @@ register_scenario(Scenario(
 
 
 # -- shared samplers (the cross-kernel determinism contract) ------------------
+#
+# Integer positions are drawn with ``rng._randbelow(n)``: the exact draw
+# ``rng.randrange(n)`` makes for ``n > 0`` (so the historical streams and
+# NOMINAL_GOLDEN hold), minus randrange's argument plumbing, which costs
+# more than a memoised classification in the batched kernel's loop.
 
 
 def class_cdf(classes: Tuple[FaultClass, ...]) -> List[float]:
     """Cumulative class weights, in the same float-accumulation order
-    both kernels compare rolls against (cf. ``model._choose_domain``)."""
+    both kernels compare rolls against (cf. ``model.TrialPlan.domain``)."""
     acc, cdf = 0.0, []
     for cls in classes:
         acc += cls.weight
@@ -286,26 +302,26 @@ def data_error_masks(
     """
     words = line_bytes // 8
     if cls.kind == "single":
-        byte_idx = rng.randrange(line_bytes)
-        bit = rng.randrange(8)
+        byte_idx = rng._randbelow(line_bytes)
+        bit = rng._randbelow(8)
         return {byte_idx // 8: 1 << ((byte_idx % 8) * 8 + bit)}
     if cls.kind == "word2":
-        byte_idx = rng.randrange(line_bytes)
-        bit = rng.randrange(8)
+        byte_idx = rng._randbelow(line_bytes)
+        bit = rng._randbelow(8)
         mask = 1 << ((byte_idx % 8) * 8 + bit)
-        mask ^= 1 << (rng.randrange(8) * 8 + rng.randrange(8))
+        mask ^= 1 << (rng._randbelow(8) * 8 + rng._randbelow(8))
         return {byte_idx // 8: mask}
     if cls.kind == "burst":
         total = line_bytes * 8
-        start = rng.randrange(total)
+        start = rng._randbelow(total)
         masks: Dict[int, int] = {}
         for i in range(length):
             position = (start + i) % total
             word = position // 64
             masks[word] = masks.get(word, 0) | 1 << (position % 64)
         return masks
-    offset = rng.randrange(64)
-    start_word = rng.randrange(words)
+    offset = rng._randbelow(64)
+    start_word = rng._randbelow(words)
     span = min(cls.span_words, words)
     return {(start_word + i) % words: 1 << offset for i in range(span)}
 
@@ -328,17 +344,17 @@ def check_error_masks(
     consecutive words; column strikes repeat one bit offset down
     ``span_words`` words of the chosen column.
     """
-    word = rng.randrange(words)
+    word = rng._randbelow(words)
     strike_ecc = rng.random() * (parity_bits + ecc_bits) < ecc_bits
     column = "ecc" if strike_ecc else "parity"
     col_bits = ecc_bits if strike_ecc else parity_bits
     if cls.kind == "single":
-        mask = 1 << rng.randrange(col_bits) if col_bits > 1 else 1
+        mask = 1 << rng._randbelow(col_bits) if col_bits > 1 else 1
         return column, {word: mask}
     if cls.kind == "word2":
         if col_bits > 1:
-            mask = 1 << rng.randrange(col_bits)
-            mask ^= 1 << rng.randrange(col_bits)
+            mask = 1 << rng._randbelow(col_bits)
+            mask ^= 1 << rng._randbelow(col_bits)
             return column, {word: mask}
         # One check bit per word: the second upset bit of the strike
         # lands in the neighbouring word's column entry.
@@ -347,7 +363,7 @@ def check_error_masks(
         total = words * col_bits
         start = word * col_bits
         if col_bits > 1:
-            start += rng.randrange(col_bits)
+            start += rng._randbelow(col_bits)
         masks: Dict[int, int] = {}
         for i in range(length):
             position = (start + i) % total
@@ -356,7 +372,7 @@ def check_error_masks(
                 position % col_bits
             )
         return column, masks
-    offset = rng.randrange(col_bits) if col_bits > 1 else 0
+    offset = rng._randbelow(col_bits) if col_bits > 1 else 0
     span = min(cls.span_words, words)
     return column, {
         (word + i) % words: 1 << offset for i in range(span)

@@ -26,8 +26,9 @@ indexed by flip position(s):
   outcomes depend only on (state, multiplicity) or a tiny position
   predicate.
 
-Every table entry is produced by the *batched kernel's own* scalar
-classification helpers (``_secded_action`` / ``_finish``), so the
+Every data and check table entry is filled from the batched kernel's
+own pattern classifier
+(:meth:`repro.reliability.model.TrialPlan.classify`), so the
 deterministic part of this kernel is exact by construction — pinned by
 enumeration tests in ``tests/reliability/test_vector.py``.  What cannot
 be exact is the sampling: bulk drawing reorders the RNG stream, so
@@ -44,18 +45,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.policy import (
-    ProtectionDomain,
-    ProtectionPolicy,
-    RecoveryAction,
-)
-from repro.ecc.hamming import encode_word, syndrome_table_array
-from repro.ecc.parity import _parity64, byte_parity_array
-from repro.reliability.kernel import _finish, _plan_for, _secded_action
+from repro.core.policy import ProtectionPolicy
 from repro.reliability.model import (
     DOMAIN_ORDER,
     FaultModelConfig,
     TrialOutcome,
+    plan_for,
 )
 
 try:  # pragma: no cover - trivially environment-dependent
@@ -95,53 +90,6 @@ def require_numpy() -> None:
         )
 
 
-def _data_outcome_code(
-    recovery: ProtectionDomain,
-    dirty: bool,
-    err: int,
-    config: FaultModelConfig,
-    parity: int = None,
-    enc: int = None,
-) -> int:
-    """Scalar oracle for one data-array error pattern (word-relative).
-
-    ``parity``/``enc`` accept the pattern's precomputed overall parity
-    and syndrome (the plan builder gathers them from the ndarray table
-    views in bulk); left as ``None`` they fall back to the scalar
-    encode, so callers like the enumeration tests stay table-free.
-    """
-    if recovery is ProtectionDomain.PARITY:
-        if _parity64(err):
-            action = (
-                RecoveryAction.DATA_LOSS if dirty else RecoveryAction.REFETCHED
-            )
-        elif err == 0:
-            action = RecoveryAction.CLEAN_READ
-        else:
-            action = RecoveryAction.SILENT_CORRUPTION
-    else:
-        # SECDED over the struck codeword.  Linearity gives
-        # syndrome = encode(err) and overall parity = parity(err), so
-        # the batched kernel's classifier applies with check := 0.
-        if parity is None:
-            parity = _parity64(err)
-        if enc is None:
-            enc = encode_word(err)
-        action = _secded_action(parity, enc, 0, err)
-    return _OUTCOME_CODE[_finish(action, dirty, config)]
-
-
-def _check_outcome_code(
-    dirty: bool, check_err: int, config: FaultModelConfig
-) -> int:
-    """Scalar oracle for one SECDED-column error pattern."""
-    # syndrome = check_err & 0x7F and overall parity = parity(check_err)
-    # (parity(encode(w)) == parity(w) for every valid codeword), which
-    # is _secded_action with enc := 0 and the error in the check byte.
-    action = _secded_action(0, 0, check_err, 0)
-    return _OUTCOME_CODE[_finish(action, dirty, config)]
-
-
 class _VectorPlan:
     """Per-(policy, config) outcome tables and sampling constants.
 
@@ -158,23 +106,22 @@ class _VectorPlan:
     )
 
     def __init__(self, policy: ProtectionPolicy, config: FaultModelConfig):
-        kernel_plan = _plan_for(policy, config)
+        plan = plan_for(policy, config)
         states = (False, True)
         # Domain-choice thresholds, identical accumulation to the
-        # batched kernel's plan (same floats, same order).
+        # shared trial plan (same floats, same order).
         self.total = np.array(
-            [kernel_plan.total[d] for d in states], dtype=np.float64
+            [plan.total[d] for d in states], dtype=np.float64
         )
-        cums = [kernel_plan.cum[d] for d in states]
+        cums = [plan.cum[d] for d in states]
         self.cum0 = np.array([c[0] for c in cums], dtype=np.float64)
         self.cum1 = np.array([c[1] for c in cums], dtype=np.float64)
         self.cum2 = np.array([c[2] for c in cums], dtype=np.float64)
         self.p_ecc = np.array(
             [
                 (
-                    kernel_plan.ecc_bits[d]
-                    / (kernel_plan.parity_bits[d] + kernel_plan.ecc_bits[d])
-                    if kernel_plan.parity_bits[d] + kernel_plan.ecc_bits[d]
+                    plan.ecc_bits[d] / (plan.parity_bits[d] + plan.ecc_bits[d])
+                    if plan.parity_bits[d] + plan.ecc_bits[d]
                     else 0.0
                 )
                 for d in states
@@ -189,49 +136,27 @@ class _VectorPlan:
         self.check_parity = np.zeros(2, dtype=np.uint8)
         self.tag1 = np.zeros(2, dtype=np.uint8)
         self.tag2 = np.zeros(2, dtype=np.uint8)
-        # Syndrome/parity of every 1- and 2-bit data error, gathered
-        # from the ndarray views of the encode tables: linearity makes
-        # the syndrome of (1<<p1)^(1<<p2) the XOR of two single-bit
-        # gathers (p1 == p2 cancels to the zero pattern).
-        bits = np.arange(64)
-        byte_value = (1 << (bits % 8)).astype(np.intp)
-        enc1 = syndrome_table_array()[bits // 8, byte_value]
-        par1 = byte_parity_array()[byte_value]
-        enc2 = enc1[:, None] ^ enc1[None, :]
-        par2 = par1[:, None] ^ par1[None, :]
         for di, dirty in enumerate(states):
-            recovery = kernel_plan.recovery[dirty]
+
+            def code(column: str, mask: int) -> int:
+                # One struck word (word 0: outcomes are position-free).
+                return _OUTCOME_CODE[plan.classify(dirty, column, {0: mask})]
+
             for p1 in range(64):
-                self.data1[di, p1] = _data_outcome_code(
-                    recovery, dirty, 1 << p1, config,
-                    parity=int(par1[p1]), enc=int(enc1[p1]),
-                )
+                self.data1[di, p1] = code("data", 1 << p1)
                 for p2 in range(64):
-                    self.data2[di, p1, p2] = _data_outcome_code(
-                        recovery, dirty, (1 << p1) ^ (1 << p2), config,
-                        parity=int(par2[p1, p2]), enc=int(enc2[p1, p2]),
+                    self.data2[di, p1, p2] = code(
+                        "data", (1 << p1) ^ (1 << p2)
                     )
             for c1 in range(8):
-                self.check1[di, c1] = _check_outcome_code(
-                    dirty, 1 << c1, config
-                )
+                self.check1[di, c1] = code("ecc", 1 << c1)
                 for c2 in range(8):
-                    self.check2[di, c1, c2] = _check_outcome_code(
-                        dirty, (1 << c1) ^ (1 << c2), config
+                    self.check2[di, c1, c2] = code(
+                        "ecc", (1 << c1) ^ (1 << c2)
                     )
             # A struck parity column: shadowed entirely when the line
             # recovers through ECC, otherwise detected stale parity.
-            if recovery is ProtectionDomain.ECC:
-                parity_action = RecoveryAction.CLEAN_READ
-            else:
-                parity_action = (
-                    RecoveryAction.DATA_LOSS
-                    if dirty
-                    else RecoveryAction.REFETCHED
-                )
-            self.check_parity[di] = _OUTCOME_CODE[
-                _finish(parity_action, dirty, config)
-            ]
+            self.check_parity[di] = code("parity", 1)
             # Tag strikes (model._inject_tag + ProtectedTag.check): one
             # flip is parity-detected, two distinct flips alias silently.
             self.tag1[di] = _OUTCOME_CODE[

@@ -130,38 +130,3 @@ class TestCheckValidation:
     def test_check_rejects_oversized_word(self, codec):
         with pytest.raises(CodewordError):
             codec.check(1 << 64, 0)
-
-
-class TestSyndromeTableArray:
-    """The ndarray view the vectorized injection kernel gathers from."""
-
-    def test_matches_the_list_tables_exactly(self):
-        numpy = pytest.importorskip("numpy")
-        from repro.ecc.hamming import SYNDROME_TABLES, syndrome_table_array
-
-        array = syndrome_table_array()
-        assert array.shape == (8, 256)
-        assert array.dtype == numpy.uint8
-        assert array.tolist() == [list(row) for row in SYNDROME_TABLES]
-
-    def test_view_is_read_only_and_cached(self):
-        numpy = pytest.importorskip("numpy")
-        from repro.ecc.hamming import syndrome_table_array
-
-        array = syndrome_table_array()
-        with pytest.raises(ValueError):
-            array[0, 0] = 1
-        assert syndrome_table_array() is array
-
-    @given(WORDS)
-    @settings(max_examples=100)
-    def test_gathered_byte_contributions_reencode_any_word(self, word):
-        """XORing the eight per-byte gathers is the full encode — the
-        linearity the vector kernel's table construction rests on."""
-        numpy = pytest.importorskip("numpy")
-        from repro.ecc.hamming import encode_word, syndrome_table_array
-
-        array = syndrome_table_array()
-        values = [(word >> (8 * k)) & 0xFF for k in range(8)]
-        gathered = numpy.bitwise_xor.reduce(array[numpy.arange(8), values])
-        assert int(gathered) == encode_word(word)

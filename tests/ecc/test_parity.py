@@ -93,34 +93,3 @@ class TestCheck:
         result = codec.check(1, 0)
         assert result.outcome.is_error_signalled
         assert not result.ok
-
-
-class TestByteParityArray:
-    """The ndarray view the vectorized injection kernel gathers from."""
-
-    def test_matches_the_tuple_table_exactly(self):
-        numpy = pytest.importorskip("numpy")
-        from repro.ecc.parity import BYTE_PARITY, byte_parity_array
-
-        array = byte_parity_array()
-        assert array.shape == (256,)
-        assert array.dtype == numpy.uint8
-        assert tuple(array.tolist()) == BYTE_PARITY
-
-    def test_view_is_read_only_and_cached(self):
-        numpy = pytest.importorskip("numpy")
-        from repro.ecc.parity import byte_parity_array
-
-        array = byte_parity_array()
-        with pytest.raises(ValueError):
-            array[0] = 1
-        assert byte_parity_array() is array
-
-    @given(WORDS)
-    def test_gathered_byte_parities_fold_to_word_parity(self, word):
-        numpy = pytest.importorskip("numpy")
-        from repro.ecc.parity import byte_parity_array
-
-        array = byte_parity_array()
-        values = [(word >> (8 * k)) & 0xFF for k in range(8)]
-        assert int(numpy.bitwise_xor.reduce(array[values])) == _parity64(word)

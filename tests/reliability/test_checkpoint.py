@@ -104,3 +104,61 @@ def test_missing_header_is_an_error(tmp_path):
     path.write_text(json.dumps(dict(_shard(), type="shard")) + "\n")
     with pytest.raises(CheckpointError, match="header"):
         CampaignCheckpoint(path).load("d")
+
+
+def _bad_shard(**changes):
+    record = dict(_shard(), type="shard")
+    record.update(changes)
+    return record
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"type": "shard", "scheme": "uniform-ecc"}, "'index' must be an integer"),
+        (_bad_shard(outcomes=[1, 2]), "'outcomes' must be an object"),
+        ([1, 2], "must be a JSON object"),
+        ("shard", "must be a JSON object"),
+        (_bad_shard(scheme=3), "'scheme' must be a string"),
+        (_bad_shard(index="0"), "'index' must be an integer"),
+        (_bad_shard(trials=1.5), "'trials' must be an integer"),
+        (_bad_shard(seed=True), "'seed' must be an integer"),
+        (_bad_shard(outcomes={"cache": {"masked": 1}}), "unknown fault domain"),
+        (_bad_shard(outcomes={"data": [1]}), r"outcomes\['data'\] must be"),
+        (_bad_shard(outcomes={"data": {"lost": 1}}), "unknown outcome 'lost'"),
+        (_bad_shard(outcomes={"data": {"sdc": "1"}}), "non-negative integer"),
+        (_bad_shard(outcomes={"data": {"sdc": -1}}), "non-negative integer"),
+    ],
+    ids=[
+        "missing-index", "outcomes-list", "bare-list", "bare-string",
+        "scheme-int", "index-str", "trials-float", "seed-bool",
+        "unknown-domain", "domain-list", "unknown-outcome", "count-str",
+        "count-negative",
+    ],
+)
+def test_malformed_shard_record_names_its_line(tmp_path, bad, match):
+    digest = config_digest({})
+    path = tmp_path / "c.jsonl"
+    with CampaignCheckpoint(path) as ckpt:
+        ckpt.write_header(digest, {})
+        ckpt.append_shard(_shard(index=0))
+    with open(path, "a") as fh:
+        fh.write(json.dumps(bad) + "\n")
+        fh.write(json.dumps(dict(_shard(index=1), type="shard")) + "\n")
+    with pytest.raises(CheckpointError, match=match) as err:
+        CampaignCheckpoint(path).load(digest)
+    assert "line 3" in str(err.value)
+    assert "\n" not in str(err.value)
+
+
+def test_malformed_final_record_is_not_a_torn_line(tmp_path):
+    # Valid JSON of the wrong shape was written whole: refuse it rather
+    # than silently dropping it like a torn write.
+    digest = config_digest({})
+    path = tmp_path / "c.jsonl"
+    with CampaignCheckpoint(path) as ckpt:
+        ckpt.write_header(digest, {})
+    with open(path, "a") as fh:
+        fh.write(json.dumps(_bad_shard(outcomes=[1, 2])) + "\n")
+    with pytest.raises(CheckpointError, match="line 2"):
+        CampaignCheckpoint(path).load(digest)

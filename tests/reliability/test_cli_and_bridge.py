@@ -57,6 +57,22 @@ def test_cli_checkpoint_config_mismatch_exits(tmp_path, capsys):
               "--checkpoint", path])
 
 
+def test_cli_malformed_checkpoint_record_exits_with_one_line(
+    tmp_path, capsys
+):
+    path = tmp_path / "c.jsonl"
+    assert _cli(capsys, *QUICK, "--checkpoint", str(path))[0] == 0
+    lines = path.read_text().splitlines()
+    lines.insert(1, '{"type": "shard", "scheme": "uniform-ecc"}')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reliability", *QUICK, "--checkpoint", str(path)])
+    message = str(exc.value)
+    assert exc.value.code != 0
+    assert "malformed checkpoint line 2" in message
+    assert "\n" not in message.strip()
+
+
 def test_cli_rejects_bad_trials():
     with pytest.raises(SystemExit):
         main(["reliability", "--trials", "-3"])

@@ -7,18 +7,19 @@ outcomes — that is what makes ``--kernel`` a speed knob rather than a
 results knob, and what keeps checkpoints kernel-portable.
 """
 
+import itertools
 import random
 import time
 
 import pytest
 
+from repro.ecc import available_codecs
 from repro.ecc.hamming import (
     SYNDROME_TABLES,
     SecDedCodec,
     _encode_reference,
     encode_word,
 )
-from repro.ecc.parity import BYTE_PARITY, _parity64
 from repro.reliability.campaign import (
     CampaignConfig,
     ShardSpec,
@@ -34,6 +35,10 @@ from repro.reliability.kernel import (
 from repro.reliability.model import (
     SCHEMES,
     FaultModelConfig,
+    _apply_data_masks,
+    _build_line,
+    _observe,
+    plan_for,
     run_trial,
     scheme_policy,
 )
@@ -100,26 +105,11 @@ class TestTableCodecs:
             assert result.outcome.name == "CORRECTED"
             assert result.data == word
 
-    def test_byte_parity_table_matches_parity64(self):
-        assert len(BYTE_PARITY) == 256
-        for value in range(256):
-            assert BYTE_PARITY[value] == _parity64(value)
-
 
 class TestLinePool:
     def test_contents_are_deterministic_across_instances(self):
         a, b = LinePool(), LinePool()
         assert a.payload == b.payload
-        assert a.parity == b.parity
-        assert a.ecc == b.ecc
-
-    def test_check_bytes_encode_the_pooled_payloads(self):
-        pool = LinePool(size=4)
-        codec = SecDedCodec()
-        for j in range(4 * pool.words_per_line):
-            word = int.from_bytes(pool.payload[j * 8 : j * 8 + 8], "little")
-            assert pool.parity[j] == _parity64(word)
-            assert pool.ecc[j] == codec.encode(word)
 
     def test_shared_is_memoised_per_shape(self):
         assert LinePool.shared() is LinePool.shared()
@@ -147,6 +137,63 @@ class TestLinePool:
                 random.Random(0),
                 pool=LinePool(line_bytes=32),
             )
+
+
+def _one_and_two_bit_masks(width):
+    """Every 1- and 2-bit error pattern of a ``width``-bit field."""
+    singles = [1 << bit for bit in range(width)]
+    pairs = [
+        (1 << a) | (1 << b) for a, b in itertools.combinations(range(width), 2)
+    ]
+    return singles + pairs
+
+
+class TestClassifierMatchesLiveDecode:
+    """The shared pattern classifier against a live ``LineProtection``.
+
+    Every registered codec in the ECC slot × scheme × line state: all
+    1- and 2-bit data patterns of one word, all 1- and 2-bit patterns
+    of its ECC column, and single and neighbouring-word parity-column
+    strikes — each XORed into a freshly built line and decoded by the
+    reference kernel's own read path (``_observe`` with every line
+    read), which must agree with :meth:`TrialPlan.classify`.
+    """
+
+    @pytest.mark.parametrize("codec", available_codecs())
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_every_small_pattern(self, codec, scheme):
+        policy = scheme_policy(scheme)
+        config = FaultModelConfig(read_fraction=1.0, ecc_codec=codec)
+        plan = plan_for(policy, config)
+        pool = LinePool.shared()
+        rng = random.Random(17)
+        for dirty in (False, True):
+            strikes = [
+                ("data", {0: mask}) for mask in _one_and_two_bit_masks(64)
+            ]
+            if plan.ecc_bits[dirty]:
+                strikes += [
+                    ("ecc", {0: mask})
+                    for mask in _one_and_two_bit_masks(plan.ecc_bits[dirty])
+                ]
+            if plan.parity_bits[dirty]:
+                strikes += [("parity", {0: 1}), ("parity", {0: 1, 1: 1})]
+            for column, masks in strikes:
+                line = _build_line(policy, dirty, config, rng, pool)
+                if column == "data":
+                    _apply_data_masks(line, masks)
+                else:
+                    target = (
+                        line.ecc_checks
+                        if column == "ecc"
+                        else line.parity_checks
+                    )
+                    for word, mask in masks.items():
+                        target[word] ^= mask
+                live = _observe(line, dirty, config, rng)
+                assert plan.classify(dirty, column, masks) is live, (
+                    f"{codec} {scheme} dirty={dirty} {column} {masks}"
+                )
 
 
 class TestStreamParity:

@@ -9,16 +9,15 @@ from repro.core.policy import (
     UniformEccPolicy,
     UniformParityPolicy,
 )
-from repro.reliability.kernel import LinePool
 from repro.reliability.model import (
     DOMAIN_ORDER,
     FaultDomain,
     FaultModelConfig,
     SCHEMES,
     TrialOutcome,
-    _inject_data,
     _inject_status,
     domain_bits,
+    plan_for,
     run_trial,
     scheme_policy,
     stored_bits_per_line,
@@ -89,56 +88,55 @@ def _cfg(**kwargs):
     return FaultModelConfig(**defaults)
 
 
-def _pool() -> LinePool:
-    """The payload source the injectors draw pooled lines from."""
-    return LinePool.shared()
+def _data_strike(scheme, dirty, flips, config):
+    """Outcome of a 1- or 2-bit strike in one data word of a read line."""
+    mask = 1 << 13 if flips == 1 else (1 << 13) | (1 << 42)
+    plan = plan_for(scheme_policy(scheme), config)
+    return plan.classify(dirty, "data", {2: mask})
 
 
 class TestDataDomain:
     def test_secded_corrects_a_single_flip(self):
-        out = _inject_data(
-            scheme_policy("uniform-ecc"), True, 1, _cfg(), random.Random(7), _pool()
-        )
+        out = _data_strike("uniform-ecc", True, 1, _cfg())
         assert out is TrialOutcome.CORRECTED
 
     def test_parity_on_dirty_line_is_a_due(self):
-        out = _inject_data(
-            scheme_policy("parity-only"), True, 1, _cfg(), random.Random(7), _pool()
-        )
+        out = _data_strike("parity-only", True, 1, _cfg())
         assert out is TrialOutcome.DUE
 
     def test_parity_on_clean_line_refetches(self):
-        out = _inject_data(
-            scheme_policy("parity-only"), False, 1, _cfg(), random.Random(7), _pool()
-        )
+        out = _data_strike("parity-only", False, 1, _cfg())
         assert out is TrialOutcome.REFETCHED
 
     def test_double_bit_on_dirty_ecc_line_is_a_due(self):
-        out = _inject_data(
-            scheme_policy("uniform-ecc"), True, 2, _cfg(), random.Random(7), _pool()
-        )
+        out = _data_strike("uniform-ecc", True, 2, _cfg())
         assert out is TrialOutcome.DUE
 
     def test_controller_refetches_clean_detected_uncorrectable(self):
         # Same strike, both controller models: with the dirty bit
         # consulted the clean line refetches; without, it is lost.
-        refetch = _inject_data(
-            scheme_policy("uniform-ecc"), False, 2, _cfg(), random.Random(7), _pool()
-        )
-        strict = _inject_data(
-            scheme_policy("uniform-ecc"), False, 2,
-            _cfg(controller_refetch=False), random.Random(7), _pool(),
+        refetch = _data_strike("uniform-ecc", False, 2, _cfg())
+        strict = _data_strike(
+            "uniform-ecc", False, 2, _cfg(controller_refetch=False)
         )
         assert refetch is TrialOutcome.REFETCHED
         assert strict is TrialOutcome.DUE
 
     def test_unread_clean_line_masks_the_fault(self):
-        config = _cfg(read_fraction=0.0)
-        out = _inject_data(
-            scheme_policy("parity-only"), False, 1, config,
-            random.Random(7), _pool(),
-        )
-        assert out is TrialOutcome.MASKED
+        # Every strike on an unread clean line's data is masked, even
+        # under parity, which would otherwise refetch it.
+        config = _cfg(read_fraction=0.0, dirty_fraction=0.0)
+        policy = scheme_policy("parity-only")
+        rng = random.Random(7)
+        data = [
+            outcome
+            for outcome, domain, _ in (
+                run_trial(policy, config, rng) for _ in range(200)
+            )
+            if domain is FaultDomain.DATA
+        ]
+        assert data
+        assert set(data) == {TrialOutcome.MASKED}
 
 
 class TestStatusDomain:

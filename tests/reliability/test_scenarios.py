@@ -80,7 +80,7 @@ class TestRegistry:
     def test_nominal_resolves_from_double_bit_fraction(self):
         classes = get_scenario("nominal").resolve(0.2)
         assert [(c.kind, c.weight) for c in classes] == [
-            ("single", 0.8), ("word2", 0.2),
+            ("word2", 0.2), ("single", 0.8),
         ]
 
     def test_register_requires_name_and_weight_sum(self, scenario_registry):
@@ -165,7 +165,7 @@ class TestReferenceBatchIdentity:
         "nominal", "burst-heavy", "rowcol", "low-voltage",
     ])
     @pytest.mark.parametrize("codec", [
-        "secded", "dected", "rs-symbol", "parity",
+        "secded", "dected", "rs-symbol", "parity", "interleaved-parity",
     ])
     def test_outcomes_and_rng_state_identical(self, scenario, codec):
         for scheme in SCHEMES:
