@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install lint test test-all bench bench-perf bench-baseline \
-	figures figures-par reliability-smoke service-smoke fabric-smoke \
-	autotune-smoke traffic-smoke check-docs examples clean
+	figures figures-par figures-smoke reliability-smoke service-smoke \
+	fabric-smoke autotune-smoke traffic-smoke check-docs examples clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev]
@@ -61,6 +61,20 @@ figures:
 JOBS ?= 4
 figures-par:
 	$(PYTHON) -m repro figures --jobs $(JOBS)
+
+# Figure-determinism gate (EXPERIMENTS.md "Parallel sweeps"): the
+# whole --json figure document, regenerated at a small size with the
+# result cache off, must be byte-identical at --jobs 1 and --jobs 2.
+FIGURES_SMOKE_ARGS = --no-ipc --no-cache --refs 6000 --warmup 2000
+figures-smoke:
+	@tmp=$$(mktemp -d) && \
+	PYTHONPATH=src $(PYTHON) -m repro figures --json $$tmp/jobs1.json \
+		$(FIGURES_SMOKE_ARGS) --jobs 1 && \
+	PYTHONPATH=src $(PYTHON) -m repro figures --json $$tmp/jobs2.json \
+		$(FIGURES_SMOKE_ARGS) --jobs 2 && \
+	cmp $$tmp/jobs1.json $$tmp/jobs2.json && \
+	echo "figures-smoke: --jobs 1 and --jobs 2 documents are identical"; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 # A fast end-to-end reliability campaign (docs/reliability.md): auto
 # stopping at a loose ±2% target so it finishes well under 30 s; run

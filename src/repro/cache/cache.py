@@ -1,7 +1,7 @@
 """Generic set-associative cache with write-back / write-through policies.
 
 This is the substrate the paper's protected L2 extends: the base class
-exposes hooks (``_on_write_line``, ``_evict_way``, ``advance``) that
+exposes hooks (``_handle_write``, ``_writeback_line``, ``advance``) that
 :class:`repro.core.protected_cache.ProtectedL2` overrides to add the
 written-bit semantics, cleaning sweeps and shared-ECC-array bookkeeping.
 """
@@ -9,7 +9,7 @@ written-bit semantics, cleaning sweeps and shared-ECC-array bookkeeping.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.line import CacheLine
@@ -49,7 +49,6 @@ class Writeback:
     bytes: Optional[int] = None
 
 
-@dataclass
 class AccessResult:
     """Outcome of one cache access.
 
@@ -57,14 +56,36 @@ class AccessResult:
     on hits and on no-allocate write misses).  ``writebacks`` lists every
     block pushed down to the next level by this access, including any
     forced by the protected cache's ECC-array eviction.
+
+    A plain ``__slots__`` class rather than a dataclass: every simulated
+    reference creates at least one, so construction cost matters.
     """
 
-    hit: bool
-    is_write: bool
-    fill_addr: Optional[int] = None
-    writebacks: List[Writeback] = field(default_factory=list)
-    #: True for write-through forwarding of the written data.
-    wrote_through: bool = False
+    __slots__ = ("hit", "is_write", "fill_addr", "writebacks", "wrote_through")
+
+    def __init__(
+        self,
+        hit: bool,
+        is_write: bool,
+        fill_addr: Optional[int] = None,
+        writebacks: Optional[List[Writeback]] = None,
+        wrote_through: bool = False,
+    ) -> None:
+        self.hit = hit
+        self.is_write = is_write
+        self.fill_addr = fill_addr
+        self.writebacks: List[Writeback] = (
+            [] if writebacks is None else writebacks
+        )
+        #: True for write-through forwarding of the written data.
+        self.wrote_through = wrote_through
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"AccessResult(hit={self.hit}, is_write={self.is_write}, "
+            f"fill_addr={self.fill_addr}, writebacks={self.writebacks}, "
+            f"wrote_through={self.wrote_through})"
+        )
 
 
 def _is_pow2(x: int) -> bool:
@@ -215,42 +236,43 @@ class SetAssociativeCache:
 
     def access(self, addr: int, is_write: bool, cycle: int) -> AccessResult:
         """Perform one read or write at ``cycle``; cycles must not decrease."""
-        # Hot loop: every simulated reference lands here, so the set/tag
-        # arithmetic is inlined (no ``locate`` call) and attribute
-        # lookups are hoisted into locals before the way scan.
+        # Hot loop: every simulated reference lands here.  The set/tag
+        # arithmetic is inlined (no ``locate`` call), a hit refreshes the
+        # LRU stamp in place (no policy call), the way scan tests the tag
+        # first (an invalid line's stale tag is caught by ``valid``) and
+        # the result is built only once hit or miss is known.
         block = addr >> self._offset_bits
         set_idx = block & self._index_mask
         tag = block >> self._index_bits
         ways = self.sets[set_idx]
         stamp = self._stamp + 1
         self._stamp = stamp
-        stats = self.stats
-        result = AccessResult(hit=False, is_write=is_write)
 
         way = 0
         for line in ways:
-            if line.valid and line.tag == tag:
-                result.hit = True
-                self.policy.on_access(line, stamp)
+            if line.tag == tag and line.valid:
+                line.lru_stamp = stamp
                 line.last_touch_cycle = cycle
+                result = AccessResult(True, is_write)
                 if is_write:
-                    stats.write_hits += 1
+                    self.stats.write_hits += 1
                     self._handle_write(line, set_idx, way, cycle, result)
                 else:
-                    stats.read_hits += 1
+                    self.stats.read_hits += 1
                 return result
             way += 1
 
         # Miss path.
+        result = AccessResult(False, is_write)
         if is_write:
-            stats.write_misses += 1
+            self.stats.write_misses += 1
             if not self.config.write_allocate:
                 # No-allocate write miss: forward the write downstream.
                 result.wrote_through = True
-                stats.write_throughs += 1
+                self.stats.write_throughs += 1
                 return result
         else:
-            stats.read_misses += 1
+            self.stats.read_misses += 1
 
         way = self._fill(set_idx, tag, cycle, result)
         if is_write:
@@ -264,27 +286,21 @@ class SetAssociativeCache:
         ways = self.sets[set_idx]
         way = self.policy.choose_victim(ways)
         victim = ways[way]
+        stats = self.stats
         if victim.valid:
-            self._evict_way(set_idx, way, cycle, result, WritebackReason.REPLACEMENT)
+            # Evict: write the victim back if dirty.  ``fill`` below
+            # resets every state bit, so no separate invalidate.
+            stats.evictions += 1
+            if victim.dirty:
+                self._writeback_line(
+                    set_idx, way, cycle, result, WritebackReason.REPLACEMENT
+                )
         victim.fill(tag, cycle, self._stamp)
-        self.stats.fills += 1
-        result.fill_addr = self.block_addr(set_idx, tag)
+        stats.fills += 1
+        result.fill_addr = (
+            (tag << self._index_bits) | set_idx
+        ) << self._offset_bits
         return way
-
-    def _evict_way(
-        self,
-        set_idx: int,
-        way: int,
-        cycle: int,
-        result: AccessResult,
-        reason: WritebackReason,
-    ) -> None:
-        """Evict one valid way, emitting a write-back if it is dirty."""
-        line = self.sets[set_idx][way]
-        self.stats.evictions += 1
-        if line.dirty:
-            self._writeback_line(set_idx, way, cycle, result, reason)
-        line.invalidate()
 
     def _writeback_line(
         self,
@@ -363,11 +379,14 @@ class SetAssociativeCache:
 
     def flush(self, cycle: int) -> List[Writeback]:
         """Write back every dirty line and invalidate the whole cache."""
-        result = AccessResult(hit=False, is_write=False)
+        result = AccessResult(False, False)
         for set_idx, ways in enumerate(self.sets):
             for way, line in enumerate(ways):
                 if line.valid:
-                    self._evict_way(
-                        set_idx, way, cycle, result, WritebackReason.FLUSH
-                    )
+                    self.stats.evictions += 1
+                    if line.dirty:
+                        self._writeback_line(
+                            set_idx, way, cycle, result, WritebackReason.FLUSH
+                        )
+                    line.invalidate()
         return result.writebacks

@@ -13,7 +13,11 @@ for the paper's scheme.
 Port arbitration note: the paper gives L1 requests priority over the
 cleaning logic at the L2 ports.  The trace-driven model realises the
 same effect structurally — cleaning sweeps (`advance`) run between
-demand accesses, never delaying one.
+demand accesses, never delaying one.  So every reference asks whether
+a sweep is due, and the answer is almost always no: only levels whose
+class overrides ``advance`` are asked at all (a plain L2 costs the
+reference nothing), and a protected level answers with one arithmetic
+test in :class:`~repro.core.cleaning.CleaningLogic`.
 """
 
 from __future__ import annotations
@@ -149,6 +153,12 @@ class MemoryHierarchy:
             self.l3 = None
         #: Unified levels below the L1s, nearest first.
         self.levels = [self.l2] + ([self.l3] if self.l3 is not None else [])
+        #: (index, level) of the levels with background work: the ones
+        #: whose class overrides ``advance`` (the base hook does nothing).
+        self._sweeping = [
+            (idx, cache) for idx, cache in enumerate(self.levels)
+            if type(cache).advance is not SetAssociativeCache.advance
+        ]
         self.write_buffer = WriteBuffer(
             entries=self.config.write_buffer_entries,
             block_bytes=self.l2.config.line_bytes,
@@ -203,85 +213,96 @@ class MemoryHierarchy:
         """Zero every counter at ``cycle``, keeping all cache contents."""
         self.registry.reset(cycle)
 
-    def _mono(self, cycle: int) -> int:
-        if cycle > self._clock:
-            self._clock = cycle
-        return self._clock
-
     @property
     def clock(self) -> int:
         """Latest cycle the hierarchy has seen."""
         return self._clock
 
     # -- reference entry points ---------------------------------------------
-
-    def _block(self, addr: int) -> int:
-        return addr >> self._block_shift
+    #
+    # Each entry point first clamps ``cycle`` to the monotonic clock and
+    # runs any due cleaning sweep, then computes the L2-granular block of
+    # ``addr`` once for the MSHR lookup and, on a miss, its allocation.
 
     def ifetch(self, addr: int, cycle: int) -> int:
         """Instruction fetch; returns latency in cycles."""
-        cycle = self._mono(cycle)
+        if cycle > self._clock:
+            self._clock = cycle
+        else:
+            cycle = self._clock
         self.stats.ifetches += 1
-        self._advance_l2(cycle)
-        res = self.l1i.access(addr, is_write=False, cycle=cycle)
-        pending = self.l1i_mshr.pending_ready(self._block(addr), cycle)
+        if self._sweeping:
+            self._advance_l2(cycle)
+        res = self.l1i.access(addr, False, cycle)
+        block = addr >> self._block_shift
+        hit_latency = self.l1i.config.hit_latency
+        pending = self.l1i_mshr.pending_ready(block, cycle)
         if pending is not None:
             # The block's fill is still in flight: wait for it.
-            return self.l1i.config.hit_latency + (pending - cycle)
+            return hit_latency + (pending - cycle)
         if res.hit:
-            return self.l1i.config.hit_latency
-        below = self._l2_read(addr, cycle)
-        latency = self.l1i.config.hit_latency + below
-        self.l1i_mshr.allocate(self._block(addr), cycle + latency, cycle)
+            return hit_latency
+        latency = hit_latency + self._level_access(addr, False, cycle, 0)
+        self.l1i_mshr.allocate(block, cycle + latency, cycle)
         return latency
 
     def load(self, addr: int, cycle: int) -> int:
         """Data load; returns latency in cycles."""
-        cycle = self._mono(cycle)
+        if cycle > self._clock:
+            self._clock = cycle
+        else:
+            cycle = self._clock
         self.stats.loads += 1
-        self._advance_l2(cycle)
-        res = self.l1d.access(addr, is_write=False, cycle=cycle)
-        pending = self.l1d_mshr.pending_ready(self._block(addr), cycle)
+        if self._sweeping:
+            self._advance_l2(cycle)
+        res = self.l1d.access(addr, False, cycle)
+        block = addr >> self._block_shift
+        hit_latency = self.l1d.config.hit_latency
+        pending = self.l1d_mshr.pending_ready(block, cycle)
         if pending is not None:
             # Merge with the in-flight miss (MSHR semantics): the line
             # looks resident functionally but its data arrives later.
-            return self.l1d.config.hit_latency + (pending - cycle)
+            return hit_latency + (pending - cycle)
         if res.hit:
-            return self.l1d.config.hit_latency
+            return hit_latency
         if self.write_buffer.contains(addr):
             # Store-to-load forwarding out of the write buffer.
-            return self.l1d.config.hit_latency + 1
-        below = self._l2_read(addr, cycle)
-        latency = self.l1d.config.hit_latency + below
-        self.l1d_mshr.allocate(self._block(addr), cycle + latency, cycle)
+            return hit_latency + 1
+        latency = hit_latency + self._level_access(addr, False, cycle, 0)
+        self.l1d_mshr.allocate(block, cycle + latency, cycle)
         return latency
 
     def store(self, addr: int, cycle: int) -> int:
         """Data store; write-through L1 into the coalescing buffer."""
-        cycle = self._mono(cycle)
+        if cycle > self._clock:
+            self._clock = cycle
+        else:
+            cycle = self._clock
         self.stats.stores += 1
-        self._advance_l2(cycle)
-        self.l1d.access(addr, is_write=True, cycle=cycle)
+        if self._sweeping:
+            self._advance_l2(cycle)
+        self.l1d.access(addr, True, cycle)
         drained = self.write_buffer.push(addr)
         if drained is not None:
-            self._l2_write(drained, cycle)
+            self._level_access(drained, True, cycle, 0)
         # A buffered store retires immediately from the core's view.
         return self.l1d.config.hit_latency
 
     def drain_write_buffer(self, cycle: int) -> None:
         """Flush all pending buffered stores into the L2."""
         for block in self.write_buffer.drain_all():
-            self._l2_write(block, cycle)
+            self._level_access(block, True, cycle, 0)
 
     # -- internals -----------------------------------------------------------
 
     def _advance_l2(self, cycle: int) -> None:
-        """Run background work (cleaning sweeps) at every unified level.
+        """Run background work (cleaning sweeps) at every unified level
+        that has any.
 
         Each level's cleaning write-backs are pushed to the level below
         it (the next cache, or memory for the last level).
         """
-        for idx, cache in enumerate(self.levels):
+        for idx, cache in self._sweeping:
             for wb in cache.advance(cycle):
                 self._push_down(wb, cycle, idx + 1)
 
@@ -314,7 +335,7 @@ class MemoryHierarchy:
             line_bytes = self.levels[-1].config.line_bytes
             return self.memory.read(cycle, line_bytes) - cycle
         cache = self.levels[level]
-        res = cache.access(addr, is_write=is_write, cycle=cycle)
+        res = cache.access(addr, is_write, cycle)
         extra = 0
         for wb in res.writebacks:
             self._push_down(wb, cycle, level + 1)
@@ -323,12 +344,6 @@ class MemoryHierarchy:
                 res.fill_addr, False, cycle, level + 1
             )
         return cache.config.hit_latency + extra
-
-    def _l2_read(self, addr: int, cycle: int) -> int:
-        return self._level_access(addr, False, cycle, 0)
-
-    def _l2_write(self, addr: int, cycle: int) -> int:
-        return self._level_access(addr, True, cycle, 0)
 
     # -- reporting -------------------------------------------------------------
 

@@ -36,6 +36,14 @@ class MshrFile:
     Doubles as a :class:`~repro.telemetry.metrics.StatsSource`
     (delegating to its :class:`MshrStats`) so a registry reset covers
     it without replacing the stats object.
+
+    Completed fills are dropped lazily: only an allocation that finds
+    the table full prunes it.  Until then a completed entry just sits in
+    the table, where ``pending_ready`` already reads it as "no fill in
+    flight".  Cycles must be non-decreasing across calls (the hierarchy
+    presents its monotonic clock); under that rule every answer and
+    counter — including the reported occupancy — is the one an
+    eager prune at every allocation would give.
     """
 
     labels = {"component": "mshr"}
@@ -46,10 +54,14 @@ class MshrFile:
         self.entries = entries
         self._pending: Dict[int, int] = {}
         self.stats = MshrStats()
+        #: Cycle and block of the latest allocation: every other entry
+        #: whose fill completed by then is logically gone.
+        self._last_cycle = 0
+        self._last_block: Optional[int] = None
 
     def as_dict(self) -> Dict[str, int]:
         d = self.stats.as_dict()
-        d["occupancy"] = len(self._pending)
+        d["occupancy"] = len(self)
         return d
 
     def reset(self, cycle: int = 0) -> None:
@@ -57,12 +69,15 @@ class MshrFile:
         self.stats.reset(cycle)
 
     def __len__(self) -> int:
-        return len(self._pending)
+        """Fills outstanding as of the latest allocation."""
+        horizon, last = self._last_cycle, self._last_block
+        return sum(
+            1 for b, ready in self._pending.items()
+            if ready > horizon or b == last
+        )
 
     def _prune(self, cycle: int) -> None:
         """Drop entries whose fills have completed."""
-        if not self._pending:
-            return
         done = [b for b, ready in self._pending.items() if ready <= cycle]
         for b in done:
             del self._pending[b]
@@ -86,10 +101,23 @@ class MshrFile:
         soonest-completing pending entry is displaced (and counted) —
         a slight optimism that avoids deadlocking the one-pass model.
         """
-        self._prune(cycle)
-        if len(self._pending) >= self.entries and block not in self._pending:
-            victim = min(self._pending, key=self._pending.__getitem__)
-            del self._pending[victim]
-            self.stats.overflows += 1
-        self._pending[block] = ready
+        pending = self._pending
+        old = pending.get(block)
+        if old is not None and old <= cycle:
+            # A completed fill of the same block: re-enter it at the end,
+            # where a prune-then-insert would have put it.
+            del pending[block]
+        elif old is None and len(pending) >= self.entries:
+            # Full: if even the soonest fill is still in flight, nothing
+            # can be pruned and it is the one displaced; otherwise a
+            # prune of the completed fills makes room.
+            victim = min(pending, key=pending.__getitem__)
+            if pending[victim] > cycle:
+                del pending[victim]
+                self.stats.overflows += 1
+            else:
+                self._prune(cycle)
+        pending[block] = ready
         self.stats.allocations += 1
+        self._last_cycle = cycle
+        self._last_block = block

@@ -12,36 +12,29 @@ from repro.cache.line import CacheLine
 class ReplacementPolicy(abc.ABC):
     """Chooses a victim way within one set.
 
-    Invalid ways are always preferred; policies only order valid lines.
+    Invalid ways are always preferred (the first one wins); policies
+    only order valid lines.  The cache writes ``line.lru_stamp`` itself
+    on every touch, so a policy is consulted on fills only.
     """
 
     @abc.abstractmethod
     def choose_victim(self, ways: List[CacheLine]) -> int:
         """Return the index of the way to evict (or fill, if invalid)."""
 
-    def on_access(self, line: CacheLine, stamp: int) -> None:
-        """Notify the policy that ``line`` was touched at ``stamp``."""
-        line.lru_stamp = stamp
-
-    @staticmethod
-    def _first_invalid(ways: List[CacheLine]) -> int:
-        for i, line in enumerate(ways):
-            if not line.valid:
-                return i
-        return -1
-
 
 class LruPolicy(ReplacementPolicy):
     """Evict the least-recently-used valid line."""
 
     def choose_victim(self, ways: List[CacheLine]) -> int:
-        idx = self._first_invalid(ways)
-        if idx >= 0:
-            return idx
+        # One pass: the first invalid way, else the first oldest stamp.
         victim, oldest = 0, ways[0].lru_stamp
-        for i in range(1, len(ways)):
-            if ways[i].lru_stamp < oldest:
-                victim, oldest = i, ways[i].lru_stamp
+        way = 0
+        for line in ways:
+            if not line.valid:
+                return way
+            if line.lru_stamp < oldest:
+                victim, oldest = way, line.lru_stamp
+            way += 1
         return victim
 
 
@@ -49,13 +42,14 @@ class FifoPolicy(ReplacementPolicy):
     """Evict the earliest-filled valid line, ignoring later touches."""
 
     def choose_victim(self, ways: List[CacheLine]) -> int:
-        idx = self._first_invalid(ways)
-        if idx >= 0:
-            return idx
         victim, oldest = 0, ways[0].fifo_stamp
-        for i in range(1, len(ways)):
-            if ways[i].fifo_stamp < oldest:
-                victim, oldest = i, ways[i].fifo_stamp
+        way = 0
+        for line in ways:
+            if not line.valid:
+                return way
+            if line.fifo_stamp < oldest:
+                victim, oldest = way, line.fifo_stamp
+            way += 1
         return victim
 
 
@@ -66,9 +60,9 @@ class RandomPolicy(ReplacementPolicy):
         self._rng = random.Random(seed)
 
     def choose_victim(self, ways: List[CacheLine]) -> int:
-        idx = self._first_invalid(ways)
-        if idx >= 0:
-            return idx
+        for way, line in enumerate(ways):
+            if not line.valid:
+                return way
         return self._rng.randrange(len(ways))
 
 

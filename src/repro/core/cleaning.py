@@ -10,12 +10,16 @@ latch then advances, so each individual line is revisited once per
 
 This module implements only the sweep schedule; the per-line actions
 live in :meth:`repro.core.protected_cache.ProtectedL2.advance` because
-they mutate cache state.
+they mutate cache state.  The sweep runs between demand accesses (the
+paper gives L1 requests priority at the L2 ports), so the schedule is
+asked at every reference and nearly always answers "nothing due": that
+answer is one multiply-add and one comparison, with no iterator or
+result object built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import Dict, Sequence
 
 
 class CleaningLogic:
@@ -56,28 +60,33 @@ class CleaningLogic:
         """Zero the check counter; the sweep latch keeps its position."""
         self.checks = 0
 
-    def due_sets(self, cycle: int) -> Iterator[int]:
-        """Yield every set due for a check in (last cycle, ``cycle``].
+    def due_sets(self, cycle: int) -> Sequence[int]:
+        """Every set due for a check in (last cycle, ``cycle``], in order.
 
         Cycles must be non-decreasing across calls.  If the simulator
         jumps far ahead, at most two full sweeps are issued for the gap —
         re-checking an unchanged set more often than that is idempotent
         (cleaning an already-clean cache), so capping keeps long idle
         gaps cheap without changing observable state.
+
+        Whether anything is due is plain arithmetic on the tick balance;
+        the common "nothing due" answer is the empty tuple.  Otherwise
+        ``balance // interval`` checks are due, capped at two sweeps, and
+        either way the balance keeps only its remainder modulo the
+        interval (an over-long idle gap is discarded, as the cap says).
         """
         if cycle < self._last_cycle:
             raise ValueError("cleaning clock moved backwards")
-        self._tick_balance += (cycle - self._last_cycle) * self.n_sets
+        balance = self._tick_balance + (cycle - self._last_cycle) * self.n_sets
         self._last_cycle = cycle
-        cap = 2 * self.n_sets
-        issued = 0
-        while self._tick_balance >= self.interval_cycles and issued < cap:
-            self._tick_balance -= self.interval_cycles
-            current = self.next_set
-            self.next_set = (current + 1) % self.n_sets
-            self.checks += 1
-            issued += 1
-            yield current
-        if issued == cap:
-            # Discard the remainder of an over-long idle gap.
-            self._tick_balance %= self.interval_cycles
+        interval = self.interval_cycles
+        if balance < interval:
+            self._tick_balance = balance
+            return ()
+        n_sets = self.n_sets
+        due = min(balance // interval, 2 * n_sets)
+        self._tick_balance = balance % interval
+        first = self.next_set
+        self.next_set = (first + due) % n_sets
+        self.checks += due
+        return [(first + i) % n_sets for i in range(due)]

@@ -33,11 +33,13 @@ class DecayCleaningL2(ProtectedL2):
     """
 
     def advance(self, cycle: int):
-        if self.cleaning is None:
+        cleaning = self.cleaning
+        due = cleaning.due_sets(cycle) if cleaning is not None else ()
+        if not due:
             return []
-        interval = self.cleaning.interval_cycles
-        result = AccessResult(hit=False, is_write=False)
-        for set_idx in self.cleaning.due_sets(cycle):
+        interval = cleaning.interval_cycles
+        result = AccessResult(False, False)
+        for set_idx in due:
             for way, line in enumerate(self.sets[set_idx]):
                 if not line.valid or not line.dirty:
                     continue

@@ -92,10 +92,12 @@ class ProtectedL2(SetAssociativeCache):
         ``written=1`` has its written bit reset — it gets one more
         interval to prove it has stopped being written.
         """
-        if self.cleaning is None:
+        cleaning = self.cleaning
+        due = cleaning.due_sets(cycle) if cleaning is not None else ()
+        if not due:
             return []
-        result = AccessResult(hit=False, is_write=False)
-        for set_idx in self.cleaning.due_sets(cycle):
+        result = AccessResult(False, False)
+        for set_idx in due:
             for way, line in enumerate(self.sets[set_idx]):
                 if not line.valid or not line.dirty:
                     continue

@@ -450,10 +450,12 @@ class _NoWrittenBitL2(ProtectedL2):
     """Cleaning without the written bit: clean every dirty line on sweep."""
 
     def advance(self, cycle: int):
-        if self.cleaning is None:
+        cleaning = self.cleaning
+        due = cleaning.due_sets(cycle) if cleaning is not None else ()
+        if not due:
             return []
-        result = AccessResult(hit=False, is_write=False)
-        for set_idx in self.cleaning.due_sets(cycle):
+        result = AccessResult(False, False)
+        for set_idx in due:
             for way, line in enumerate(self.sets[set_idx]):
                 if line.valid and line.dirty:
                     self._writeback_line(

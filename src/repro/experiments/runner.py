@@ -369,7 +369,8 @@ def run_ref_stream(
             hierarchy.stats.loads_stores + hierarchy.stats.ifetches
         )
 
-    check_invariants(hierarchy.l2)
+    for level in hierarchy.levels:
+        check_invariants(level)
     l2 = hierarchy.l2
     elapsed = cycle - start_cycle
     refs = hierarchy.stats.loads_stores
@@ -441,7 +442,8 @@ def run_ipc(
     insts = itertools.islice(mixer.expand(stream), n_insts)
     result = core.run(insts)
 
-    check_invariants(hierarchy.l2)
+    for level in hierarchy.levels:
+        check_invariants(level)
     l2 = hierarchy.l2
     dirty = l2.dirty.average_dirty_fraction(hierarchy.clock)
     # Charge the unprotected baseline as the conventional (uniform-ECC)

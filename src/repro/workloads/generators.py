@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Iterator, NamedTuple
+from math import log
+from typing import Callable, Iterator, NamedTuple
 
 try:  # The [fast] extra; the zipf sampler has a stdlib fallback.
     import numpy as np
@@ -44,12 +45,25 @@ class MemRef(NamedTuple):
     gap: int
 
 
-def _gap(rng: random.Random, mean_gap: float) -> int:
-    """Draw the number of non-memory instructions before the next reference."""
-    if mean_gap <= 0:
+def _gap_rate(mean_gap: float) -> float:
+    """The ``lambd`` that :func:`_gap` draws with (0.0: no gaps)."""
+    return 1.0 / mean_gap if mean_gap > 0 else 0.0
+
+
+def _gap(draw: Callable[[], float], lambd: float) -> int:
+    """Draw the number of non-memory instructions before the next reference.
+
+    Exponential with mean ``1 / lambd`` truncated to an integer and
+    capped at 64: cheap and adequately bursty.  ``draw`` is the
+    stream's bound ``rng.random``.  The double is exactly the one
+    ``rng.expovariate(lambd)`` returns (the same formula, one call
+    fewer per reference); ``lambd`` must be ``1.0 / mean_gap`` — scaling
+    by ``mean_gap`` instead would round differently.
+    """
+    if lambd <= 0.0:
         return 0
-    # Geometric with the requested mean; cheap and adequately bursty.
-    return min(int(rng.expovariate(1.0 / mean_gap)), 64)
+    gap = int(-log(1.0 - draw()) / lambd)
+    return gap if gap < 64 else 64
 
 
 def streaming_stream(
@@ -72,11 +86,12 @@ def streaming_stream(
     if store_ratio > 0:
         writers = max(1, writers)
     bases = [base + i * (1 << 26) for i in range(arrays)]
+    draw, lambd = rng.random, _gap_rate(mean_gap)
     offset = 0
     while True:
         for idx, a_base in enumerate(bases):
             is_write = idx >= arrays - writers
-            yield MemRef(is_write, a_base + offset, _gap(rng, mean_gap))
+            yield MemRef(is_write, a_base + offset, _gap(draw, lambd))
         offset += stride
         if offset >= array_bytes:
             offset = 0
@@ -102,6 +117,7 @@ def blocked_stream(
     """
     n_tiles = max(1, ws_bytes // tile_bytes)
     refs_per_pass = max(1, tile_bytes // stride)
+    draw, lambd = rng.random, _gap_rate(mean_gap)
     tile_cursor = 0
     while True:
         # Mostly march through the working set in order (so the whole
@@ -115,8 +131,8 @@ def blocked_stream(
         for pass_no in range(reuse):
             for i in range(refs_per_pass):
                 addr = tile_base + i * stride
-                is_write = pass_no > 0 and rng.random() < store_ratio
-                yield MemRef(is_write, addr, _gap(rng, mean_gap))
+                is_write = pass_no > 0 and draw() < store_ratio
+                yield MemRef(is_write, addr, _gap(draw, lambd))
 
 
 def pointer_stream(
@@ -132,12 +148,13 @@ def pointer_stream(
     Each step reads one node; occasionally the node is also updated.
     """
     n_nodes = max(1, ws_bytes // node_bytes)
+    draw, lambd = rng.random, _gap_rate(mean_gap)
     while True:
         node = rng.randrange(n_nodes)
         addr = base + node * node_bytes
-        yield MemRef(False, addr, _gap(rng, mean_gap))
-        if rng.random() < store_ratio:
-            yield MemRef(True, addr + 8, _gap(rng, mean_gap))
+        yield MemRef(False, addr, _gap(draw, lambd))
+        if draw() < store_ratio:
+            yield MemRef(True, addr + 8, _gap(draw, lambd))
 
 
 def zipf_stream(
@@ -198,6 +215,7 @@ def zipf_stream(
             ]
 
     slots_per_block = max(1, granule_bytes // 8)
+    draw, lambd = rng.random, _gap_rate(mean_gap)
     alloc_slot = 0  # bump-allocator position, in 8-byte slots
     while True:
         picks = _draw_picks()
@@ -212,11 +230,11 @@ def zipf_stream(
                     addr = base + target_block * granule_bytes + slot * 8
                 else:
                     addr = base + int(block) * granule_bytes
-                yield MemRef(True, addr, _gap(rng, mean_gap))
+                yield MemRef(True, addr, _gap(draw, lambd))
             else:
                 addr = (
                     base
                     + int(block) * granule_bytes
                     + rng.randrange(0, granule_bytes, 8)
                 )
-                yield MemRef(False, addr, _gap(rng, mean_gap))
+                yield MemRef(False, addr, _gap(draw, lambd))

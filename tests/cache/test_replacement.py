@@ -1,6 +1,10 @@
 """Tests for replacement policies."""
 
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cache import CacheLine, FifoPolicy, LruPolicy, RandomPolicy, make_policy
 
@@ -40,14 +44,14 @@ class TestLru:
     def test_access_refreshes_stamp(self):
         ways = make_set(4)
         policy = LruPolicy()
-        policy.on_access(ways[0], stamp=999)
+        ways[0].lru_stamp = 999
         assert policy.choose_victim(ways) != 0
 
     def test_recency_order_respected_over_sequence(self):
         ways = make_set(4)
         policy = LruPolicy()
         for stamp, way in enumerate([2, 0, 3, 1]):
-            policy.on_access(ways[way], stamp=10 + stamp)
+            ways[way].lru_stamp = 10 + stamp
         assert policy.choose_victim(ways) == 2
 
 
@@ -55,7 +59,7 @@ class TestFifo:
     def test_earliest_fill_evicted_despite_touches(self):
         ways = make_set(4)  # fifo_stamp = fill order 0..3
         policy = FifoPolicy()
-        policy.on_access(ways[0], stamp=1000)  # touch does not move FIFO
+        ways[0].lru_stamp = 1000  # touch does not move FIFO
         assert policy.choose_victim(ways) == 0
 
 
@@ -71,6 +75,63 @@ class TestRandom:
         policy = RandomPolicy(1)
         for _ in range(50):
             assert 0 <= policy.choose_victim(ways) < 4
+
+
+def longhand_victim(ways, stamp_of, rng=None):
+    """The definition: the first invalid way; else the first way holding
+    the minimum stamp (LRU / FIFO) or a seeded random way (random)."""
+    for way, line in enumerate(ways):
+        if not line.valid:
+            return way
+    if rng is not None:
+        return rng.randrange(len(ways))
+    stamps = [stamp_of(line) for line in ways]
+    return stamps.index(min(stamps))
+
+
+#: One way: (valid, lru stamp, fifo stamp); stamps from a tiny range so
+#: ties are common.
+WAY = st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3))
+
+
+def build_set(spec):
+    ways = []
+    for valid, lru, fifo in spec:
+        line = CacheLine()
+        line.fill(tag=len(ways), cycle=0, stamp=0)
+        line.lru_stamp, line.fifo_stamp = lru, fifo
+        if not valid:
+            line.invalidate()
+        ways.append(line)
+    return ways
+
+
+class TestSinglePassMatchesDefinition:
+    @given(st.lists(WAY, min_size=1, max_size=16))
+    def test_lru(self, spec):
+        ways = build_set(spec)
+        expected = longhand_victim(ways, lambda line: line.lru_stamp)
+        assert LruPolicy().choose_victim(ways) == expected
+
+    @given(st.lists(WAY, min_size=1, max_size=16))
+    def test_fifo(self, spec):
+        ways = build_set(spec)
+        expected = longhand_victim(ways, lambda line: line.fifo_stamp)
+        assert FifoPolicy().choose_victim(ways) == expected
+
+    @given(
+        st.lists(st.lists(WAY, min_size=1, max_size=16), min_size=1,
+                 max_size=8),
+        st.integers(0, 2**16),
+    )
+    def test_random_draws_only_for_full_sets(self, specs, seed):
+        """Same victims, and the RNG advances only when every way is
+        valid — a sequence of choices stays in lockstep."""
+        policy, rng = RandomPolicy(seed), random.Random(seed)
+        for spec in specs:
+            ways = build_set(spec)
+            expected = longhand_victim(ways, None, rng=rng)
+            assert policy.choose_victim(ways) == expected
 
 
 class TestFactory:

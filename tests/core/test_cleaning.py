@@ -7,6 +7,31 @@ from hypothesis import strategies as st
 from repro.core import CleaningLogic
 
 
+class GeneratorSchedule:
+    """The definition: the sweep schedule as a per-check generator loop."""
+
+    def __init__(self, n_sets, interval):
+        self.n_sets, self.interval = n_sets, interval
+        self.next_set = self.last_cycle = self.balance = self.checks = 0
+
+    def due_sets(self, cycle):
+        if cycle < self.last_cycle:
+            raise ValueError("cleaning clock moved backwards")
+        self.balance += (cycle - self.last_cycle) * self.n_sets
+        self.last_cycle = cycle
+        cap = 2 * self.n_sets
+        issued = 0
+        while self.balance >= self.interval and issued < cap:
+            self.balance -= self.interval
+            current = self.next_set
+            self.next_set = (current + 1) % self.n_sets
+            self.checks += 1
+            issued += 1
+            yield current
+        if issued == cap:
+            self.balance %= self.interval
+
+
 class TestValidation:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
@@ -77,6 +102,38 @@ class TestSchedule:
         cl = CleaningLogic(n_sets=4, interval_cycles=4)
         due = list(cl.due_sets(1_000_000))
         assert len(due) == 8  # 2 * n_sets
+
+    @given(
+        st.integers(1, 64),
+        st.integers(1, 5000),
+        st.lists(
+            st.one_of(st.integers(0, 300), st.integers(0, 40_000)),
+            min_size=1, max_size=60,
+        ),
+        st.integers(1, 400),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_early_out_matches_generator_schedule(
+        self, n_sets, interval, steps, back
+    ):
+        """Same sets in the same order, same counters and latch — over
+        call patterns that hit the two-sweep cap — and a backwards clock
+        raises in both without disturbing either."""
+        fast = CleaningLogic(n_sets=n_sets, interval_cycles=interval)
+        slow = GeneratorSchedule(n_sets, interval)
+        cycle = 0
+        for dt in steps:
+            cycle += dt
+            assert list(fast.due_sets(cycle)) == list(slow.due_sets(cycle))
+            assert (fast.checks, fast.next_set) == (slow.checks, slow.next_set)
+        if cycle > 0:
+            with pytest.raises(ValueError):
+                fast.due_sets(cycle - min(back, cycle))
+            with pytest.raises(ValueError):
+                list(slow.due_sets(cycle - min(back, cycle)))
+        cycle += interval
+        assert list(fast.due_sets(cycle)) == list(slow.due_sets(cycle))
+        assert (fast.checks, fast.next_set) == (slow.checks, slow.next_set)
 
     def test_checks_counter(self):
         cl = CleaningLogic(n_sets=4, interval_cycles=40)

@@ -1,11 +1,14 @@
 """Tests for the experiment runner."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import SetAssociativeCache
-from repro.core import ProtectedL2, ProtectionConfig
+from repro.cache.cache import CacheConfig, SetAssociativeCache
+from repro.cache.hierarchy import MemoryHierarchy
+from repro.core import IntegrityError, ProtectedL2, ProtectionConfig
 from repro.experiments import (
     PAPER_GEOMETRY,
     SCALED_GEOMETRY,
@@ -14,7 +17,8 @@ from repro.experiments import (
     run_ipc,
     run_refs,
 )
-from repro.experiments.runner import Geometry, interval_label
+from repro.experiments.runner import Geometry, interval_label, run_ref_stream
+from repro.workloads import MemRef
 
 FAST = RunConfig(n_refs=12_000, warmup_refs=4_000)
 
@@ -163,6 +167,23 @@ class TestRunRefs:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError):
             run_refs("gcc", None, FAST)
+
+    def test_corrupted_protected_l3_is_caught(self):
+        """Invariants are checked at every unified level, not only the L2."""
+        base = SCALED_GEOMETRY.hierarchy_config()
+        l3_cfg = CacheConfig("l3", 4 * base.l2.size_bytes, 8, 64,
+                             hit_latency=25)
+        l3 = ProtectedL2(
+            l3_cfg,
+            ProtectionConfig(cleaning_interval=None, ecc_entries_per_set=1),
+        )
+        hierarchy = MemoryHierarchy(config=replace(base, l3=l3_cfg), l3=l3)
+        # An ECC entry owned by a clean line, in a set the stream below
+        # (block 0 only, which lives in set 0) never touches.
+        l3.ecc_array.allocate(1, 0)
+        refs = [MemRef(i % 2 == 1, 0, 1) for i in range(8)]
+        with pytest.raises(IntegrityError, match="set 1"):
+            run_ref_stream(refs, hierarchy, RunConfig(n_refs=4, warmup_refs=4))
 
 
 class TestSchemeEffects:

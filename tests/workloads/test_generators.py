@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.workloads import (
     blocked_stream,
@@ -11,6 +13,7 @@ from repro.workloads import (
     streaming_stream,
     zipf_stream,
 )
+from repro.workloads.generators import _gap, _gap_rate
 
 
 def take(stream, n):
@@ -222,6 +225,23 @@ class TestEdgeCases:
             100,
         )
         assert all(r.gap == 0 for r in refs)
+
+
+class TestGapDraw:
+    @given(
+        st.integers(0, 2**32),
+        st.one_of(st.sampled_from([1.5, 2.0, 0.1, 7.0]),
+                  st.floats(0.01, 80.0)),
+    )
+    def test_matches_expovariate(self, seed, mean_gap):
+        """The inlined draw is ``min(int(rng.expovariate(1/mean)), 64)``
+        to the bit, and consumes the RNG identically."""
+        fast, slow = random.Random(seed), random.Random(seed)
+        lambd = _gap_rate(mean_gap)
+        for _ in range(50):
+            expected = min(int(slow.expovariate(1.0 / mean_gap)), 64)
+            assert _gap(fast.random, lambd) == expected
+        assert fast.getstate() == slow.getstate()
 
 
 class TestDeterminism:
