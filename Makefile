@@ -3,7 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install lint test test-all bench bench-perf bench-baseline \
-	figures figures-par figures-smoke reliability-smoke service-smoke \
+	figures figures-par figures-smoke ipc-smoke reliability-smoke \
+	service-smoke \
 	fabric-smoke autotune-smoke traffic-smoke check-docs examples clean
 
 install:
@@ -74,6 +75,27 @@ figures-smoke:
 		$(FIGURES_SMOKE_ARGS) --jobs 2 && \
 	cmp $$tmp/jobs1.json $$tmp/jobs2.json && \
 	echo "figures-smoke: --jobs 1 and --jobs 2 documents are identical"; \
+	status=$$?; rm -rf $$tmp; exit $$status
+
+# IPC-table determinism gate: the `--fig ipc` org-vs-ours table (every
+# benchmark through the out-of-order core, which figures-smoke skips
+# with --no-ipc), regenerated at a small size with the result cache
+# off, must be identical at --jobs 1 and --jobs 2.  The timing lines
+# (`sweep:`, `profile:` and its per-phase rows) legitimately differ and
+# are dropped before the comparison.
+IPC_SMOKE_ARGS = --fig ipc --refs 6000 --warmup 2000 --no-cache
+IPC_SMOKE_TIMING = '^(sweep|profile):|^  [a-z-]+: [0-9.]+s(,|$$)'
+ipc-smoke:
+	@tmp=$$(mktemp -d) && \
+	PYTHONPATH=src $(PYTHON) -m repro figures $(IPC_SMOKE_ARGS) --jobs 1 \
+		> $$tmp/jobs1.out && \
+	PYTHONPATH=src $(PYTHON) -m repro figures $(IPC_SMOKE_ARGS) --jobs 2 \
+		> $$tmp/jobs2.out && \
+	grep -Ev $(IPC_SMOKE_TIMING) $$tmp/jobs1.out > $$tmp/jobs1.table && \
+	grep -Ev $(IPC_SMOKE_TIMING) $$tmp/jobs2.out > $$tmp/jobs2.table && \
+	grep -q '^average ' $$tmp/jobs1.table && \
+	cmp $$tmp/jobs1.table $$tmp/jobs2.table && \
+	echo "ipc-smoke: --jobs 1 and --jobs 2 IPC tables are identical"; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # A fast end-to-end reliability campaign (docs/reliability.md): auto

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 from repro.cpu.trace import OpClass
@@ -18,6 +18,11 @@ class FunctionalUnits:
     fp_mul: int = 1
     #: Cache ports shared by loads and stores (SimpleScalar default).
     mem_ports: int = 2
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
 
     def pool(self) -> Dict[OpClass, int]:
         """Unit count keyed by the op class that uses it."""
@@ -46,6 +51,17 @@ class ProcessorConfig:
     mispredict_penalty: int = 3
     #: Instructions per 32 B fetch block (4 B fixed-width ISA).
     fetch_block_bytes: int = 32
+
+    def __post_init__(self) -> None:
+        for name in (
+            "ruu_entries", "lsq_entries", "decode_width", "issue_width",
+            "commit_width",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        block = self.fetch_block_bytes
+        if block < 4 or block & (block - 1):
+            raise ValueError("fetch_block_bytes must be a power of two >= 4")
 
     def describe(self) -> str:
         """Render the Table 1 parameter block."""

@@ -20,6 +20,11 @@ SimpleScalar's sim-outorder: it tracks when each resource frees rather
 than iterating cycle by cycle, which keeps Python fast enough for
 million-instruction runs while preserving the latency/bandwidth/
 occupancy interactions the paper's IPC experiment depends on.
+
+:meth:`OoOCore.run` is the per-instruction hot loop of ``repro ipc``
+and is written as one flat loop (see its docstring); its stage-by-stage
+longhand, built on :class:`_BandwidthGate`, lives in
+``tests/cpu/test_ooo_differential.py`` as the oracle it must match.
 """
 
 from __future__ import annotations
@@ -120,109 +125,169 @@ class OoOCore:
             reg.register_source(name, source)
 
         fu_pool = self.config.functional_units.pool()
-        #: Per op class, the next-free cycle of each unit instance.
-        self._fu_free: Dict[OpClass, List[int]] = {
-            op: [0] * count for op, count in fu_pool.items()
-        }
+        #: Per op class (indexed by its int value), the next-free cycle
+        #: of each unit instance; a class the pool omits has no units.
+        self._fu_free: List[List[int]] = [
+            [0] * fu_pool.get(op, 0) for op in OpClass
+        ]
 
     # -- main loop -------------------------------------------------------------
 
     def run(self, insts: Iterable[Inst]) -> RunResult:
-        cfg = self.config
-        result = RunResult()
+        """Time ``insts`` in one pass and return the run's summary.
 
-        fetch_gate = _BandwidthGate(cfg.decode_width)
-        commit_gate = _BandwidthGate(cfg.commit_width)
+        Hot loop: this runs once per simulated instruction, so it is one
+        flat loop.  Op classes are used as ints (LOAD 4, STORE 5;
+        INT_MUL 1 and FP_MUL 3 are the unpipelined units), latencies and
+        unit free lists are per-op lists indexed by op, the fetch and
+        commit bandwidth gates (:class:`_BandwidthGate`) are inlined as
+        local ``(cycle, count)`` pairs, the hierarchy/TLB/predictor
+        methods are bound to locals and the counters live in locals
+        until the end.  The unit chosen is the first with the minimum
+        free time.
+        """
+        cfg = self.config
+        decode_width = cfg.decode_width
+        commit_width = cfg.commit_width
+        ruu_entries = cfg.ruu_entries
+        lsq_entries = cfg.lsq_entries
+        mispredict_penalty = cfg.mispredict_penalty
+        block_mask = ~(cfg.fetch_block_bytes - 1)
+        exec_latency = [EXEC_LATENCY[op] for op in OpClass]
+        fu_free = self._fu_free
+        itlb = self.itlb.translate
+        dtlb = self.dtlb.translate
+        ifetch = self.hierarchy.ifetch
+        load = self.hierarchy.load
+        store = self.hierarchy.store
+        predict = self.predictor.predict_and_update
+
         #: Commit times of in-flight instructions (RUU) / mem ops (LSQ).
         ruu: Deque[int] = deque()
         lsq: Deque[int] = deque()
+        ruu_append, ruu_popleft = ruu.append, ruu.popleft
+        lsq_append, lsq_popleft = lsq.append, lsq.popleft
         reg_ready: Dict[int, int] = {}
+        reg_get = reg_ready.get
         #: Earliest cycle the front end may deliver the next instruction.
         stall_until = 0
         #: Availability time of the current fetch block.
         block_ready = 0
         current_block = None
         last_commit = 0
-        block_mask = ~(cfg.fetch_block_bytes - 1)
+        #: The fetch and commit gates: cycle last admitted, count in it.
+        fetch_cycle, fetch_count = -1, 0
+        commit_cycle, commit_count = -1, 0
+        n = loads = stores = branches = mispredicts = load_latency_total = 0
 
         for inst in insts:
-            result.instructions += 1
+            n += 1
+            op = inst.op
+            pc = inst.pc
 
             # ---- fetch ----
-            block = inst.pc & block_mask
+            block = pc & block_mask
             if block != current_block:
                 current_block = block
-                t = max(stall_until, block_ready)
-                penalty = self.itlb.translate(inst.pc)
-                lat = self.hierarchy.ifetch(inst.pc, t)
-                block_ready = t + penalty + (lat - 1)
-            fetch_time = fetch_gate.admit(max(stall_until, block_ready))
+                t = stall_until if stall_until > block_ready else block_ready
+                penalty = itlb(pc)
+                block_ready = t + penalty + (ifetch(pc, t) - 1)
+            cycle = stall_until if stall_until > block_ready else block_ready
+            if cycle <= fetch_cycle:
+                if fetch_count >= decode_width:
+                    fetch_cycle += 1
+                    fetch_count = 1
+                else:
+                    fetch_count += 1
+            else:
+                fetch_cycle = cycle
+                fetch_count = 1
 
             # ---- dispatch: RUU/LSQ occupancy ----
-            dispatch = fetch_time + 1
+            dispatch = fetch_cycle + 1
             while ruu and ruu[0] <= dispatch:
-                ruu.popleft()
-            if len(ruu) >= cfg.ruu_entries:
-                dispatch = ruu.popleft()
-            if inst.op.is_mem:
+                ruu_popleft()
+            if len(ruu) >= ruu_entries:
+                dispatch = ruu_popleft()
+            mem = op == 4 or op == 5
+            if mem:
                 while lsq and lsq[0] <= dispatch:
-                    lsq.popleft()
-                if len(lsq) >= cfg.lsq_entries:
-                    dispatch = lsq.popleft()
+                    lsq_popleft()
+                if len(lsq) >= lsq_entries:
+                    dispatch = lsq_popleft()
 
             # ---- issue: operands + functional unit ----
             ready = dispatch
             for src in inst.srcs:
-                avail = reg_ready.get(src, 0)
+                avail = reg_get(src, 0)
                 if avail > ready:
                     ready = avail
-            units = self._fu_free[inst.op]
-            unit_idx = min(range(len(units)), key=units.__getitem__)
-            issue = max(ready, units[unit_idx])
+            units = fu_free[op]
+            if len(units) == 1:
+                unit = 0
+                free = units[0]
+            else:
+                free = min(units)
+                unit = units.index(free)
+            issue = ready if ready > free else free
 
             # ---- execute ----
-            latency = EXEC_LATENCY[inst.op]
-            if inst.op is OpClass.LOAD:
-                latency += self.dtlb.translate(inst.addr)
-                latency += self.hierarchy.load(inst.addr, issue)
-                result.loads += 1
-                result.load_latency_total += latency
-            elif inst.op is OpClass.STORE:
-                latency += self.dtlb.translate(inst.addr)
-                result.stores += 1
+            latency = exec_latency[op]
+            if op == 4:
+                latency += dtlb(inst.addr)
+                latency += load(inst.addr, issue)
+                loads += 1
+                load_latency_total += latency
+            elif op == 5:
+                latency += dtlb(inst.addr)
+                stores += 1
             complete = issue + latency
             # Pipelined units accept a new op next cycle; the single
             # mult/div units are unpipelined and block for the full op.
-            if inst.op in (OpClass.INT_MUL, OpClass.FP_MUL):
-                units[unit_idx] = complete
+            if op == 1 or op == 3:
+                units[unit] = complete
             else:
-                units[unit_idx] = issue + 1
+                units[unit] = issue + 1
 
-            if inst.dest >= 0:
-                reg_ready[inst.dest] = complete
+            dest = inst.dest
+            if dest >= 0:
+                reg_ready[dest] = complete
 
             # ---- branch resolution ----
-            if inst.op is OpClass.BRANCH:
-                result.branches += 1
-                mispredict = self.predictor.predict_and_update(
-                    inst.pc, inst.taken, inst.target
-                )
-                if mispredict:
-                    result.mispredicts += 1
-                    redirect = complete + cfg.mispredict_penalty
+            if op == 6:
+                branches += 1
+                if predict(pc, inst.taken, inst.target):
+                    mispredicts += 1
+                    redirect = complete + mispredict_penalty
                     if redirect > stall_until:
                         stall_until = redirect
                     current_block = None  # refetch starts a new block
 
             # ---- commit (in order) ----
-            commit = commit_gate.admit(max(complete, last_commit))
-            last_commit = commit
-            ruu.append(commit)
-            if inst.op.is_mem:
-                lsq.append(commit)
-            if inst.op is OpClass.STORE:
-                # Write-through L1 + write buffer at retirement.
-                self.hierarchy.store(inst.addr, commit)
+            cycle = complete if complete > last_commit else last_commit
+            if cycle <= commit_cycle:
+                if commit_count >= commit_width:
+                    commit_cycle += 1
+                    commit_count = 1
+                else:
+                    commit_count += 1
+            else:
+                commit_cycle = cycle
+                commit_count = 1
+            last_commit = commit_cycle
+            ruu_append(last_commit)
+            if mem:
+                lsq_append(last_commit)
+                if op == 5:
+                    # Write-through L1 + write buffer at retirement.
+                    store(inst.addr, last_commit)
 
-        result.cycles = last_commit
-        return result
+        return RunResult(
+            instructions=n,
+            cycles=last_commit,
+            loads=loads,
+            stores=stores,
+            branches=branches,
+            mispredicts=mispredicts,
+            load_latency_total=load_latency_total,
+        )

@@ -5,6 +5,11 @@ the memory references: compute instructions with register dependences,
 a loop skeleton with predictable back-edges, and occasional
 data-dependent (hard-to-predict) branches.  :class:`InstructionMixer`
 synthesises that structure deterministically from a seed.
+
+:meth:`InstructionMixer.expand` runs once per simulated instruction of
+``repro ipc``, so it is one flat generator; the order in which it draws
+from the mixer's RNG is a contract, spelled out in its docstring and
+pinned by ``tests/experiments/test_sim_golden.py``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ class MixConfig:
     #: Architectural register pool size.
     registers: int = 32
 
+    def __post_init__(self) -> None:
+        for name in ("branch_period", "loop_body_insts", "registers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
 
 class InstructionMixer:
     """Deterministic MemRef → Inst stream expansion."""
@@ -68,86 +78,128 @@ class InstructionMixer:
             else:
                 self._branch_bias[slot] = 0.03
 
-    # -- internals ----------------------------------------------------------
-
-    def _pc(self) -> int:
-        cfg = self.config
-        slot = self._emitted % cfg.loop_body_insts
-        return cfg.code_base + slot * 4
-
-    def _alloc_dest(self) -> int:
-        reg = self._next_reg
-        self._next_reg = (self._next_reg + 1) % self.config.registers
-        self._recent_dests.append(reg)
-        if len(self._recent_dests) > 8:
-            self._recent_dests.pop(0)
-        return reg
-
-    def _pick_srcs(self, n: int = 2) -> tuple:
-        rng = self._rng
-        return tuple(
-            rng.choice(self._recent_dests) for _ in range(rng.randint(1, n))
-        )
-
-    def _filler(self) -> Inst:
-        """One compute instruction drawn from the configured mix."""
-        rng = self._rng
-        cfg = self.config
-        if rng.random() < cfg.fp_fraction:
-            op = OpClass.FP_MUL if rng.random() < cfg.mul_fraction else OpClass.FP_ALU
-        else:
-            op = OpClass.INT_MUL if rng.random() < cfg.mul_fraction else OpClass.INT_ALU
-        inst = Inst(
-            op, self._pc(), dest=self._alloc_dest(), srcs=self._pick_srcs()
-        )
-        self._emitted += 1
-        return inst
-
-    def _branch(self) -> Inst:
-        """Loop back-edge (always taken) or a slot-biased branch."""
-        rng = self._rng
-        cfg = self.config
-        pc = self._pc()
-        slot = self._emitted % cfg.loop_body_insts
-        if slot == cfg.loop_body_insts - 1:
-            taken, target = True, cfg.code_base
-        else:
-            taken = rng.random() < self._branch_bias[slot]
-            # Per-slot fixed target keeps the BTB effective; the target
-            # stays within the body so the fetch stream is unchanged.
-            target = pc + 4
-        inst = Inst(
-            OpClass.BRANCH, pc, srcs=self._pick_srcs(1), taken=taken, target=target
-        )
-        self._emitted += 1
-        return inst
-
-    def _mem(self, ref: MemRef) -> Inst:
-        op = OpClass.STORE if ref.is_write else OpClass.LOAD
-        dest = self._alloc_dest() if op is OpClass.LOAD else -1
-        inst = Inst(
-            op, self._pc(), addr=ref.addr, dest=dest, srcs=self._pick_srcs(1)
-        )
-        self._emitted += 1
-        return inst
-
     # -- public API ------------------------------------------------------------
-
-    def _at_branch_slot(self) -> bool:
-        return (self._emitted % self.config.loop_body_insts) in self._branch_slots
 
     def expand(self, refs: Iterable[MemRef]) -> Iterator[Inst]:
         """Expand a reference stream into a full instruction stream.
 
-        Branch slots interleave naturally: whenever emission reaches a
-        branch slot, the branch is issued before the pending filler or
-        memory instruction, keeping branch PCs fixed across iterations.
+        Each reference becomes ``ref.gap`` compute fillers and then its
+        LOAD/STORE.  Branch slots interleave naturally: whenever emission
+        reaches a branch slot, the branch is issued before the pending
+        filler or memory instruction, keeping branch PCs fixed across
+        iterations.
+
+        Draw-order contract.  The stream is a pure function of the seed
+        and the references, and the order of the draws from the mixer's
+        RNG is part of it (the golden digests pin it):
+
+        * filler: ``random() < fp_fraction``, ``random() <
+          mul_fraction``, then the source count ``1 + _randbelow(2)``,
+          then one ``_randbelow(len(recent))`` per source;
+        * branch (not the back-edge): ``random() < bias``, then
+          ``_randbelow(1)`` — the draw ``randint(1, 1)`` makes, which
+          always yields one source but consumes ``getrandbits(1)``
+          until it returns 0 — then one source;
+        * load/store: ``_randbelow(1)``, then one source;
+        * the loop back-edge (always taken) skips the ``random()``.
+
+        A filler or load's destination joins the recent-destination
+        window (the last eight) before its sources are drawn.  ``randint``/``choice``
+        are written as the ``_randbelow`` calls the standard library
+        makes for them, so the stream matches the one those calls give.
+
+        Hot loop: this generator runs once per simulated instruction,
+        so it keeps config values and RNG methods in locals (``draw`` is
+        the bound ``rng.random``), emits every instruction inline and
+        builds :class:`Inst` positionally.  The emitted count and next register are written back to the
+        mixer as they change, so a later ``expand`` call on the same
+        mixer continues the loop body where this one stopped.
         """
-        for ref in refs:
-            for _ in range(ref.gap):
-                if self._at_branch_slot():
-                    yield self._branch()
-                yield self._filler()
-            if self._at_branch_slot():
-                yield self._branch()
-            yield self._mem(ref)
+        cfg = self.config
+        body = cfg.loop_body_insts
+        code_base = cfg.code_base
+        registers = cfg.registers
+        fp_fraction = cfg.fp_fraction
+        mul_fraction = cfg.mul_fraction
+        branch_slots = self._branch_slots
+        branch_bias = self._branch_bias
+        back_edge = body - 1
+        draw = self._rng.random
+        randbelow = self._rng._randbelow
+        recent = self._recent_dests
+        n_recent = len(recent)
+        next_reg = self._next_reg
+        slot = self._emitted % body
+        emitted = self._emitted
+        STORE, LOAD, BRANCH = OpClass.STORE, OpClass.LOAD, OpClass.BRANCH
+        INT_ALU, INT_MUL = OpClass.INT_ALU, OpClass.INT_MUL
+        FP_ALU, FP_MUL = OpClass.FP_ALU, OpClass.FP_MUL
+
+        for is_write, addr, gap in refs:
+            # ``gap`` fillers, then the memory instruction (k == gap).
+            for k in range(gap + 1):
+                if slot in branch_slots:
+                    pc = code_base + slot * 4
+                    if slot == back_edge:
+                        taken, target = True, code_base
+                    else:
+                        # Per-slot fixed target keeps the BTB effective;
+                        # the target stays within the body so the fetch
+                        # stream is unchanged.
+                        taken = draw() < branch_bias[slot]
+                        target = pc + 4
+                    randbelow(1)
+                    inst = Inst(
+                        BRANCH, pc, 0, -1, (recent[randbelow(n_recent)],),
+                        taken, target,
+                    )
+                    emitted += 1
+                    slot += 1
+                    if slot == body:
+                        slot = 0
+                    self._emitted = emitted
+                    yield inst
+                pc = code_base + slot * 4
+                if k < gap:
+                    if draw() < fp_fraction:
+                        op = FP_MUL if draw() < mul_fraction else FP_ALU
+                    else:
+                        op = INT_MUL if draw() < mul_fraction else INT_ALU
+                    dest = next_reg
+                    next_reg = self._next_reg = (next_reg + 1) % registers
+                    recent.append(dest)
+                    if n_recent == 8:
+                        del recent[0]
+                    else:
+                        n_recent += 1
+                    if randbelow(2):
+                        srcs = (
+                            recent[randbelow(n_recent)],
+                            recent[randbelow(n_recent)],
+                        )
+                    else:
+                        srcs = (recent[randbelow(n_recent)],)
+                    inst = Inst(op, pc, 0, dest, srcs)
+                elif is_write:
+                    randbelow(1)
+                    inst = Inst(
+                        STORE, pc, addr, -1, (recent[randbelow(n_recent)],)
+                    )
+                else:
+                    dest = next_reg
+                    next_reg = self._next_reg = (next_reg + 1) % registers
+                    recent.append(dest)
+                    if n_recent == 8:
+                        del recent[0]
+                    else:
+                        n_recent += 1
+                    randbelow(1)
+                    inst = Inst(
+                        LOAD, pc, addr, dest, (recent[randbelow(n_recent)],)
+                    )
+                emitted += 1
+                slot += 1
+                if slot == body:
+                    slot = 0
+                self._emitted = emitted
+                yield inst

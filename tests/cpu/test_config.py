@@ -1,5 +1,7 @@
 """Tests for processor configuration (Table 1)."""
 
+import pytest
+
 from repro.cpu import FunctionalUnits, OpClass, ProcessorConfig
 from repro.cpu.trace import EXEC_LATENCY, Inst
 
@@ -60,3 +62,30 @@ class TestTraceTypes:
         assert "0x1234" in repr(load)
         br = Inst(OpClass.BRANCH, 0x400000, taken=True)
         assert "taken=True" in repr(br)
+
+
+class TestValidation:
+    """Degenerate machines are refused at construction, naming the field."""
+
+    @pytest.mark.parametrize("name", [
+        "ruu_entries", "lsq_entries", "decode_width", "issue_width",
+        "commit_width",
+    ])
+    def test_widths_and_queues_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            ProcessorConfig(**{name: 0})
+
+    @pytest.mark.parametrize("size", [0, 2, 24, 48])
+    def test_fetch_block_must_be_a_power_of_two(self, size):
+        with pytest.raises(ValueError, match="^fetch_block_bytes"):
+            ProcessorConfig(fetch_block_bytes=size)
+
+    def test_fetch_block_of_one_instruction_is_allowed(self):
+        assert ProcessorConfig(fetch_block_bytes=4).fetch_block_bytes == 4
+
+    @pytest.mark.parametrize("name", [
+        "int_add", "int_mul", "fp_add", "fp_mul", "mem_ports",
+    ])
+    def test_every_unit_class_needs_a_unit(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            FunctionalUnits(**{name: 0})

@@ -5,7 +5,9 @@ outputs, so this pins the SHA-256 of the *whole* output record — every
 field, including the full registry ``snapshot`` — over a small grid:
 three benchmarks × the four L2 configurations the figures use, the full
 scheme under every registered variant (on mesa and gap), a three-level
-hierarchy with a protected L3, and one CPU-mode org/ours pair.
+hierarchy with a protected L3, and CPU-mode runs: org/ours pairs on
+swim and mcf, a silent-write run, a run under a stressed processor
+configuration, and the instruction mixer's own stream.
 
 A performance change to the simulator hot path must leave every digest
 unchanged.  A digest change means a simulated bit moved: find out why,
@@ -25,6 +27,7 @@ from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core import ProtectedL2, ProtectionConfig
 from repro.core.policy import available_variants
+from repro.cpu.config import FunctionalUnits, ProcessorConfig
 from repro.experiments.runner import (
     SCALED_GEOMETRY,
     RunConfig,
@@ -32,7 +35,13 @@ from repro.experiments.runner import (
     run_ref_stream,
     run_refs,
 )
-from repro.workloads import get_benchmark, make_ref_stream
+from repro.workloads import (
+    InstructionMixer,
+    MemRef,
+    MixConfig,
+    get_benchmark,
+    make_ref_stream,
+)
 
 CONFIG = RunConfig(n_refs=6000, warmup_refs=2000)
 
@@ -175,3 +184,91 @@ def test_three_level_protected_l3_is_pinned():
 def test_run_ipc_is_pinned(protection):
     out = run_ipc("swim", PROTECTIONS[protection], CONFIG, n_insts=6000)
     assert digest(out) == IPC_GOLDEN[protection]
+
+
+#: CPU-mode runs beyond the swim pair: the INT pair, a traffic-aware
+#: variant, and a small machine whose RUU/LSQ fill up, whose fetch and
+#: commit gates saturate at width 2 and whose two-unit multiply pools
+#: tie on their first-minimum unit choice.
+STRESS_PROCESSOR = ProcessorConfig(
+    ruu_entries=8,
+    lsq_entries=4,
+    decode_width=2,
+    commit_width=2,
+    functional_units=FunctionalUnits(int_mul=2, fp_mul=2),
+)
+
+IPC_RUNS = {
+    "mcf-plain": ("mcf", "plain", "standard", None),
+    "mcf-full": ("mcf", "full", "standard", None),
+    "swim-silent-write": ("swim", "full", "silent-write", None),
+    "swim-stress": ("swim", "full", "standard", STRESS_PROCESSOR),
+}
+
+IPC_RUN_GOLDEN = {
+    "mcf-plain":
+        "9efa7b7bd2f101803d124d407e84e9e9c77d9b83d18a9cc8f41bcb90bd033504",
+    "mcf-full":
+        "8a71fcc269e6e2d8c298b0c6955fe59ec8d269c731af7e4e23c4c389408f01f2",
+    "swim-silent-write":
+        "2a80336cc6607365e164d1c7782a930aede0a52241ba43317df3744cbfcc456f",
+    "swim-stress":
+        "e68280e8478c2bf8e25ef88599a658ced5ab4db75f138df0fffc0a89729a95e3",
+}
+if sys.version_info >= (3, 12):
+    # The plain run's ``energy_uj`` moves by one ulp, as for swim above.
+    IPC_RUN_GOLDEN["mcf-plain"] = (
+        "c94f011141308a8907426bea4cefb87ad2f4c7b85685f10a67aa7a3f8b68c756"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(IPC_RUN_GOLDEN))
+def test_ipc_run_is_pinned(name):
+    bench, protection, variant, processor = IPC_RUNS[name]
+    out = run_ipc(
+        bench, PROTECTIONS[protection], CONFIG, n_insts=6000,
+        processor=processor, variant=variant,
+    )
+    assert digest(out) == IPC_RUN_GOLDEN[name]
+
+
+def mixer_digest(fp_fraction: float) -> str:
+    """SHA-256 of 20k mixed instructions from two ``expand`` calls on
+    one mixer — the first runs its references dry, the second is cut
+    mid-stream — plus the mixer's register and RNG state after."""
+    import itertools
+    import random
+
+    rng = random.Random(3)
+    refs = [
+        MemRef(rng.random() < 0.3, rng.randrange(1 << 20) & ~7,
+               rng.randrange(7))
+        for _ in range(8000)
+    ]
+    mixer = InstructionMixer(MixConfig(fp_fraction=fp_fraction), seed=5)
+    first = list(mixer.expand(refs[:2000]))
+    second = list(
+        itertools.islice(mixer.expand(refs[2000:]), 20000 - len(first))
+    )
+    h = hashlib.sha256()
+    for inst in first + second:
+        h.update(repr((
+            int(inst.op), inst.pc, inst.addr, inst.dest, inst.srcs,
+            inst.taken, inst.target,
+        )).encode())
+    h.update(repr((
+        len(first), len(second), mixer._emitted, mixer._next_reg,
+        mixer._recent_dests, mixer._rng.getstate(),
+    )).encode())
+    return h.hexdigest()
+
+
+MIXER_GOLDEN = {
+    "fp": "e35405142f480ec446900b6a877f9871a61498c900d113816166cee39f50a2ed",
+    "int": "0b66a2a727173ccc34c979e4f07f40b4b4a5242964350dfa69eaf8392da69805",
+}
+
+
+@pytest.mark.parametrize("suite,fp_fraction", [("fp", 0.5), ("int", 0.1)])
+def test_mixer_stream_is_pinned(suite, fp_fraction):
+    assert mixer_digest(fp_fraction) == MIXER_GOLDEN[suite]

@@ -127,3 +127,19 @@ class TestDeterminism:
         mixer = InstructionMixer(MixConfig(), seed=0)
         insts = list(itertools.islice(mixer.expand(stream), 500))
         assert len(insts) == 500
+
+
+class TestValidation:
+    """A degenerate mix is refused at construction, naming the field."""
+
+    @pytest.mark.parametrize("name", [
+        "branch_period", "loop_body_insts", "registers",
+    ])
+    def test_counts_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            MixConfig(**{name: 0})
+
+    def test_smallest_mix_expands(self):
+        cfg = MixConfig(branch_period=1, loop_body_insts=1, registers=1)
+        insts = expand(refs(20), cfg)
+        assert sum(i.op.is_mem for i in insts) == 20
