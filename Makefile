@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install lint test test-all bench bench-perf bench-baseline \
-	figures figures-par figures-smoke ipc-smoke reliability-smoke \
-	service-smoke \
+	figures figures-par figures-smoke ipc-smoke perfbench-smoke \
+	reliability-smoke service-smoke \
 	fabric-smoke autotune-smoke traffic-smoke check-docs examples clean
 
 install:
@@ -97,6 +97,21 @@ ipc-smoke:
 	cmp $$tmp/jobs1.table $$tmp/jobs2.table && \
 	echo "ipc-smoke: --jobs 1 and --jobs 2 IPC tables are identical"; \
 	status=$$?; rm -rf $$tmp; exit $$status
+
+# perfbench correctness gate (perfbench/README.md): one traced `figures`
+# run at --seconds 1 must report 0 failed operations — every pass with
+# the same output digest, every reference-mode cell through
+# check_invariants, the L2 replay ending in the recorded run's state.
+# A correctness gate, not a timing gate (~50 s on a 2-vCPU VM).
+PERFBENCH_SMOKE_ARGS = --workload figures --seed 1 --seconds 1 --trace 1
+PERFBENCH_SMOKE_CHECK = 'import json, sys; sys.exit(json.load(sys.stdin)["failed"] != 0)'
+perfbench-smoke:
+	@last=$$($(PYTHON) perfbench/run.py $(PERFBENCH_SMOKE_ARGS) | tail -n 1); \
+	if echo "$$last" | $(PYTHON) -c $(PERFBENCH_SMOKE_CHECK); then \
+		echo "perfbench-smoke: 0 failed operations"; \
+	else \
+		echo "perfbench-smoke: FAILED: $$last"; exit 1; \
+	fi
 
 # A fast end-to-end reliability campaign (docs/reliability.md): auto
 # stopping at a loose ±2% target so it finishes well under 30 s; run

@@ -373,6 +373,7 @@ def figures(
         figure5_6,
         figure7,
         figure8,
+        full_scheme,
         interval_sweep,
         ipc_loss,
         table1,
@@ -393,32 +394,43 @@ def figures(
                 title="Table 1: baseline configuration", text=table1()
             )
         )
-    if wanted in ("all", "1"):
-        f1 = figure1(config, engine=eng)
-        sections.append(FigureSection(
-            title="Figure 1: % dirty lines (conventional)",
-            series={k: {"dirty %": v} for k, v in f1.items()},
-        ))
+    # Each cell is simulated once: with every figure wanted, Figure 1
+    # reads the sweeps' 'org' runs; Figures 7 and 8 share one grid.
+    sweeps: Dict[str, Dict[str, Any]] = {}
     if wanted in ("all", "3", "4", "5", "6"):
         suites = {"3": ["fp"], "5": ["fp"], "4": ["int"], "6": ["int"]}.get(
             wanted, ["fp", "int"]
         )
         for suite in suites:
-            sweep = interval_sweep(suite, config, engine=eng)
-            if wanted in ("all", "3", "4"):
-                fig = "3" if suite == "fp" else "4"
-                sections.append(FigureSection(
-                    title=f"Figure {fig}: dirty % vs interval ({suite})",
-                    series=figure3_4(suite, config, sweep=sweep),
-                ))
-            if wanted in ("all", "5", "6"):
-                fig = "5" if suite == "fp" else "6"
-                sections.append(FigureSection(
-                    title=f"Figure {fig}: writeback % vs interval ({suite})",
-                    series=figure5_6(suite, config, sweep=sweep),
-                ))
+            sweeps[suite] = interval_sweep(suite, config, engine=eng)
+    full = (
+        full_scheme(config, engine=eng) if wanted in ("all", "7", "8")
+        else None
+    )
+    if wanted in ("all", "1"):
+        f1 = figure1(
+            config, engine=eng,
+            sweep={**sweeps["fp"], **sweeps["int"]} if sweeps else None,
+        )
+        sections.append(FigureSection(
+            title="Figure 1: % dirty lines (conventional)",
+            series={k: {"dirty %": v} for k, v in f1.items()},
+        ))
+    for suite, sweep in sweeps.items():
+        if wanted in ("all", "3", "4"):
+            fig = "3" if suite == "fp" else "4"
+            sections.append(FigureSection(
+                title=f"Figure {fig}: dirty % vs interval ({suite})",
+                series=figure3_4(suite, config, sweep=sweep),
+            ))
+        if wanted in ("all", "5", "6"):
+            fig = "5" if suite == "fp" else "6"
+            sections.append(FigureSection(
+                title=f"Figure {fig}: writeback % vs interval ({suite})",
+                series=figure5_6(suite, config, sweep=sweep),
+            ))
     if wanted in ("all", "7"):
-        f7 = figure7(config, engine=eng)
+        f7 = figure7(config, full=full)
         sections.append(FigureSection(
             title="Figure 7: % dirty lines (full scheme)",
             series={k: {"dirty %": v} for k, v in f7.items()},
@@ -426,7 +438,7 @@ def figures(
     if wanted in ("all", "8"):
         sections.append(FigureSection(
             title="Figure 8: writeback split (full scheme)",
-            series=figure8(config, engine=eng),
+            series=figure8(config, full=full),
         ))
     if wanted in ("all", "ipc"):
         rows: Dict[str, Dict[str, float]] = {}

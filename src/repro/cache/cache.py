@@ -8,6 +8,7 @@ written-bit semantics, cleaning sweeps and shared-ECC-array bookkeeping.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -224,6 +225,20 @@ class SetAssociativeCache:
     def attach_tracer(self, tracer: Optional[EventTracer]) -> None:
         """Attach (or with ``None`` detach) a structured event tracer."""
         self._tracer = tracer
+
+    @property
+    def touched(self) -> bool:
+        """True once any access has reached the cache."""
+        return self._stamp != 0
+
+    def copy_state_from(self, other: "SetAssociativeCache") -> None:
+        """Take a deep copy of ``other``'s contents, replacement state and
+        counters; ``other`` must have this cache's geometry.  The
+        configuration and any attached tracer stay this cache's own."""
+        self.policy, self.sets, self.stats, self.dirty = copy.deepcopy(
+            (other.policy, other.sets, other.stats, other.dirty)
+        )
+        self._stamp = other._stamp
 
     # -- main access path ----------------------------------------------------
 

@@ -18,12 +18,26 @@ a sweep is due, and the answer is almost always no: only levels whose
 class overrides ``advance`` are asked at all (a plain L2 costs the
 reference nothing), and a protected level answers with one arithmetic
 test in :class:`~repro.core.cleaning.CleaningLogic`.
+
+Reference mode runs in two stages split at the L1 (DESIGN.md §7).
+There every reference advances the clock by its gap, whatever latency
+it returns, so the L1D outcome and the write buffer's coalescing,
+drains and forwarding depend on the stream alone.  Stage A
+(:class:`L1Recorder`) records them as :class:`L1Tape` chunks; stage B
+(:meth:`MemoryHierarchy.replay_l1_tape`) drives the MSHRs, the unified
+levels and memory from a tape with the same calls, in the same order,
+that :meth:`~MemoryHierarchy.load` and :meth:`~MemoryHierarchy.store`
+make.  Both stages live here, beside ``load``/``store``, so every
+L1, write-buffer and MSHR rule is in one module.  The CPU path keeps
+``load``, ``store`` and ``ifetch``.
 """
 
 from __future__ import annotations
 
+import itertools
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.cache.cache import (
     CacheConfig,
@@ -132,6 +146,61 @@ class HierarchyStats(StatsSourceMixin):
         return self.flatten()
 
 
+#: L1 tape outcome codes, one per reference (see :class:`L1Tape`).
+LOAD_HIT = 0
+LOAD_MISS = 1
+#: An L1 load miss whose block sits in the write buffer.
+LOAD_FORWARD = 2
+STORE = 3
+#: A store that pushed the oldest buffered block out to the L2.
+STORE_DRAIN = 4
+
+
+@dataclass(frozen=True)
+class L1Tape:
+    """What stage A recorded of a stretch of a reference stream.
+
+    Per reference ``i``: ``steps[i]`` cycles since the previous one
+    (``1 + gap``), an outcome ``codes[i]`` and ``addrs[i]`` — the
+    reference's address, or for :data:`STORE_DRAIN` the block drained.
+    The columns are read-only; stage B never writes to a tape.
+    """
+
+    codes: bytes
+    steps: Sequence[int]
+    addrs: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+#: Column typecodes from narrowest to widest; a list past the last.
+_WIDTHS = ("B", "H", "I", "Q")
+
+
+def _widened(column, value):
+    """``column`` with ``value`` appended, in the narrowest of
+    :data:`_WIDTHS` that holds both (a list when none does)."""
+    if isinstance(column, array):
+        for code in _WIDTHS[_WIDTHS.index(column.typecode) + 1:]:
+            wider = array(code, column)
+            try:
+                wider.append(value)
+            except (OverflowError, TypeError):
+                continue
+            return wider
+    column = list(column)
+    column.append(value)
+    return column
+
+
+def _frozen(column):
+    """A read-only view of a finished column."""
+    if isinstance(column, array):
+        return memoryview(column).toreadonly()
+    return tuple(column)
+
+
 class MemoryHierarchy:
     """Trace-driven memory system: returns a latency for every reference."""
 
@@ -218,6 +287,15 @@ class MemoryHierarchy:
         """Latest cycle the hierarchy has seen."""
         return self._clock
 
+    @property
+    def fresh(self) -> bool:
+        """True while the clock is 0 and no reference has touched the
+        L1D or the write buffer: the state a memoised tape starts from."""
+        return (
+            self._clock == 0 and not self.l1d.touched
+            and not len(self.write_buffer)
+        )
+
     # -- reference entry points ---------------------------------------------
     #
     # Each entry point first clamps ``cycle`` to the monotonic clock and
@@ -288,6 +366,60 @@ class MemoryHierarchy:
         # A buffered store retires immediately from the core's view.
         return self.l1d.config.hit_latency
 
+    def replay_l1_tape(self, tape: L1Tape, cycle: int) -> int:
+        """Stage B: replay ``tape`` below the L1s.
+
+        ``cycle`` is the cycle before the tape's first reference; returns
+        the cycle of its last.  Each reference makes the calls
+        :meth:`load` or :meth:`store` would make after the L1D and the
+        write buffer answered as the tape says: the clamp to the
+        monotonic clock, any due sweep, the MSHR lookup on every load
+        (a pending fill wins over a hit or a forward), and the L2 fill
+        or drained-block write.  The hierarchy's own L1D and write
+        buffer are untouched until :meth:`adopt_l1_state`.
+        """
+        clock = self._clock
+        sweeping = self._sweeping
+        advance = self._advance_l2
+        pending_ready = self.l1d_mshr.pending_ready
+        allocate = self.l1d_mshr.allocate
+        level_access = self._level_access
+        hit_latency = self.l1d.config.hit_latency
+        shift = self._block_shift
+        loads = stores = 0
+        for code, step, addr in zip(tape.codes, tape.steps, tape.addrs):
+            cycle += step
+            if cycle > clock:
+                clock = now = cycle
+            else:
+                now = clock
+            if sweeping:
+                advance(now)
+            if code < STORE:
+                loads += 1
+                block = addr >> shift
+                if pending_ready(block, now) is None and code == LOAD_MISS:
+                    latency = hit_latency + level_access(addr, False, now, 0)
+                    allocate(block, now + latency, now)
+            else:
+                stores += 1
+                if code == STORE_DRAIN:
+                    level_access(addr, True, now, 0)
+        self._clock = clock
+        self.stats.loads += loads
+        self.stats.stores += stores
+        return cycle
+
+    def adopt_l1_state(
+        self, l1d: SetAssociativeCache, write_buffer: WriteBuffer
+    ) -> None:
+        """Stage B's last step: take a copy of stage A's final L1D and
+        write-buffer state, as a live run through :meth:`load`/:meth:`store`
+        would have left it.  The objects (and so the registry entries
+        and an attached tracer) stay the hierarchy's own."""
+        self.l1d.copy_state_from(l1d)
+        self.write_buffer.copy_state_from(write_buffer)
+
     def drain_write_buffer(self, cycle: int) -> None:
         """Flush all pending buffered stores into the L2."""
         for block in self.write_buffer.drain_all():
@@ -356,3 +488,97 @@ class MemoryHierarchy:
         if refs == 0:
             return 0.0
         return self.l2.stats.writebacks_total / refs
+
+
+class L1Recorder:
+    """Stage A: run a reference stream through copies of a hierarchy's
+    L1D and write buffer and record what they did as :class:`L1Tape`
+    chunks.
+
+    The copies start from the hierarchy's state when the recorder is
+    made, and cycles are clamped to its clock, as its entry points clamp
+    them; the hierarchy itself is not touched.  The copies trace
+    nothing: the write-through L1D emits no tracer events in a live run
+    either.  Once the stream is used up, :attr:`l1d` and
+    :attr:`write_buffer` hold what a live run would leave in the
+    hierarchy's own (:meth:`MemoryHierarchy.adopt_l1_state`).
+    """
+
+    #: Longest tape :meth:`window` yields: a window of any length holds
+    #: one chunk at a time.
+    chunk_refs = 1 << 16
+
+    def __init__(self, hierarchy: MemoryHierarchy, stream) -> None:
+        self.l1d = SetAssociativeCache(hierarchy.l1d.config)
+        self.l1d.copy_state_from(hierarchy.l1d)
+        wb = hierarchy.write_buffer
+        self.write_buffer = WriteBuffer(wb.entries, wb.block_bytes)
+        self.write_buffer.copy_state_from(wb)
+        # Sequences must behave like generators: islice over a list would
+        # *replay* the warm-up references in the measured window.
+        self._stream = iter(stream)
+        self._cycle = 0
+        self._clock = hierarchy.clock
+
+    def record(self, n: int) -> L1Tape:
+        """The next ``n`` references of the stream (fewer when it ends)."""
+        access = self.l1d.access
+        push, contains = self.write_buffer.push, self.write_buffer.contains
+        codes = bytearray()
+        steps, addrs = array("B"), array("B")
+        put_code, put_step, put_addr = codes.append, steps.append, addrs.append
+        cycle, clock = self._cycle, self._clock
+        for ref in itertools.islice(self._stream, n):
+            step = 1 + ref.gap
+            addr = ref.addr
+            cycle += step
+            if cycle > clock:
+                clock = cycle
+            if ref.is_write:
+                # A store writes through the L1D, then the write buffer
+                # coalesces it or drains its oldest block to the L2.
+                access(addr, True, clock)
+                drained = push(addr)
+                if drained is None:
+                    put_code(STORE)
+                else:
+                    put_code(STORE_DRAIN)
+                    addr = drained
+            elif access(addr, False, clock).hit:
+                put_code(LOAD_HIT)
+            elif contains(addr):
+                # An L1 miss on a buffered block is forwarded from the
+                # buffer, unless stage B finds the block's fill pending.
+                put_code(LOAD_FORWARD)
+            else:
+                put_code(LOAD_MISS)
+            try:
+                put_step(step)
+            except (OverflowError, TypeError):
+                steps = _widened(steps, step)
+                put_step = steps.append
+            try:
+                put_addr(addr)
+            except (OverflowError, TypeError):
+                addrs = _widened(addrs, addr)
+                put_addr = addrs.append
+        self._cycle, self._clock = cycle, clock
+        return L1Tape(
+            codes=bytes(codes), steps=_frozen(steps), addrs=_frozen(addrs)
+        )
+
+    def window(self, n: int, boundary: bool = False) -> Iterator[L1Tape]:
+        """The next ``n`` references as tapes of at most
+        :attr:`chunk_refs`, each recorded when asked for.  With
+        ``boundary`` the window opens at the measurement boundary: both
+        copies' counters are zeroed at that cycle, as ``registry.reset``
+        zeroes the hierarchy's."""
+        if boundary:
+            self.l1d.reset(self._cycle)
+            self.write_buffer.reset(self._cycle)
+        while n > 0:
+            tape = self.record(min(n, self.chunk_refs))
+            if not len(tape):
+                return  # the stream ended
+            n -= len(tape)
+            yield tape

@@ -9,7 +9,7 @@ L2 in FIFO order when the buffer overflows (and on explicit drain).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.telemetry.metrics import StatsSourceMixin
@@ -65,6 +65,12 @@ class WriteBuffer:
     def reset(self, cycle: int = 0) -> None:
         """Zero the counters; buffered stores stay buffered."""
         self.stats.reset(cycle)
+
+    def copy_state_from(self, other: "WriteBuffer") -> None:
+        """Take a copy of ``other``'s buffered blocks, in order, and its
+        counters; ``other`` must have this buffer's shape."""
+        self._pending = OrderedDict(other._pending)
+        self.stats = replace(other.stats)
 
     @property
     def full(self) -> bool:

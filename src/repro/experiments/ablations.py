@@ -61,6 +61,8 @@ def ablate_ecc_entries(
     names = benchmarks or sorted(BENCHMARKS)
     points: List[EccEntriesPoint] = []
     paper_l2 = CacheConfig("l2", 1024 * 1024, 4, 64)
+    # Benchmark-major, so a benchmark's cells run back to back and share
+    # one L1 tape.
     cells = [
         Cell(
             name,
@@ -70,14 +72,14 @@ def ablate_ecc_entries(
             ),
             config,
         )
-        for entries in entries_grid
         for name in names
+        for entries in entries_grid
     ]
-    outputs = iter(_engine(engine).run_cells(cells))
-    for entries in entries_grid:
+    outputs = _engine(engine).run_cells(cells)
+    for e, entries in enumerate(entries_grid):
         dirty, ecc_wb, total_wb = 0.0, 0.0, 0.0
-        for name in names:
-            out = next(outputs)
+        for b in range(len(names)):
+            out = outputs[b * len(entries_grid) + e]
             dirty += out.dirty_fraction
             ecc_wb += out.writeback_split["ECC-WB"]
             total_wb += out.writeback_fraction
@@ -343,15 +345,9 @@ def ablate_cache_size(
             hier_cfg = dc_replace(base, l2=dc_replace(base.l2,
                                                       size_bytes=size))
             hierarchy = MemoryHierarchy(config=hier_cfg)
-            spec_stream_l2 = geometry.l2_bytes  # workload scale unchanged
-            from repro.workloads.spec2000 import make_ref_stream, get_benchmark
-
-            stream = make_ref_stream(
-                get_benchmark(name), spec_stream_l2, seed=config.seed
-            )
-            from repro.experiments.runner import run_ref_stream
-
-            res = run_ref_stream(stream, hierarchy, config, label=name)
+            # The stream keeps the reference geometry's scale, so every
+            # size replays the same L1 tape.
+            res = run_refs_with_hierarchy(name, hierarchy, config)
             row[f"{factor:g}x"] = 100.0 * res.dirty_fraction
         out[name] = row
     return out

@@ -12,6 +12,10 @@ the paper-style tables.  Figure/Table numbering follows the paper:
 * :func:`figure8` — write-back traffic split WB / Clean-WB / ECC-WB.
 * :func:`area_table` — the Section 5.2 54 KB vs 132 KB accounting.
 * :func:`ipc_loss` — the Section 5.2 IPC-loss measurement.
+
+Figure 1 can read the sweeps' 'org' runs and Figures 7/8 share one
+:func:`full_scheme` grid when the caller passes them in, so a full
+regeneration simulates each cell once.
 """
 
 from __future__ import annotations
@@ -66,14 +70,20 @@ def _engine(engine: Optional[SweepEngine]) -> SweepEngine:
 def figure1(
     config: RunConfig = RunConfig(),
     engine: Optional[SweepEngine] = None,
+    sweep: Optional[Dict[str, Dict[str, "object"]]] = None,
 ) -> Dict[str, float]:
     """Fig. 1: % dirty lines per cycle in the conventional L2, per benchmark.
 
     The paper reports a 51.6% average with apsi/mesa/gap/parser high.
+    Its cells are the 'org' runs of :func:`interval_sweep`: pass both
+    suites' sweeps merged into one dict to avoid re-simulating.
     """
     specs = _suite(None)
-    cells = [Cell(spec.name, None, config) for spec in specs]
-    outputs = _engine(engine).run_cells(cells)
+    if sweep is not None:
+        outputs = [sweep[spec.name]["org"] for spec in specs]
+    else:
+        cells = [Cell(spec.name, None, config) for spec in specs]
+        outputs = _engine(engine).run_cells(cells)
     return {
         spec.name: 100.0 * out.dirty_fraction
         for spec, out in zip(specs, outputs)
@@ -154,35 +164,47 @@ def _ours() -> ProtectionConfig:
     )
 
 
-def figure7(
+def full_scheme(
     config: RunConfig = RunConfig(),
     engine: Optional[SweepEngine] = None,
-) -> Dict[str, float]:
-    """Fig. 7: dirty % under the full scheme (the paper sees <25% everywhere)."""
+) -> Dict[str, "object"]:
+    """The full-scheme runs behind Figures 7 and 8: every benchmark under
+    :func:`_ours`.  Returns {benchmark: RefRunOutput}."""
     specs = _suite(None)
     outputs = _engine(engine).run_cells(
         [Cell(spec.name, _ours(), config) for spec in specs]
     )
-    return {
-        spec.name: 100.0 * out.dirty_fraction
-        for spec, out in zip(specs, outputs)
-    }
+    return {spec.name: out for spec, out in zip(specs, outputs)}
+
+
+def figure7(
+    config: RunConfig = RunConfig(),
+    engine: Optional[SweepEngine] = None,
+    full: Optional[Dict[str, "object"]] = None,
+) -> Dict[str, float]:
+    """Fig. 7: dirty % under the full scheme (the paper sees <25% everywhere).
+
+    Pass a precomputed :func:`full_scheme` to avoid re-simulating.
+    """
+    full = full if full is not None else full_scheme(config, engine)
+    return {bench: 100.0 * out.dirty_fraction for bench, out in full.items()}
 
 
 def figure8(
     config: RunConfig = RunConfig(),
     engine: Optional[SweepEngine] = None,
+    full: Optional[Dict[str, "object"]] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """Fig. 8: write-back % split into WB / Clean-WB / ECC-WB, plus total."""
-    specs = _suite(None)
-    outputs = _engine(engine).run_cells(
-        [Cell(spec.name, _ours(), config) for spec in specs]
-    )
+    """Fig. 8: write-back % split into WB / Clean-WB / ECC-WB, plus total.
+
+    Pass a precomputed :func:`full_scheme` to avoid re-simulating.
+    """
+    full = full if full is not None else full_scheme(config, engine)
     out: Dict[str, Dict[str, float]] = {}
-    for spec, res in zip(specs, outputs):
+    for bench, res in full.items():
         row = {k: 100.0 * v for k, v in res.writeback_split.items()}
         row["total"] = 100.0 * res.writeback_fraction
-        out[spec.name] = row
+        out[bench] = row
     return out
 
 

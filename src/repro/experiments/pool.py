@@ -3,8 +3,10 @@
 The paper's evaluation is a large grid of *independent* simulations —
 benchmark × cleaning interval × protection configuration for Figures
 1/3–8 plus the ablations.  Every cell of that grid is a pure function of
-its inputs (the synthetic workloads are seeded, the simulator has no
-global state), so the grid can be
+its inputs (the synthetic workloads are seeded; the simulator's one
+piece of global state, the runner's last L1 tape, is an immutable
+function of its key and serves fresh hierarchies only), so the grid can
+be
 
 * **fanned out** over a :mod:`multiprocessing` pool (``jobs > 1``), and
 * **memoised** on disk, keyed by a content hash of everything the cell
@@ -16,7 +18,9 @@ Determinism: a :class:`Cell` carries its seed inside its
 :class:`~repro.experiments.runner.RunConfig` and each worker builds a
 private hierarchy from scratch, so results are bit-for-bit identical
 whatever the worker count or completion order — the pool reassembles
-outputs by submission index, never by arrival.
+outputs by submission index, never by arrival.  Each process keeps
+its own one-slot tape memo, so a worker that runs a benchmark's cells
+back to back records that benchmark's L1 tape once.
 
 Typical use::
 

@@ -74,3 +74,32 @@ class TestCliJson:
         doc = load_json(path)
         assert "figure8" in doc
         assert doc["config"]["n_refs"] == 2000
+
+
+class TestEachCellOnce:
+    """Figure 1 reads the sweeps' 'org' runs and Figures 7/8 share one
+    full-scheme grid, so a full regeneration runs 84 distinct
+    reference-mode cells (14 benchmarks × org, 4 intervals, full)."""
+
+    def test_regenerate_all(self):
+        from repro.experiments import SweepEngine
+
+        engine = SweepEngine()
+        regenerate_all(
+            RunConfig(n_refs=300, warmup_refs=100), include_ipc=False,
+            engine=engine,
+        )
+        labels = [record.label for record in engine.stats.records]
+        assert len(labels) == len(set(labels)) == 84
+
+    def test_api_figures(self):
+        from repro import api
+        from repro.experiments import SweepEngine
+
+        engine = SweepEngine()
+        api.figures(api.FiguresRequest(refs=300, warmup=100), engine=engine)
+        labels = [
+            record.label for record in engine.stats.records
+            if not record.label.endswith(":ipc")
+        ]
+        assert len(labels) == len(set(labels)) == 84

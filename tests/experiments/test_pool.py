@@ -135,6 +135,22 @@ class TestEngineParallel:
                        engine=SweepEngine(jobs=2))
         assert seq == par
 
+    def test_interleaved_cells_keep_order_and_per_cell_records(self):
+        # Interleaved benchmarks, designs and an ipc cell, so workers'
+        # tape memos hit and miss: outputs land by submission index and
+        # every cell is recorded once.
+        small = RunConfig(n_refs=2_000, warmup_refs=500)
+        cells = [
+            Cell(bench, protection, small)
+            for protection in (None, PROT)
+            for bench in ("mesa", "swim", "mcf")
+        ]
+        cells.insert(2, Cell("gap", PROT, small, mode="ipc", n_insts=1_500))
+        seen = []
+        par = SweepEngine(jobs=2, on_cell=seen.append).run_cells(cells)
+        assert par == SweepEngine().run_cells(cells)
+        assert sorted(r.label for r in seen) == sorted(c.label for c in cells)
+
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
             SweepEngine(jobs=0)

@@ -100,6 +100,20 @@ class TestIntervalRoundTrip:
         assert labels == ["64K", "256K", "1M", "4M"]
 
 
+class TestRunConfigValidation:
+    def test_negative_n_refs_rejected(self):
+        with pytest.raises(ValueError, match="^n_refs must be >= 0$"):
+            RunConfig(n_refs=-1)
+
+    def test_negative_warmup_refs_rejected(self):
+        with pytest.raises(ValueError, match="^warmup_refs must be >= 0$"):
+            RunConfig(warmup_refs=-3)
+
+    def test_zero_counts_allowed(self):
+        out = run_refs("mesa", None, RunConfig(n_refs=0, warmup_refs=0))
+        assert out.refs == 0
+
+
 class TestBuildL2:
     def test_none_protection_builds_plain_cache(self):
         l2 = build_l2(SCALED_GEOMETRY, None)

@@ -272,3 +272,110 @@ MIXER_GOLDEN = {
 @pytest.mark.parametrize("suite,fp_fraction", [("fp", 0.5), ("int", 0.1)])
 def test_mixer_stream_is_pinned(suite, fp_fraction):
     assert mixer_digest(fp_fraction) == MIXER_GOLDEN[suite]
+
+
+# -- edge cases of the reference-mode pipeline ---------------------------------
+#
+# Runs whose streams or hierarchies sit at the edges of what the
+# reference-mode path accepts: values no narrow column holds, a stream
+# that ends inside its warm-up, a hierarchy driven twice, and ablations
+# whose knobs sit on either side of the L1 (write-buffer depth above,
+# L2 size below).
+
+
+def doc_digest(doc) -> str:
+    """SHA-256 of a plain JSON-able document (floats by exact repr)."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def wide_trace(path):
+    """A text trace of swim's first 4000 references with a 70000-cycle
+    gap and loads/stores to blocks at and beyond 2**62 (one past 2**64)
+    woven in, saved and loaded back through the text trace format."""
+    import itertools
+
+    from repro.workloads.io import load_trace, save_trace_text
+
+    refs = list(itertools.islice(
+        make_ref_stream(
+            get_benchmark("swim"), SCALED_GEOMETRY.l2_bytes, seed=0
+        ),
+        4000,
+    ))
+    high = [(1 << 62) + 64 * k for k in range(3)] + [(1 << 64) + 128]
+    for i in range(300, 4000, 97):
+        addr = high[(i // 97) % len(high)] + (i % 8) * 4
+        refs[i] = MemRef(i % 3 == 0, addr, refs[i].gap)
+    refs[1200] = MemRef(False, refs[1200].addr, 70000)
+    refs[2500] = MemRef(True, (1 << 62) + 8, 70000)
+    save_trace_text(refs, path)
+    return load_trace(path)
+
+
+EDGE_GOLDEN = {
+    "wide-trace":
+        "07ff5a0874a56bf0e6f33aa8ef910e06d7e90d652437e533e7965c0ad35f26be",
+    "short-trace":
+        "e03d0fd89274176ec677dbd19a3dfc32fc6b5912cd6b057dcc56ac49e281e06c",
+    "reused-swim":
+        "8263141ee79bc72fc2641fa931ae530f21c7b4d92a3ace2e27210a876965c3b2",
+    "reused-mcf":
+        "0a923bb00cbe557ab3e160bbf12206a333fd84d174ed6e4f9f5328ce7ec74ba1",
+    "ablate-write-buffer":
+        "285a922b2d973cee4e9595028d28409a68cd285a4cea9f3b43fa2f9dab2b9771",
+    "ablate-cache-size":
+        "1dfcb4a706b39d4c75526dd56f4a6aaa8249b0b0f5f5f3b0a4f1944239731a02",
+}
+
+
+def test_wide_text_trace_is_pinned(tmp_path):
+    from repro.experiments.runner import run_trace
+
+    out = run_trace(
+        wide_trace(tmp_path / "wide.trace"), PROTECTIONS["full"],
+        RunConfig(n_refs=3000, warmup_refs=1000), label="wide",
+    )
+    assert digest(out) == EDGE_GOLDEN["wide-trace"]
+
+
+def test_trace_shorter_than_warmup_is_pinned():
+    import itertools
+
+    from repro.experiments.runner import run_trace
+
+    refs = list(itertools.islice(
+        make_ref_stream(get_benchmark("mcf"), SCALED_GEOMETRY.l2_bytes),
+        1500,
+    ))
+    out = run_trace(refs, PROTECTIONS["clean64K"], CONFIG, label="short")
+    assert out.refs == 0
+    assert digest(out) == EDGE_GOLDEN["short-trace"]
+
+
+def test_hierarchy_driven_twice_is_pinned():
+    from repro.experiments.runner import build_l2, run_refs_with_hierarchy
+
+    protection = PROTECTIONS["full"]
+    hierarchy = MemoryHierarchy(
+        config=SCALED_GEOMETRY.hierarchy_config(),
+        l2=build_l2(SCALED_GEOMETRY, protection),
+    )
+    first = run_refs_with_hierarchy("swim", hierarchy, CONFIG, protection)
+    second = run_refs_with_hierarchy("mcf", hierarchy, CONFIG, protection)
+    assert digest(first) == EDGE_GOLDEN["reused-swim"]
+    assert digest(second) == EDGE_GOLDEN["reused-mcf"]
+
+
+def test_write_buffer_ablation_is_pinned():
+    from repro.experiments.ablations import ablate_write_buffer
+
+    doc = ablate_write_buffer(CONFIG, ["swim", "mcf"], depths=(1, 64))
+    assert doc_digest(doc) == EDGE_GOLDEN["ablate-write-buffer"]
+
+
+def test_cache_size_ablation_is_pinned():
+    from repro.experiments.ablations import ablate_cache_size
+
+    doc = ablate_cache_size(CONFIG, ["swim", "mcf"])
+    assert doc_digest(doc) == EDGE_GOLDEN["ablate-cache-size"]
