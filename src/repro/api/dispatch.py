@@ -27,7 +27,6 @@ from repro.api.requests import (
     AblateRequest,
     AreaRequest,
     AutotuneRequest,
-    FIGURE_CHOICES,
     FiguresRequest,
     InjectRequest,
     IpcRequest,
@@ -36,7 +35,7 @@ from repro.api.requests import (
     ReproError,
     RunRequest,
     _as_dict,
-    _benchmark,
+    _enum_providers,
     _run_config,
 )
 from repro.api.responses import (
@@ -95,33 +94,6 @@ def register_kind(
         CAMPAIGN_KINDS.add(kind)
     if example is not None:
         EXAMPLE_KWARGS[kind] = dict(example)
-
-
-def _enum_providers() -> Dict[str, List[str]]:
-    """Registry-backed request fields -> their current valid values.
-
-    One place renders every enumerable axis from its registry —
-    variants, scenarios, codecs, kernels, schemes, objectives — so
-    ``GET /v1/kinds`` (and the docs built from it) can never drift from
-    what :mod:`repro.api.requests` actually accepts.
-    """
-    from repro.autotune import SCHEMES, available_objectives
-    from repro.core.policy import available_variants
-    from repro.ecc import available_codecs
-    from repro.reliability.campaign import KERNELS
-    from repro.reliability.scenarios import available_scenarios
-
-    return {
-        "variant": list(available_variants()),
-        "variants": list(available_variants()),
-        "scenario": list(available_scenarios()),
-        "scenarios": list(available_scenarios()),
-        "codec": list(available_codecs()),
-        "codecs": list(available_codecs()),
-        "kernel": list(KERNELS),
-        "schemes": list(SCHEMES),
-        "objectives": list(available_objectives()),
-    }
 
 
 def kind_enums(kind: str) -> Dict[str, List[str]]:
@@ -232,21 +204,18 @@ def run(
             stream, protection, config, label=request.trace,
             tracer=tracer, profiler=profiler, variant=request.variant,
         )
+    elif tracer is not None:
+        out = run_refs(
+            request.benchmark, protection, config,
+            tracer=tracer, profiler=profiler, variant=request.variant,
+        )
     else:
-        _benchmark(request.benchmark)
-        if tracer is not None:
-            out = run_refs(
-                request.benchmark, protection, config,
-                tracer=tracer, profiler=profiler, variant=request.variant,
-            )
-        else:
-            eng = _engine(engine)
-            out = eng.run_refs(
-                request.benchmark, protection, config,
-                variant=request.variant,
-            )
-            if profiler is not None:
-                profiler.merge(eng.profiler)
+        eng = _engine(engine)
+        out = eng.run_refs(
+            request.benchmark, protection, config, variant=request.variant,
+        )
+        if profiler is not None:
+            profiler.merge(eng.profiler)
 
     label = None
     if protection is not None and protection.cleaning_interval is not None:
@@ -282,10 +251,7 @@ def ipc(
     request: IpcRequest, engine: Optional[SweepEngine] = None
 ) -> IpcResponse:
     """Run the paired org/ours CPU-mode comparison."""
-    _benchmark(request.benchmark)
-    if request.insts < 1:
-        raise ReproError("insts must be positive")
-    config = _run_config(request.refs, request.warmup, request.seed)
+    config = _run_config(request)
     eng = _engine(engine)
     org = eng.run_ipc(request.benchmark, None, config, n_insts=request.insts)
     ours = eng.run_ipc(
@@ -319,8 +285,6 @@ def ipc(
 def area(request: AreaRequest = AreaRequest()) -> AreaResponse:
     from repro.experiments import area_table
 
-    if request.ecc_entries < 1:
-        raise ReproError("ecc_entries must be positive")
     conv, ours, red = area_table(ecc_entries_per_set=request.ecc_entries)
     return AreaResponse(
         request=request,
@@ -334,15 +298,11 @@ def area(request: AreaRequest = AreaRequest()) -> AreaResponse:
 
 
 def inject(request: InjectRequest, tracer=None) -> InjectResponse:
-    from repro.ecc import CodewordError, FaultInjector, get_codec
+    from repro.ecc import FaultInjector, get_codec
 
-    if request.trials < 1 or request.flips < 1:
-        raise ReproError("trials and flips must be positive")
-    try:
-        codec = get_codec(request.codec)
-    except CodewordError as err:
-        raise ReproError(str(err)) from None
-    injector = FaultInjector(codec, seed=request.seed, tracer=tracer)
+    injector = FaultInjector(
+        get_codec(request.codec), seed=request.seed, tracer=tracer
+    )
     stats = injector.campaign(request.trials, request.flips)
     outcomes = {
         outcome.value: {"count": n, "rate": n / stats.trials}
@@ -380,11 +340,7 @@ def figures(
     )
 
     wanted = request.fig
-    if wanted not in FIGURE_CHOICES:
-        raise ReproError(
-            f"unknown figure {wanted!r}; choose from {list(FIGURE_CHOICES)}"
-        )
-    config = _run_config(request.refs, request.warmup, request.seed)
+    config = _run_config(request)
     eng = _engine(engine)
     sections: List[FigureSection] = []
 
@@ -467,16 +423,8 @@ def ablate(
 
     import repro.experiments as experiments
 
-    if request.study not in ABLATIONS:
-        raise ReproError(
-            f"unknown study {request.study!r}; "
-            f"choose from {sorted(ABLATIONS)}"
-        )
-    for name in request.benchmarks or ():
-        _benchmark(name)
-    config = _run_config(request.refs, request.warmup, request.seed)
     func = getattr(experiments, ABLATIONS[request.study])
-    kwargs: Dict[str, Any] = {"config": config}
+    kwargs: Dict[str, Any] = {"config": _run_config(request)}
     if request.benchmarks:
         kwargs["benchmarks"] = list(request.benchmarks)
     if "engine" in inspect.signature(func).parameters:
@@ -532,10 +480,9 @@ def reliability(
     eng = _engine(engine)
     dirty_fractions = None
     if request.benchmark:
-        _benchmark(request.benchmark)
-        config = _run_config(request.refs, request.warmup, request.seed)
         dirty_fractions = measured_dirty_fractions(
-            request.benchmark, config, engine=eng, variant=request.variant
+            request.benchmark, _run_config(request), engine=eng,
+            variant=request.variant,
         )
         if progress is not None:
             progress({

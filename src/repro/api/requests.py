@@ -4,16 +4,22 @@ Every operation the CLI and the job service expose is described by a
 **frozen dataclass** whose fields are JSON primitives (ints, floats,
 strings, tuples), so a request round-trips through
 :func:`request_from_dict` / ``as_dict`` unchanged — that is the
-service's wire format.  Invalid inputs raise :class:`ReproError`,
-never a bare traceback; the CLI maps it to exit code 2 and the service
-to an HTTP 400.
+service's wire format.
+
+Each field is declared once, here: its default, and in its
+``metadata`` (see :func:`_flag`) the help text and grammar its CLI
+flag is derived from.  Every input check runs in ``__post_init__``,
+so a bad request raises :class:`ReproError` at construction — the CLI
+maps it to exit code 2 and the service to an HTTP 400 at POST, before
+any work is queued.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.protected_cache import ProtectionConfig
 from repro.experiments.runner import RunConfig
@@ -70,10 +76,67 @@ def request_from_dict(cls: type, payload: Mapping[str, Any]) -> Any:
         raise ReproError(f"bad {cls.__name__}: {err}") from None
 
 
-def _run_config(refs: int, warmup: int, seed: int) -> RunConfig:
-    if refs < 1 or warmup < 0:
-        raise ReproError("refs must be positive and warmup non-negative")
-    return RunConfig(n_refs=refs, warmup_refs=warmup, seed=seed)
+def _flag(default: Any, help: Optional[str] = None, **cli: Any) -> Any:
+    """A request field whose ``metadata`` declares its CLI flag.
+
+    :mod:`repro.cli` derives the flag from the field's name, type hint
+    and default plus these keys: ``help`` (``{enum}`` expands to the
+    field's registered values), ``grammar`` (``interval``, ``entries``
+    or ``trials``: the CLI's parser for a nullable number), ``metavar``,
+    ``choices`` (a sequence, or a zero-argument callable evaluated when
+    the parser is built), ``flag`` (a flag name other than
+    ``--<field-name>``), ``positional`` and ``group`` (the ``--help``
+    section).
+    """
+    return dataclasses.field(default=default, metadata={"help": help, **cli})
+
+
+# -- registry-backed values ---------------------------------------------------
+
+
+def _registry(module: str, name: str) -> Callable[[], List[str]]:
+    """A provider of the names registered in ``module.name`` (a
+    collection, or a function returning one), imported on first use."""
+
+    def values() -> List[str]:
+        found = getattr(importlib.import_module(module), name)
+        return list(found() if callable(found) else found)
+
+    return values
+
+
+def _benchmark_names() -> List[str]:
+    return sorted(_registry("repro.workloads", "BENCHMARKS")())
+
+
+#: Registry-backed noun -> (the word an error lists values under, the
+#: provider of the valid values).  A field named after the noun holds
+#: one value; a field named after its plural (``codecs``) holds a
+#: tuple of them.  The one table behind request validation, the
+#: ``{enum}`` in CLI help and ``GET /v1/kinds``.
+_REGISTRIES: Dict[str, Tuple[str, Callable[[], List[str]]]] = {
+    "variant": (
+        "variants", _registry("repro.core.policy", "available_variants")
+    ),
+    "scenario": (
+        "scenarios",
+        _registry("repro.reliability.scenarios", "available_scenarios"),
+    ),
+    "codec": ("codecs", _registry("repro.ecc", "available_codecs")),
+    "kernel": ("backends", _registry("repro.reliability.campaign", "KERNELS")),
+    "scheme": ("schemes", _registry("repro.autotune", "SCHEMES")),
+    "objective": (
+        "objectives", _registry("repro.autotune", "available_objectives")
+    ),
+}
+
+
+def _enum_providers() -> Dict[str, List[str]]:
+    """Registry-backed field name -> its current valid values."""
+    providers = {}
+    for noun, (_, values) in _REGISTRIES.items():
+        providers[noun] = providers[noun + "s"] = values()
+    return providers
 
 
 def _benchmark(name: str) -> str:
@@ -86,39 +149,107 @@ def _benchmark(name: str) -> str:
     return name
 
 
-def _variant(name: str) -> str:
-    from repro.core.policy import available_variants
+def _validate(request: Any) -> None:
+    """The checks every kind shares, keyed by field name.
 
-    if name not in available_variants():
-        raise ReproError(
-            f"unknown variant {name!r}; "
-            f"available variants: {', '.join(available_variants())}"
-        )
-    return name
+    Registry-backed fields (:data:`_REGISTRIES`) must name registered
+    values, each listed in the error; ``benchmark``/``benchmarks``
+    must name known workloads; a ``refs``/``warmup`` pair must be a
+    runnable shape; the ``vector`` kernel needs numpy.
+    """
+    for f in dataclasses.fields(request):
+        value = getattr(request, f.name)
+        noun = f.name[:-1] if f.name.endswith("s") else f.name
+        if noun in _REGISTRIES:
+            listing, provider = _REGISTRIES[noun]
+            allowed = provider()
+            for item in value if noun != f.name else (value,):
+                if item not in allowed:
+                    raise ReproError(
+                        f"unknown {noun} {item!r}; "
+                        f"available {listing}: {', '.join(allowed)}"
+                    )
+        elif noun == "benchmark" and value is not None:
+            for name in value if noun != f.name else (value,):
+                _benchmark(name)
+    if hasattr(request, "refs") and (request.refs < 1 or request.warmup < 0):
+        raise ReproError("refs must be positive and warmup non-negative")
+    if getattr(request, "kernel", None) == "vector":
+        from repro.reliability.vector import require_numpy
+
+        require_numpy()
+
+
+def _positive_or_none(request: Any, *names: str) -> None:
+    for name in names:
+        value = getattr(request, name)
+        if value is not None and value < 1:
+            raise ReproError(f"{name} must be positive or None")
+
+
+def _run_config(request: Any) -> RunConfig:
+    """The run shape of a (validated) request with refs/warmup/seed."""
+    return RunConfig(
+        n_refs=request.refs, warmup_refs=request.warmup, seed=request.seed
+    )
+
+
+# -- shared CLI declarations --------------------------------------------------
+
+_REFS_HELP = "measured memory references"
+_WARMUP_HELP = "warm-up references (stats discarded)"
+_INTERVAL_HELP = "cleaning interval, paper-nominal (e.g. 256K, 1M, none)"
+_ENTRIES_HELP = "shared ECC entries per set (or 'none' for unconstrained)"
+_VARIANT_HELP = (
+    "policy variant: {enum} ('silent-write' elides redundant stores, "
+    "'wb-compress' compresses write-back traffic; see docs/traffic.md)"
+)
+_DOUBLE_BIT_HELP = (
+    "P(a strike upsets two bits of one codeword) — the multi-bit tail "
+    "interleaving suppresses"
+)
+_RAW_FIT_HELP = "raw SRAM strike rate, FIT per Mbit"
+_N_LINES_HELP = "lines of the protected structure (paper L2)"
+
+
+class _Request:
+    """What every request kind shares: the field-keyed checks of
+    :func:`_validate` at construction, and the wire document."""
+
+    def __post_init__(self) -> None:
+        _validate(self)
+
+    def as_dict(self) -> Dict[str, Any]:
+        return _as_dict(self)
 
 
 # -- run ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RunRequest:
+class RunRequest(_Request):
     """One reference-mode run of a benchmark or trace file."""
 
-    benchmark: str = "mesa"
-    #: Path of a trace file to replay instead of ``benchmark``.
-    trace: Optional[str] = None
+    benchmark: str = _flag("mesa", choices=_benchmark_names)
+    trace: Optional[str] = _flag(
+        None, "run a trace file instead of a benchmark"
+    )
     #: Cleaning interval in paper-nominal cycles; None disables cleaning.
-    interval: Optional[int] = 1 << 20
+    interval: Optional[int] = _flag(
+        1 << 20, _INTERVAL_HELP, grammar="interval", metavar="CYCLES"
+    )
     #: Shared ECC entries per set; None means unconstrained.
-    ecc_entries: Optional[int] = 1
-    refs: int = 60_000
-    warmup: int = 20_000
-    seed: int = 0
-    #: Policy variant (:func:`repro.core.policy.available_variants`).
-    variant: str = "standard"
+    ecc_entries: Optional[int] = _flag(
+        1, _ENTRIES_HELP, grammar="entries", metavar="N"
+    )
+    refs: int = _flag(60_000, _REFS_HELP)
+    warmup: int = _flag(20_000, _WARMUP_HELP)
+    seed: int = _flag(0)
+    variant: str = _flag("standard", _VARIANT_HELP)
 
     def __post_init__(self) -> None:
-        _variant(self.variant)
+        super().__post_init__()
+        _positive_or_none(self, "interval", "ecc_entries")
 
     def protection_config(self) -> Optional[ProtectionConfig]:
         if self.interval is None and self.ecc_entries is None:
@@ -129,62 +260,60 @@ class RunRequest:
         )
 
     def run_config(self) -> RunConfig:
-        return _run_config(self.refs, self.warmup, self.seed)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return _as_dict(self)
+        return _run_config(self)
 
 
 # -- ipc ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class IpcRequest:
+class IpcRequest(_Request):
     """Org-vs-ours IPC comparison of one benchmark."""
 
-    benchmark: str = "mesa"
-    insts: int = 120_000
-    interval: Optional[int] = 1 << 20
-    ecc_entries: Optional[int] = 1
-    refs: int = 60_000
-    warmup: int = 20_000
-    seed: int = 0
-    #: Policy variant (:func:`repro.core.policy.available_variants`).
-    variant: str = "standard"
+    benchmark: str = _flag("mesa", choices=_benchmark_names)
+    insts: int = _flag(120_000)
+    interval: Optional[int] = _flag(
+        1 << 20, _INTERVAL_HELP, grammar="interval", metavar="CYCLES"
+    )
+    ecc_entries: Optional[int] = _flag(
+        1, _ENTRIES_HELP, grammar="entries", metavar="N"
+    )
+    refs: int = _flag(60_000, _REFS_HELP)
+    warmup: int = _flag(20_000, _WARMUP_HELP)
+    seed: int = _flag(0)
+    variant: str = _flag("standard", _VARIANT_HELP)
 
     def __post_init__(self) -> None:
-        _variant(self.variant)
+        super().__post_init__()
+        _positive_or_none(self, "interval", "ecc_entries")
+        if self.insts < 1:
+            raise ReproError("insts must be positive")
 
-    def protection_config(self) -> Optional[ProtectionConfig]:
-        if self.interval is None and self.ecc_entries is None:
-            return None
-        return ProtectionConfig(
-            cleaning_interval=self.interval,
-            ecc_entries_per_set=self.ecc_entries,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return _as_dict(self)
+    protection_config = RunRequest.protection_config
 
 
 # -- area ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AreaRequest:
+class AreaRequest(_Request):
     """The Section 5.2 protection-area accounting."""
 
-    ecc_entries: int = 1
+    ecc_entries: int = _flag(
+        1, "shared ECC entries per set", flag="--ecc-area-entries"
+    )
 
-    def as_dict(self) -> Dict[str, Any]:
-        return _as_dict(self)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.ecc_entries < 1:
+            raise ReproError("ecc_entries must be positive")
 
 
 # -- inject -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class InjectRequest:
+class InjectRequest(_Request):
     """A codec-level fault-injection campaign.
 
     ``codec`` is any name in the :mod:`repro.ecc` registry, so codes
@@ -192,13 +321,24 @@ class InjectRequest:
     injectable without touching this layer.
     """
 
-    codec: str = "secded"
-    trials: int = 1000
-    flips: int = 1
-    seed: int = 0
+    codec: str = _flag("secded", choices=_REGISTRIES["codec"][1])
+    trials: int = _flag(1000)
+    flips: int = _flag(1)
+    seed: int = _flag(0)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return _as_dict(self)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.trials < 1 or self.flips < 1:
+            raise ReproError("trials and flips must be positive")
+        from repro.ecc import get_codec
+        from repro.ecc.codec import WORD_BITS
+
+        limit = WORD_BITS + get_codec(self.codec).check_bits_per_word
+        if self.flips > limit:
+            raise ReproError(
+                f"flips must be at most {limit}, the bits of one "
+                f"{self.codec} codeword"
+            )
 
 
 # -- figures ------------------------------------------------------------------
@@ -209,17 +349,26 @@ FIGURE_CHOICES = (
 
 
 @dataclass(frozen=True)
-class FiguresRequest:
+class FiguresRequest(_Request):
     """Regenerate one (or all) of the paper's figures and tables."""
 
-    fig: str = "all"
-    refs: int = 60_000
-    warmup: int = 20_000
-    seed: int = 0
-    ecc_area_entries: int = 1
+    fig: str = _flag("all", choices=FIGURE_CHOICES)
+    refs: int = _flag(60_000, _REFS_HELP)
+    warmup: int = _flag(20_000, _WARMUP_HELP)
+    seed: int = _flag(0)
+    ecc_area_entries: int = _flag(
+        1, "shared ECC entries per set of the area section"
+    )
 
-    def as_dict(self) -> Dict[str, Any]:
-        return _as_dict(self)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.fig not in FIGURE_CHOICES:
+            raise ReproError(
+                f"unknown figure {self.fig!r}; "
+                f"choose from {list(FIGURE_CHOICES)}"
+            )
+        if self.ecc_area_entries < 1:
+            raise ReproError("ecc_area_entries must be positive")
 
 
 # -- ablate -------------------------------------------------------------------
@@ -239,24 +388,32 @@ ABLATIONS: Dict[str, str] = {
 
 
 @dataclass(frozen=True)
-class AblateRequest:
+class AblateRequest(_Request):
     """Run one ablation study."""
 
-    study: str = "best-interval"
-    benchmarks: Optional[Tuple[str, ...]] = None
-    refs: int = 60_000
-    warmup: int = 20_000
-    seed: int = 0
+    study: str = _flag("best-interval", choices=sorted(ABLATIONS),
+                       positional=True)
+    benchmarks: Optional[Tuple[str, ...]] = _flag(
+        None, "restrict to these benchmarks", metavar="NAME"
+    )
+    refs: int = _flag(60_000, _REFS_HELP)
+    warmup: int = _flag(20_000, _WARMUP_HELP)
+    seed: int = _flag(0)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return _as_dict(self)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.study not in ABLATIONS:
+            raise ReproError(
+                f"unknown study {self.study!r}; "
+                f"choose from {sorted(ABLATIONS)}"
+            )
 
 
 # -- reliability --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ReliabilityRequest:
+class ReliabilityRequest(_Request):
     """A Monte Carlo fault-injection campaign across schemes.
 
     ``trials=None`` is the CLI's ``--trials auto``: run until the
@@ -271,59 +428,74 @@ class ReliabilityRequest:
     non-default.
     """
 
-    schemes: Tuple[str, ...] = ("uniform-ecc", "non-uniform")
-    trials: Optional[int] = None
-    target: float = 0.01
-    metric: str = "sdc"
-    trials_per_shard: int = 500
-    shards_per_round: int = 8
-    max_trials: int = 1_000_000
-    kernel: str = "batch"
-    seed: int = 0
-    double_bit_fraction: float = 0.05
-    raw_fit: float = 1000.0
-    n_lines: int = 16384
-    benchmark: Optional[str] = None
-    refs: int = 60_000
-    warmup: int = 20_000
-    checkpoint: Optional[str] = None
-    scenario: str = "nominal"
-    codec: str = "secded"
+    schemes: Tuple[str, ...] = _flag(
+        ("uniform-ecc", "non-uniform"), "protection schemes to compare",
+        choices=_registry("repro.reliability.model", "SCHEMES"),
+    )
+    trials: Optional[int] = _flag(
+        None,
+        "trials per scheme; 'auto' runs until the Wilson half-width "
+        "target is met (default)",
+        grammar="trials", metavar="N|auto",
+    )
+    target: float = _flag(
+        0.01, "Wilson 95%% half-width to reach on --metric (auto mode)",
+        metavar="HW",
+    )
+    metric: str = _flag(
+        "sdc", "rate the stopping rule targets ('failure' = sdc + due)",
+        choices=("masked", "corrected", "refetched", "due", "sdc",
+                 "failure"),
+    )
+    trials_per_shard: int = _flag(500)
+    shards_per_round: int = _flag(8)
+    max_trials: int = _flag(
+        1_000_000, "hard per-scheme trial budget in auto mode"
+    )
+    kernel: str = _flag(
+        "batch",
+        "shard execution kernel: 'batch' classifies each sampled error "
+        "pattern through a memoised pattern classifier (~20x faster "
+        "than 'reference', bit-identical results); 'reference' builds a "
+        "live LineProtection per trial; 'vector' classifies whole trial "
+        "blocks with numpy gathers (needs the [fast] extra; same "
+        "distribution, not the same per-trial stream)",
+    )
+    seed: int = _flag(0)
+    double_bit_fraction: float = _flag(0.05, _DOUBLE_BIT_HELP, metavar="P")
+    raw_fit: float = _flag(1000.0, _RAW_FIT_HELP)
+    n_lines: int = _flag(16384, _N_LINES_HELP)
+    benchmark: Optional[str] = _flag(
+        None,
+        "measure per-scheme dirty fractions from this benchmark instead "
+        "of using the paper's averages",
+        choices=_benchmark_names,
+    )
+    refs: int = _flag(60_000, "measured references for --benchmark")
+    warmup: int = _flag(20_000, "warm-up references for --benchmark")
+    checkpoint: Optional[str] = _flag(
+        None,
+        "JSONL checkpoint: completed shards persist here and an "
+        "interrupted campaign resumes from it",
+        metavar="PATH",
+    )
+    scenario: str = _flag(
+        "nominal",
+        "correlated-fault scenario pack: {enum} (burst/row-column strike "
+        "mixtures and raw-BER scaling; see docs/reliability.md). "
+        "'nominal' reproduces the classic Bernoulli stream bit-identically",
+    )
+    codec: str = _flag(
+        "secded",
+        "code in the ECC protection slot: {enum} (check-bit geometry and "
+        "guarantees in docs/codecs.md)",
+    )
     #: Policy variant for the dirty-fraction measurement run.
-    variant: str = "standard"
+    variant: str = _flag("standard", _VARIANT_HELP)
 
     def __post_init__(self) -> None:
-        # Validate kernel, scenario and codec at request-construction
-        # time: the CLI surfaces these as `error:` + exit 2 and the job
-        # service as a 400 at POST /v1/jobs — not as a worker-side
-        # failure after the job was accepted.  Each error enumerates
-        # the valid values.
-        from repro.reliability.campaign import KERNELS
-
-        if self.kernel not in KERNELS:
-            raise ReproError(
-                f"unknown kernel {self.kernel!r}; "
-                f"available backends: {', '.join(KERNELS)}"
-            )
-        if self.kernel == "vector":
-            from repro.reliability.vector import require_numpy
-
-            require_numpy()
-        from repro.reliability.scenarios import available_scenarios
-
-        if self.scenario not in available_scenarios():
-            raise ReproError(
-                f"unknown scenario {self.scenario!r}; "
-                f"available scenarios: {', '.join(available_scenarios())}"
-            )
-        from repro.ecc import available_codecs
-
-        if self.codec not in available_codecs():
-            raise ReproError(
-                f"unknown codec {self.codec!r}; "
-                f"available codecs: {', '.join(available_codecs())}"
-            )
-        _variant(self.variant)
+        super().__post_init__()
+        self.campaign_config()  # the campaign's own shape checks
 
     def campaign_config(
         self, dirty_fractions: Optional[Mapping[str, float]] = None
@@ -361,15 +533,14 @@ class ReliabilityRequest:
         except ValueError as err:
             raise ReproError(str(err)) from None
 
-    def as_dict(self) -> Dict[str, Any]:
-        return _as_dict(self)
-
 
 # -- autotune -----------------------------------------------------------------
 
+_AXES = "design grid axes"
+
 
 @dataclass(frozen=True)
-class AutotuneRequest:
+class AutotuneRequest(_Request):
     """A Pareto-front exploration of the design grid.
 
     The grid is the cross product of the axis tuples (``benchmarks`` ×
@@ -385,114 +556,89 @@ class AutotuneRequest:
     it in from the job key automatically.
     """
 
-    benchmarks: Tuple[str, ...] = ("mesa",)
-    schemes: Tuple[str, ...] = ("non-uniform", "uniform-ecc")
-    codecs: Tuple[str, ...] = ("secded", "dected")
-    intervals: Tuple[int, ...] = (262144, 1048576)
-    ecc_entries: Tuple[int, ...] = (1,)
-    write_buffers: Tuple[int, ...] = (16,)
-    variants: Tuple[str, ...] = ("standard",)
-    scenarios: Tuple[str, ...] = ("nominal",)
-    objectives: Tuple[str, ...] = ("area", "fit", "traffic")
-    trials: int = 2000
-    trials_per_shard: int = 500
-    kernel: str = "batch"
-    seed: int = 0
-    refs: int = 60_000
-    warmup: int = 20_000
+    benchmarks: Tuple[str, ...] = _flag(
+        ("mesa",), "workloads to explore (a front per workload)",
+        choices=_benchmark_names, metavar="NAME", group=_AXES,
+    )
+    schemes: Tuple[str, ...] = _flag(
+        ("non-uniform", "uniform-ecc"), "protection schemes: {enum}",
+        group=_AXES,
+    )
+    codecs: Tuple[str, ...] = _flag(
+        ("secded", "dected"), "ECC codecs: {enum}", group=_AXES
+    )
+    intervals: Tuple[int, ...] = _flag(
+        (262144, 1048576),
+        "cleaning intervals, paper-nominal (e.g. 256K 1M); applies to "
+        "non-uniform points only",
+        grammar="interval", metavar="CYCLES", group=_AXES,
+    )
+    ecc_entries: Tuple[int, ...] = _flag(
+        (1,), "shared ECC entries per set (non-uniform only)",
+        grammar="entries", metavar="N", group=_AXES,
+    )
+    write_buffers: Tuple[int, ...] = _flag(
+        (16,), "write-buffer depths between L2 and memory", metavar="N",
+        group=_AXES,
+    )
+    variants: Tuple[str, ...] = _flag(
+        ("standard",),
+        "policy variants: {enum} (see docs/traffic.md for the "
+        "traffic-aware ones)",
+        group=_AXES,
+    )
+    scenarios: Tuple[str, ...] = _flag(
+        ("nominal",), "correlated-fault scenario packs: {enum}",
+        group=_AXES,
+    )
+    objectives: Tuple[str, ...] = _flag(
+        ("area", "fit", "traffic"),
+        "objectives the front is computed over: {enum} (fit/mttf use "
+        "Wilson intervals; dominance is CI-aware)",
+    )
+    trials: int = _flag(2000, "fixed injection trials per design point")
+    trials_per_shard: int = _flag(500)
+    kernel: str = _flag("batch", "campaign kernel (batch, reference, vector)")
+    seed: int = _flag(0)
+    refs: int = _flag(60_000, _REFS_HELP)
+    warmup: int = _flag(20_000, _WARMUP_HELP)
     #: CPU-mode instructions, used only when ``ipc`` is an objective.
-    insts: int = 120_000
-    double_bit_fraction: float = 0.05
-    raw_fit: float = 1000.0
-    n_lines: int = 16384
-    checkpoint_dir: Optional[str] = None
+    insts: int = _flag(120_000, "CPU-mode instructions for the ipc objective")
+    double_bit_fraction: float = _flag(0.05, _DOUBLE_BIT_HELP, metavar="P")
+    raw_fit: float = _flag(1000.0, _RAW_FIT_HELP)
+    n_lines: int = _flag(16384, _N_LINES_HELP)
+    checkpoint_dir: Optional[str] = _flag(
+        None,
+        "directory of per-point campaign checkpoints: an interrupted "
+        "sweep resumes mid-grid from it",
+        metavar="DIR",
+    )
 
     def __post_init__(self) -> None:
-        # Same contract as ReliabilityRequest: every axis value is
-        # validated at construction time with an enumerating message,
-        # so the CLI exits 2 and the service 400s before any work runs.
-        from repro.autotune import SCHEMES, available_objectives
-        from repro.autotune.pareto import OBJECTIVES
-        from repro.ecc import available_codecs
-        from repro.reliability.campaign import KERNELS
-        from repro.reliability.scenarios import available_scenarios
-
-        for axis, values in (
-            ("benchmarks", self.benchmarks),
-            ("schemes", self.schemes),
-            ("codecs", self.codecs),
-            ("intervals", self.intervals),
-            ("ecc_entries", self.ecc_entries),
-            ("write_buffers", self.write_buffers),
-            ("variants", self.variants),
-            ("scenarios", self.scenarios),
-            ("objectives", self.objectives),
-        ):
-            if not values:
+        super().__post_init__()
+        for axis in ("benchmarks", "schemes", "codecs", "intervals",
+                     "ecc_entries", "write_buffers", "variants",
+                     "scenarios", "objectives"):
+            if not getattr(self, axis):
                 raise ReproError(f"{axis} must not be empty")
-        for name in self.benchmarks:
-            _benchmark(name)
-        for scheme in self.schemes:
-            if scheme not in SCHEMES:
-                raise ReproError(
-                    f"unknown scheme {scheme!r}; "
-                    f"available schemes: {', '.join(SCHEMES)}"
-                )
-        for codec in self.codecs:
-            if codec not in available_codecs():
-                raise ReproError(
-                    f"unknown codec {codec!r}; "
-                    f"available codecs: {', '.join(available_codecs())}"
-                )
         for interval in self.intervals:
             if not isinstance(interval, int) or interval < 1:
                 raise ReproError("intervals must be positive cycle counts")
-        for entries in self.ecc_entries:
-            if not isinstance(entries, int) or entries < 1:
-                raise ReproError("ecc_entries must be positive")
-        for wb in self.write_buffers:
-            if not isinstance(wb, int) or wb < 1:
-                raise ReproError("write_buffers must be positive")
-        for variant in self.variants:
-            _variant(variant)
-        for scenario in self.scenarios:
-            if scenario not in available_scenarios():
-                raise ReproError(
-                    f"unknown scenario {scenario!r}; available "
-                    f"scenarios: {', '.join(available_scenarios())}"
-                )
-        for objective in self.objectives:
-            if objective not in OBJECTIVES:
-                raise ReproError(
-                    f"unknown objective {objective!r}; available "
-                    f"objectives: {', '.join(available_objectives())}"
-                )
+        for axis in ("ecc_entries", "write_buffers"):
+            for value in getattr(self, axis):
+                if not isinstance(value, int) or value < 1:
+                    raise ReproError(f"{axis} must be positive")
         if len(set(self.objectives)) < 2:
             raise ReproError(
                 "autotune needs at least two distinct objectives "
                 "(a one-objective front is just the minimum)"
             )
-        if "ipc" in self.objectives:
-            if self.insts < 1:
-                raise ReproError("insts must be positive")
+        if "ipc" in self.objectives and self.insts < 1:
+            raise ReproError("insts must be positive")
         if self.trials < 1:
             raise ReproError("trials must be positive")
         if self.trials_per_shard < 1:
             raise ReproError("trials_per_shard must be positive")
-        if self.kernel not in KERNELS:
-            raise ReproError(
-                f"unknown kernel {self.kernel!r}; "
-                f"available backends: {', '.join(KERNELS)}"
-            )
-        if self.kernel == "vector":
-            from repro.reliability.vector import require_numpy
-
-            require_numpy()
-        if self.refs < 1 or self.warmup < 0:
-            raise ReproError("refs must be positive and warmup non-negative")
-
-    def as_dict(self) -> Dict[str, Any]:
-        return _as_dict(self)
 
 
 # -- recommend ----------------------------------------------------------------
@@ -508,8 +654,13 @@ class RecommendRequest(AutotuneRequest):
     needs ``area`` and ``fit`` among the objectives to rank with.
     """
 
-    fit_budget: Optional[float] = None
-    area_budget: Optional[float] = None
+    fit_budget: Optional[float] = _flag(
+        None, "total-FIT budget; judged against the Wilson 95%% upper bound",
+        metavar="FIT",
+    )
+    area_budget: Optional[float] = _flag(
+        None, "protection-area budget in KiB", metavar="KIB"
+    )
 
     def __post_init__(self) -> None:
         super().__post_init__()

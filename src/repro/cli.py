@@ -8,6 +8,15 @@ JSON under ``--format json``.  Invalid inputs surface as
 calls (and the same result documents) are served over HTTP by
 ``repro serve`` (:mod:`repro.service`).
 
+A kind verb's request flags are not declared here: they are derived
+from the fields of its request dataclass (:func:`_add_request_args` —
+name, default, type hint, and the help/grammar in the field's
+metadata), and the parsed flags become the request in one call
+(:func:`_request`).  Only the flags that are not request fields — the
+pool, ``--format``, tracing, ``--profile``, ``--json``/``--no-ipc`` —
+and the ``serve``/``workers``/``trace``/``stats``/``list`` verbs are
+written out by hand.
+
 Commands
 --------
 ``figures``   regenerate one or all of the paper's figures/tables
@@ -28,10 +37,12 @@ Commands
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import api
 from repro.experiments import (
@@ -109,12 +120,109 @@ _parse_capacity = _typed_arg(
 )
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--refs", type=int, default=60_000,
-                        help="measured memory references")
-    parser.add_argument("--warmup", type=int, default=20_000,
-                        help="warm-up references (stats discarded)")
-    parser.add_argument("--seed", type=int, default=0)
+def _parse_trials(text: str) -> Optional[int]:
+    """``auto`` (run until the stopping rule fires) or a positive int."""
+    raw = text.strip().lower()
+    if raw == "auto":
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad trials {text!r} (want 'auto' or a positive int)"
+        ) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError("trials must be positive or 'auto'")
+    return value
+
+
+#: A request field's metadata ``grammar`` -> the parser of its flag.
+_GRAMMARS: Dict[str, Callable[[str], Optional[int]]] = {
+    "interval": _parse_interval,
+    "entries": _parse_entries,
+    "trials": _parse_trials,
+}
+
+
+def _flag_name(field: dataclasses.Field) -> str:
+    return field.metadata.get("flag") or "--" + field.name.replace("_", "-")
+
+
+def _dest(field: dataclasses.Field) -> str:
+    """The argparse ``dest`` a request field's value is parsed into."""
+    if field.metadata.get("positional"):
+        return field.name
+    return _flag_name(field)[2:].replace("-", "_")
+
+
+def _add_request_args(
+    parser: argparse.ArgumentParser, cls: type, skip: Sequence[str] = ()
+) -> None:
+    """One argument per field of the request class ``cls``.
+
+    The flag is ``--<field-name>`` and its default the field's; the
+    type comes from the type hint (``Optional`` unwraps; a tuple takes
+    several values, ``nargs='*'`` when the field may be None) unless
+    the metadata names a ``grammar``.  Help, ``metavar``, ``choices``
+    and the rest come from the metadata (:func:`repro.api.requests._flag`).
+    """
+    from repro.api.requests import _enum_providers
+
+    hints = typing.get_type_hints(cls)
+    groups: Dict[str, argparse._ArgumentGroup] = {}
+    for field in dataclasses.fields(cls):
+        if field.name in skip:
+            continue
+        meta = field.metadata
+        hint = hints[field.name]
+        optional = type(None) in typing.get_args(hint)
+        if optional:
+            [hint] = [a for a in typing.get_args(hint) if a is not type(None)]
+        kwargs: Dict[str, object] = {"help": meta.get("help")}
+        if typing.get_origin(hint) is tuple:
+            kwargs["nargs"] = "*" if optional else "+"
+            hint = typing.get_args(hint)[0]
+        parse = _GRAMMARS.get(meta.get("grammar"), hint)
+        if parse is not str:
+            kwargs["type"] = parse
+        if "{enum}" in (kwargs["help"] or ""):
+            values = _enum_providers()[field.name]
+            kwargs["help"] = meta["help"].format(enum=", ".join(values))
+        choices = meta.get("choices")
+        if choices is not None:
+            kwargs["choices"] = list(
+                choices() if callable(choices) else choices
+            )
+        if "metavar" in meta:
+            kwargs["metavar"] = meta["metavar"]
+        target = parser
+        if "group" in meta:
+            if meta["group"] not in groups:
+                groups[meta["group"]] = parser.add_argument_group(
+                    meta["group"]
+                )
+            target = groups[meta["group"]]
+        if meta.get("positional"):
+            target.add_argument(field.name, **kwargs)
+            continue
+        default = field.default
+        kwargs["default"] = (
+            list(default) if isinstance(default, tuple) else default
+        )
+        target.add_argument(_flag_name(field), **kwargs)
+
+
+def _request(args, cls: type, skip: Sequence[str] = ()):
+    """The ``cls`` request the parsed flags describe (validated by it)."""
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        if field.name in skip:
+            continue
+        value = getattr(args, _dest(field))
+        if isinstance(value, list):
+            value = tuple(value) or None  # nargs='*' given no values
+        kwargs[field.name] = value
+    return cls(**kwargs)
 
 
 def _add_pool_args(parser: argparse.ArgumentParser) -> None:
@@ -201,29 +309,25 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_variant_arg(parser: argparse.ArgumentParser) -> None:
-    # Like --kernel/--scenario/--codec: no argparse `choices` — the
-    # facade rejects unknown names with the same enumerating error the
-    # HTTP service returns as a 400.
-    from repro.core.policy import available_variants
-
+def _add_front_format_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--variant", default="standard",
-        help="policy variant: " + ", ".join(available_variants())
-             + " ('silent-write' elides redundant stores, 'wb-compress' "
-             "compresses write-back traffic; see docs/traffic.md)",
+        "--format", choices=["table", "json", "csv"], default="table",
+        help="front tables (default), the facade's JSON document, "
+             "or one flat CSV row per design point",
     )
 
 
-def _add_protection_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--interval", type=_parse_interval, default="1M", metavar="CYCLES",
-        help="cleaning interval, paper-nominal (e.g. 256K, 1M, none)",
-    )
-    parser.add_argument(
-        "--ecc-entries", type=_parse_entries, default="1", metavar="N",
-        help="shared ECC entries per set (or 'none' for unconstrained)",
-    )
+def _add_figures_json_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", metavar="PATH",
+                        help="regenerate everything and write one JSON "
+                             "document")
+    parser.add_argument("--no-ipc", action="store_true",
+                        help="skip the (slow) IPC runs in --json mode")
+
+
+def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--profile", action="store_true",
+                        help="print per-phase wall-time accounting")
 
 
 def _print_sweep_stats(engine) -> None:
@@ -261,22 +365,20 @@ def _render_area(response: api.AreaResponse) -> str:
 
 
 def cmd_figures(args) -> int:
+    # Both branches validate the request before any cell runs.
+    request = _request(args, api.FiguresRequest)
     engine = _engine(args)
     if args.json:
         from repro.experiments import regenerate_all, save_json
 
-        config = RunConfig(n_refs=args.refs, warmup_refs=args.warmup,
-                           seed=args.seed)
+        config = RunConfig(n_refs=request.refs, warmup_refs=request.warmup,
+                           seed=request.seed)
         doc = regenerate_all(config, include_ipc=not args.no_ipc,
-                             ipc_insts=args.refs * 2, engine=engine)
+                             ipc_insts=request.refs * 2, engine=engine)
         save_json(doc, args.json)
         print(f"wrote {args.json}")
         _print_sweep_stats(engine)
         return 0
-    request = api.FiguresRequest(
-        fig=args.fig, refs=args.refs, warmup=args.warmup, seed=args.seed,
-        ecc_area_entries=args.ecc_area_entries,
-    )
     response = api.figures(request, engine=engine)
     for section in response.sections:
         if section.text is not None:
@@ -293,11 +395,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_run(args) -> int:
-    request = api.RunRequest(
-        benchmark=args.benchmark, trace=args.trace, interval=args.interval,
-        ecc_entries=args.ecc_entries, refs=args.refs, warmup=args.warmup,
-        seed=args.seed, variant=args.variant,
-    )
+    request = _request(args, api.RunRequest)
     tracer = _make_tracer(args)
     profiler = PhaseProfiler()
     out = api.run(request, engine=_engine(args), tracer=tracer,
@@ -335,11 +433,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_ipc(args) -> int:
-    request = api.IpcRequest(
-        benchmark=args.benchmark, insts=args.insts, interval=args.interval,
-        ecc_entries=args.ecc_entries, refs=args.refs, warmup=args.warmup,
-        seed=args.seed, variant=args.variant,
-    )
+    request = _request(args, api.IpcRequest)
     engine = _engine(args)
     out = api.ipc(request, engine=engine)
     rows = [
@@ -368,7 +462,7 @@ def cmd_ipc(args) -> int:
 
 
 def cmd_area(args) -> int:
-    response = api.area(api.AreaRequest(ecc_entries=args.ecc_area_entries))
+    response = api.area(_request(args, api.AreaRequest))
     return _render_rows(
         args, ["component", "KiB"], _area_rows(response),
         title="Protection area, 1MB 4-way 64B L2", response=response,
@@ -376,8 +470,7 @@ def cmd_area(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    request = api.InjectRequest(codec=args.codec, trials=args.trials,
-                                flips=args.flips, seed=args.seed)
+    request = _request(args, api.InjectRequest)
     tracer = _make_tracer(args)
     out = api.inject(request, tracer=tracer)
     rows = [[name, doc["count"], doc["rate"]]
@@ -392,47 +485,11 @@ def cmd_inject(args) -> int:
     return ret
 
 
-def _parse_trials(text: str) -> Optional[int]:
-    """``auto`` (run until the stopping rule fires) or a positive int."""
-    raw = text.strip().lower()
-    if raw == "auto":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad trials {text!r} (want 'auto' or a positive int)"
-        ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("trials must be positive or 'auto'")
-    return value
-
-
 def cmd_reliability(args) -> int:
     """Run (or resume) a Monte Carlo fault-injection campaign."""
+    request = _request(args, api.ReliabilityRequest)
     engine = _engine(args)
     tracer = _make_tracer(args)
-    request = api.ReliabilityRequest(
-        schemes=tuple(args.schemes),
-        trials=args.trials,
-        target=args.target,
-        metric=args.metric,
-        trials_per_shard=args.trials_per_shard,
-        shards_per_round=args.shards_per_round,
-        max_trials=args.max_trials,
-        kernel=args.kernel,
-        seed=args.seed,
-        double_bit_fraction=args.double_bit_fraction,
-        raw_fit=args.raw_fit,
-        n_lines=args.n_lines,
-        benchmark=args.benchmark,
-        refs=args.refs,
-        warmup=args.warmup,
-        checkpoint=args.checkpoint,
-        scenario=args.scenario,
-        codec=args.codec,
-        variant=args.variant,
-    )
 
     def progress(event: Dict[str, object]) -> None:
         if event.get("type") == "dirty-fractions":
@@ -446,8 +503,8 @@ def cmd_reliability(args) -> int:
             request, engine=engine, tracer=tracer, progress=progress
         )
     except api.ReproError as err:
-        # Checkpoint mismatches and bad campaign shapes keep their
-        # historical SystemExit contract (message, no traceback).
+        # Checkpoint mismatches keep their historical SystemExit
+        # contract (message, no traceback).
         raise SystemExit(str(err)) from None
     except KeyboardInterrupt:
         if args.checkpoint:
@@ -489,32 +546,6 @@ def cmd_reliability(args) -> int:
     _export_trace(tracer, args)
     _print_sweep_stats(engine)
     return 0
-
-
-def _autotune_request_kwargs(args) -> Dict[str, object]:
-    """The AutotuneRequest fields both grid verbs share."""
-    return dict(
-        benchmarks=tuple(args.benchmarks),
-        schemes=tuple(args.schemes),
-        codecs=tuple(args.codecs),
-        intervals=tuple(args.intervals),
-        ecc_entries=tuple(args.ecc_entries),
-        write_buffers=tuple(args.write_buffers),
-        variants=tuple(args.variants),
-        scenarios=tuple(args.scenarios),
-        objectives=tuple(args.objectives),
-        trials=args.trials,
-        trials_per_shard=args.trials_per_shard,
-        kernel=args.kernel,
-        seed=args.seed,
-        refs=args.refs,
-        warmup=args.warmup,
-        insts=args.insts,
-        double_bit_fraction=args.double_bit_fraction,
-        raw_fit=args.raw_fit,
-        n_lines=args.n_lines,
-        checkpoint_dir=args.checkpoint_dir,
-    )
 
 
 def _autotune_progress(event: Dict[str, object]) -> None:
@@ -576,7 +607,7 @@ def _print_fronts(response: "api.AutotuneResponse") -> None:
 def cmd_autotune(args) -> int:
     """Explore the design grid and print per-benchmark Pareto fronts."""
     engine = _engine(args)
-    request = api.AutotuneRequest(**_autotune_request_kwargs(args))
+    request = _request(args, api.AutotuneRequest)
     response = api.autotune(
         request, engine=engine, progress=_autotune_progress
     )
@@ -592,11 +623,7 @@ def cmd_autotune(args) -> int:
 def cmd_recommend(args) -> int:
     """Pick a budget-feasible front point per benchmark."""
     engine = _engine(args)
-    request = api.RecommendRequest(
-        fit_budget=args.fit_budget,
-        area_budget=args.area_budget,
-        **_autotune_request_kwargs(args),
-    )
+    request = _request(args, api.RecommendRequest)
     response = api.recommend(
         request, engine=engine, progress=_autotune_progress
     )
@@ -688,6 +715,8 @@ def cmd_workers(args) -> int:
 def cmd_trace(args) -> int:
     import itertools
 
+    if args.n < 0:
+        raise api.ReproError("-n must be non-negative")
     spec = get_benchmark(args.benchmark)
     stream = itertools.islice(
         make_ref_stream(spec, args.l2_bytes, seed=args.seed), args.n
@@ -705,16 +734,14 @@ def cmd_stats(args) -> int:
     from repro.experiments.pool import Cell
     from repro.experiments.stats import SeedStats, summarize
 
-    config = RunConfig(n_refs=args.refs, warmup_refs=args.warmup,
-                       seed=args.seed)
-    request = api.RunRequest(
-        benchmark=args.benchmark, interval=args.interval,
-        ecc_entries=args.ecc_entries,
-    )
+    request = _request(args, api.RunRequest, skip=_STATS_SKIP)
+    if args.n_seeds < 1:
+        raise api.ReproError("--n-seeds must be >= 1")
+    config = request.run_config()
     protection = request.protection_config()
     engine = _engine(args)
     cells = [
-        Cell(args.benchmark, protection, replace(config, seed=seed))
+        Cell(request.benchmark, protection, replace(config, seed=seed))
         for seed in range(args.n_seeds)
     ]
     outs = engine.run_cells(cells)
@@ -766,12 +793,8 @@ def cmd_stats(args) -> int:
 
 def cmd_ablate(args) -> int:
     """Run one ablation study and print its table."""
+    request = _request(args, api.AblateRequest)
     engine = _engine(args)
-    request = api.AblateRequest(
-        study=args.study,
-        benchmarks=tuple(args.benchmarks) if args.benchmarks else None,
-        refs=args.refs, warmup=args.warmup, seed=args.seed,
-    )
     out = api.ablate(request, engine=engine)
     if out.headers is not None:
         print(render_table(
@@ -798,10 +821,34 @@ def cmd_list(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro.ecc import available_codecs
-    from repro.reliability.scenarios import available_scenarios
+#: ``stats`` takes the run flags of :class:`repro.api.RunRequest` except
+#: these (it always simulates a benchmark under the standard policy).
+_STATS_SKIP = ("trace", "variant")
 
+#: Kind verb -> (help line, command, adders of its hand-written flags).
+#: The verb's request flags come from its :data:`repro.api.KINDS` class.
+_KIND_VERBS = {
+    "figures": ("regenerate the paper's figures", cmd_figures,
+                (_add_figures_json_args, _add_pool_args)),
+    "run": ("one reference-mode run", cmd_run,
+            (_add_profile_arg, _add_pool_args, _add_trace_args,
+             _add_format_arg)),
+    "ipc": ("org-vs-ours IPC comparison", cmd_ipc,
+            (_add_pool_args, _add_format_arg)),
+    "area": ("Section 5.2 area accounting", cmd_area, (_add_format_arg,)),
+    "inject": ("codec fault-injection campaign", cmd_inject,
+               (_add_trace_args, _add_format_arg)),
+    "reliability": ("Monte Carlo fault-injection campaign across schemes",
+                    cmd_reliability, (_add_pool_args, _add_trace_args)),
+    "autotune": ("Pareto fronts over the scheme/codec/interval design grid",
+                 cmd_autotune, (_add_pool_args, _add_front_format_arg)),
+    "recommend": ("pick a Pareto-front design point under FIT/area budgets",
+                  cmd_recommend, (_add_pool_args, _add_front_format_arg)),
+    "ablate": ("run one ablation study", cmd_ablate, (_add_pool_args,)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Area-Efficient Error Protection for "
@@ -809,235 +856,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("figures", help="regenerate the paper's figures")
-    p.add_argument("--fig", default="all", choices=list(api.FIGURE_CHOICES))
-    p.add_argument("--ecc-area-entries", type=int, default=1)
-    p.add_argument("--json", metavar="PATH",
-                   help="regenerate everything and write one JSON document")
-    p.add_argument("--no-ipc", action="store_true",
-                   help="skip the (slow) IPC runs in --json mode")
-    _add_run_args(p)
-    _add_pool_args(p)
-    p.set_defaults(func=cmd_figures)
-
-    p = sub.add_parser("run", help="one reference-mode run")
-    p.add_argument("--benchmark", default="mesa",
-                   choices=sorted(BENCHMARKS))
-    p.add_argument("--trace", help="run a trace file instead of a benchmark")
-    p.add_argument("--profile", action="store_true",
-                   help="print per-phase wall-time accounting")
-    _add_variant_arg(p)
-    _add_protection_args(p)
-    _add_run_args(p)
-    _add_pool_args(p)
-    _add_trace_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("ipc", help="org-vs-ours IPC comparison")
-    p.add_argument("--benchmark", default="mesa",
-                   choices=sorted(BENCHMARKS))
-    p.add_argument("--insts", type=int, default=120_000)
-    _add_variant_arg(p)
-    _add_protection_args(p)
-    _add_run_args(p)
-    _add_pool_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=cmd_ipc)
-
-    p = sub.add_parser("area", help="Section 5.2 area accounting")
-    p.add_argument("--ecc-area-entries", type=int, default=1)
-    _add_format_arg(p)
-    p.set_defaults(func=cmd_area)
-
-    p = sub.add_parser("inject", help="codec fault-injection campaign")
-    p.add_argument("--codec", choices=available_codecs(), default="secded")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--flips", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    _add_trace_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=cmd_inject)
-
-    p = sub.add_parser(
-        "reliability",
-        help="Monte Carlo fault-injection campaign across schemes",
-    )
-    p.add_argument(
-        "--trials", type=_parse_trials, default="auto", metavar="N|auto",
-        help="trials per scheme; 'auto' runs until the Wilson half-width "
-             "target is met (default)",
-    )
-    p.add_argument(
-        "--schemes", nargs="+", default=["uniform-ecc", "non-uniform"],
-        choices=["uniform-ecc", "non-uniform", "parity-only"],
-        help="protection schemes to compare",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--target", type=float, default=0.01, metavar="HW",
-        help="Wilson 95%% half-width to reach on --metric (auto mode)",
-    )
-    p.add_argument(
-        "--metric", default="sdc",
-        choices=["masked", "corrected", "refetched", "due", "sdc",
-                 "failure"],
-        help="rate the stopping rule targets ('failure' = sdc + due)",
-    )
-    p.add_argument("--trials-per-shard", type=int, default=500)
-    p.add_argument("--shards-per-round", type=int, default=8)
-    # No argparse `choices`: validation lives in the facade
-    # (api.ReliabilityRequest), so an unknown kernel exits 2 with the
-    # same backend listing the HTTP service returns as a 400.
-    p.add_argument(
-        "--kernel", default="batch",
-        help="shard execution kernel: 'batch' classifies each sampled "
-             "error pattern through a memoised pattern classifier (~20x "
-             "faster than 'reference', bit-identical results); "
-             "'reference' builds a live LineProtection per trial; "
-             "'vector' classifies "
-             "whole trial blocks with numpy gathers (needs the [fast] "
-             "extra; same distribution, not the same per-trial stream)",
-    )
-    p.add_argument("--max-trials", type=int, default=1_000_000,
-                   help="hard per-scheme trial budget in auto mode")
-    # Like --kernel, --scenario and --codec carry no argparse `choices`:
-    # the facade rejects unknown names with the same enumerating error
-    # the HTTP service returns as a 400.
-    p.add_argument(
-        "--scenario", default="nominal",
-        help="correlated-fault scenario pack: "
-             + ", ".join(available_scenarios())
-             + " (burst/row-column strike mixtures and raw-BER "
-             "scaling; see docs/reliability.md). 'nominal' reproduces "
-             "the classic Bernoulli stream bit-identically",
-    )
-    p.add_argument(
-        "--codec", default="secded",
-        help="code in the ECC protection slot: "
-             + ", ".join(available_codecs())
-             + " (check-bit geometry and guarantees in docs/codecs.md)",
-    )
-    p.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="JSONL checkpoint: completed shards persist here and an "
-             "interrupted campaign resumes from it",
-    )
-    p.add_argument(
-        "--benchmark", default=None, choices=sorted(BENCHMARKS),
-        help="measure per-scheme dirty fractions from this benchmark "
-             "instead of using the paper's averages",
-    )
-    _add_variant_arg(p)
-    p.add_argument(
-        "--double-bit-fraction", type=float, default=0.05, metavar="P",
-        help="P(a strike upsets two bits of one codeword) — the "
-             "multi-bit tail interleaving suppresses",
-    )
-    p.add_argument("--raw-fit", type=float, default=1000.0,
-                   help="raw SRAM strike rate, FIT per Mbit")
-    p.add_argument("--n-lines", type=int, default=16384,
-                   help="lines of the protected structure (paper L2)")
-    # One --seed drives both the campaign and any --benchmark
-    # measurement run, so only the remaining run flags are added here.
-    p.add_argument("--refs", type=int, default=60_000,
-                   help="measured references for --benchmark")
-    p.add_argument("--warmup", type=int, default=20_000,
-                   help="warm-up references for --benchmark")
-    _add_pool_args(p)
-    _add_trace_args(p)
-    p.set_defaults(func=cmd_reliability)
-
-    def _add_autotune_grid_args(p: argparse.ArgumentParser) -> None:
-        """The grid/evaluation flags ``autotune`` and ``recommend`` share.
-
-        Axis flags take several values (``--codecs secded dected``);
-        like ``reliability``'s --kernel/--scenario/--codec, most carry
-        no argparse `choices` — the facade rejects unknown names with
-        the same enumerating error the HTTP service returns as a 400.
-        """
-        from repro.autotune import SCHEMES, available_objectives
-        from repro.core.policy import available_variants
-
-        g = p.add_argument_group("design grid axes")
-        g.add_argument("--benchmarks", nargs="+", default=["mesa"],
-                       choices=sorted(BENCHMARKS), metavar="NAME",
-                       help="workloads to explore (a front per workload)")
-        g.add_argument("--schemes", nargs="+",
-                       default=["non-uniform", "uniform-ecc"],
-                       help="protection schemes: " + ", ".join(SCHEMES))
-        g.add_argument("--codecs", nargs="+", default=["secded", "dected"],
-                       help="ECC codecs: " + ", ".join(available_codecs()))
-        g.add_argument("--intervals", nargs="+", type=_parse_interval,
-                       default=[262144, 1048576], metavar="CYCLES",
-                       help="cleaning intervals, paper-nominal "
-                            "(e.g. 256K 1M); applies to non-uniform "
-                            "points only")
-        g.add_argument("--ecc-entries", nargs="+", type=_parse_entries,
-                       default=[1], metavar="N",
-                       help="shared ECC entries per set (non-uniform only)")
-        g.add_argument("--write-buffers", nargs="+", type=int,
-                       default=[16], metavar="N",
-                       help="write-buffer depths between L2 and memory")
-        g.add_argument("--variants", nargs="+", default=["standard"],
-                       help="policy variants: "
-                            + ", ".join(available_variants())
-                            + " (see docs/traffic.md for the "
-                            "traffic-aware ones)")
-        g.add_argument("--scenarios", nargs="+", default=["nominal"],
-                       help="correlated-fault scenario packs: "
-                            + ", ".join(available_scenarios()))
-        p.add_argument(
-            "--objectives", nargs="+", default=["area", "fit", "traffic"],
-            help="objectives the front is computed over: "
-                 + ", ".join(available_objectives())
-                 + " (fit/mttf use Wilson intervals; dominance is "
-                 "CI-aware)",
-        )
-        p.add_argument("--trials", type=int, default=2000,
-                       help="fixed injection trials per design point")
-        p.add_argument("--trials-per-shard", type=int, default=500)
-        p.add_argument("--kernel", default="batch",
-                       help="campaign kernel (batch, reference, vector)")
-        p.add_argument("--insts", type=int, default=120_000,
-                       help="CPU-mode instructions for the ipc objective")
-        p.add_argument("--double-bit-fraction", type=float, default=0.05,
-                       metavar="P")
-        p.add_argument("--raw-fit", type=float, default=1000.0,
-                       help="raw SRAM strike rate, FIT per Mbit")
-        p.add_argument("--n-lines", type=int, default=16384,
-                       help="lines of the protected structure (paper L2)")
-        p.add_argument(
-            "--checkpoint-dir", metavar="DIR", default=None,
-            help="directory of per-point campaign checkpoints: an "
-                 "interrupted sweep resumes mid-grid from it",
-        )
-        _add_run_args(p)
-        _add_pool_args(p)
-        p.add_argument(
-            "--format", choices=["table", "json", "csv"], default="table",
-            help="front tables (default), the facade's JSON document, "
-                 "or one flat CSV row per design point",
-        )
-
-    p = sub.add_parser(
-        "autotune",
-        help="Pareto fronts over the scheme/codec/interval design grid",
-    )
-    _add_autotune_grid_args(p)
-    p.set_defaults(func=cmd_autotune)
-
-    p = sub.add_parser(
-        "recommend",
-        help="pick a Pareto-front design point under FIT/area budgets",
-    )
-    p.add_argument("--fit-budget", type=float, default=None, metavar="FIT",
-                   help="total-FIT budget; judged against the Wilson 95%% "
-                        "upper bound")
-    p.add_argument("--area-budget", type=float, default=None, metavar="KIB",
-                   help="protection-area budget in KiB")
-    _add_autotune_grid_args(p)
-    p.set_defaults(func=cmd_recommend)
+    for verb, (help_line, func, extras) in _KIND_VERBS.items():
+        p = sub.add_parser(verb, help=help_line)
+        _add_request_args(p, api.KINDS[verb][0])
+        for add in extras:
+            add(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "serve", help="serve facade requests as deduplicated jobs over HTTP"
@@ -1081,22 +905,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("stats", help="multi-seed spread of key metrics")
-    p.add_argument("--benchmark", default="mesa",
-                   choices=sorted(BENCHMARKS))
+    _add_request_args(p, api.RunRequest, skip=_STATS_SKIP)
     p.add_argument("--n-seeds", type=int, default=5)
     _add_format_arg(p)
-    _add_protection_args(p)
-    _add_run_args(p)
     _add_pool_args(p)
     p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("ablate", help="run one ablation study")
-    p.add_argument("study", choices=sorted(api.ABLATIONS))
-    p.add_argument("--benchmarks", nargs="*", metavar="NAME",
-                   help="restrict to these benchmarks")
-    _add_run_args(p)
-    _add_pool_args(p)
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("list", help="list the benchmark suite")
     p.set_defaults(func=cmd_list)

@@ -93,3 +93,36 @@ class TestRegistries:
         assert check_docs.check_registries(
             check_docs.registry_names(), check_docs.api_doc_text()
         ) == []
+
+
+class TestRequestFields:
+    def test_field_without_a_flag_is_a_fail_line(self):
+        failures = check_docs.check_fields(
+            {"run": {"benchmark": "benchmark", "seed": "seed"}},
+            dests={"run": ["help", "benchmark"]},
+        )
+        assert failures == ["FAIL: run: field seed has no flag"]
+
+    def test_kind_without_a_verb_is_a_fail_line(self):
+        failures = check_docs.check_fields(
+            {"sweep": {"seed": "seed"}}, dests={"run": ["seed"]}
+        )
+        assert failures == ["FAIL: kind 'sweep' has no CLI verb"]
+
+    def test_aliased_and_positional_fields_match_by_dest(self):
+        assert check_docs.check_fields(
+            {"area": {"ecc_entries": "ecc_area_entries"},
+             "ablate": {"study": "study"}},
+            dests={"area": ["ecc_area_entries"], "ablate": ["study"]},
+        ) == []
+
+    def test_live_fields_map_to_their_flags(self):
+        fields = check_docs.request_fields()
+        assert fields["area"] == {"ecc_entries": "ecc_area_entries"}
+        assert fields["recommend"]["fit_budget"] == "fit_budget"
+
+    def test_repo_cli_covers_every_request_field(self):
+        """The live gate: every request field has a flag on its verb."""
+        assert check_docs.check_fields(
+            check_docs.request_fields(), check_docs.cli_dests()
+        ) == []
