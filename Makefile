@@ -113,12 +113,55 @@ perfbench-smoke:
 		echo "perfbench-smoke: FAILED: $$last"; exit 1; \
 	fi
 
-# A fast end-to-end reliability campaign (docs/reliability.md): auto
-# stopping at a loose ±2% target so it finishes well under 30 s; run
-# in CI to keep the CLI verb, engine and stopping rule exercised.
+# Reliability determinism gate (docs/reliability.md), well under 30 s:
+# a small auto campaign prints the same table at --jobs 1 and --jobs 2;
+# a tiny fixed-trials rowcol campaign prints the same table under the
+# batch and the reference kernel; a re-run from the auto campaign's
+# checkpoint executes no shard and prints the first run's table, and so
+# does a run resumed from the checkpoint's first six shards.
+# Timing lines are dropped (as in ipc-smoke), and the resume
+# comparison also drops the resumed / executed bookkeeping line.
+RELIABILITY_SMOKE_AUTO = --trials auto --target 0.005 \
+	--trials-per-shard 250 --shards-per-round 4 --no-cache
+RELIABILITY_SMOKE_FIXED = --trials 1500 --trials-per-shard 250 \
+	--scenario rowcol --codec rs-symbol --no-cache
+RELIABILITY_SMOKE_TIMING = '^(sweep|profile):'
+RELIABILITY_SMOKE_BOOKKEEPING = '^resumed / executed shards '
 reliability-smoke:
-	$(PYTHON) -m repro reliability --trials auto --target 0.02 \
-		--trials-per-shard 250 --shards-per-round 4 --jobs 2 --no-cache
+	@tmp=$$(mktemp -d) && \
+	run() { PYTHONPATH=src $(PYTHON) -m repro reliability "$$@"; } && \
+	table() { grep -Ev $(RELIABILITY_SMOKE_TIMING) "$$1"; } && \
+	run $(RELIABILITY_SMOKE_AUTO) --jobs 1 \
+		--checkpoint $$tmp/ck.jsonl > $$tmp/jobs1.out && \
+	run $(RELIABILITY_SMOKE_AUTO) --jobs 2 > $$tmp/jobs2.out && \
+	table $$tmp/jobs1.out > $$tmp/jobs1.table && \
+	table $$tmp/jobs2.out > $$tmp/jobs2.table && \
+	grep -q '^uniform-ecc ' $$tmp/jobs1.table && \
+	cmp $$tmp/jobs1.table $$tmp/jobs2.table && \
+	run $(RELIABILITY_SMOKE_FIXED) --kernel batch > $$tmp/batch.out && \
+	run $(RELIABILITY_SMOKE_FIXED) --kernel reference > $$tmp/ref.out && \
+	table $$tmp/batch.out > $$tmp/batch.table && \
+	table $$tmp/ref.out > $$tmp/ref.table && \
+	grep -q '^uniform-ecc ' $$tmp/batch.table && \
+	cmp $$tmp/batch.table $$tmp/ref.table && \
+	run $(RELIABILITY_SMOKE_AUTO) --jobs 1 \
+		--checkpoint $$tmp/ck.jsonl > $$tmp/resumed.out && \
+	grep -Eq '^resumed / executed shards +[1-9][0-9]* / 0 *$$' \
+		$$tmp/resumed.out && \
+	table $$tmp/resumed.out | grep -Ev $(RELIABILITY_SMOKE_BOOKKEEPING) \
+		> $$tmp/resumed.table && \
+	grep -Ev $(RELIABILITY_SMOKE_BOOKKEEPING) $$tmp/jobs1.table \
+		> $$tmp/first.table && \
+	cmp $$tmp/first.table $$tmp/resumed.table && \
+	head -n 7 $$tmp/ck.jsonl > $$tmp/prefix.jsonl && \
+	run $(RELIABILITY_SMOKE_AUTO) --jobs 1 \
+		--checkpoint $$tmp/prefix.jsonl > $$tmp/prefix.out && \
+	table $$tmp/prefix.out | grep -Ev $(RELIABILITY_SMOKE_BOOKKEEPING) \
+		> $$tmp/prefix.table && \
+	cmp $$tmp/first.table $$tmp/prefix.table && \
+	echo "reliability-smoke: --jobs 1/2, batch/reference and" \
+		"checkpoint-resume tables are identical"; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 # End-to-end job-service gate (docs/service.md): start the HTTP
 # server, submit one campaign twice (must dedupe onto one job), stream

@@ -454,9 +454,10 @@ class ReliabilityRequest(_Request):
     )
     kernel: str = _flag(
         "batch",
-        "shard execution kernel: 'batch' classifies each sampled error "
-        "pattern through a memoised pattern classifier (~20x faster "
-        "than 'reference', bit-identical results); 'reference' builds a "
+        "shard execution kernel: 'batch' looks each strike's draws up "
+        "in an outcome memo and decodes only unseen error patterns "
+        "(~30x faster than 'reference', bit-identical results); "
+        "'reference' builds a "
         "live LineProtection per trial; 'vector' classifies whole trial "
         "blocks with numpy gathers (needs the [fast] extra; same "
         "distribution, not the same per-trial stream)",

@@ -11,8 +11,8 @@ not a handful of fixed-trial loops.  This package is that harness:
   (data / tag / status / check arrays), per-trial lifecycle, and the
   outcome taxonomy (masked / corrected / refetch / DUE / SDC);
 * :mod:`repro.reliability.kernel` — the batched injection kernel: the
-  shared samplers plus a memoised pattern → outcome classifier give
-  ~20× the reference path's trial throughput with bit-identical
+  shared samplers plus an outcome memo keyed on each strike's draws
+  give ~30× the reference path's trial throughput with bit-identical
   outcomes (``--kernel batch|reference``);
 * :mod:`repro.reliability.vector` — the numpy-vectorized kernel
   (``--kernel vector``, the optional ``[fast]`` extra): whole-block

@@ -22,7 +22,11 @@ checkpointing and reproducibility:
   the goal (:mod:`repro.reliability.stopping`).  Stopping decisions are
   made only at round boundaries from order-independent aggregates, so
   the stopping point is identical at any ``--jobs`` value and across
-  interrupt/resume.
+  interrupt/resume.  Those aggregates are running per-scheme totals,
+  updated as each shard is absorbed (run here, published by a fabric
+  peer or reloaded from the checkpoint), so a round boundary costs the
+  same however many shards came before it; the result folds every
+  shard once, in shard-index order.
 
 Aggregates convert to FIT / MTTF / AVF with confidence intervals via
 :mod:`repro.reliability.estimates`; outcomes feed an optional
@@ -81,8 +85,8 @@ DEFAULT_DIRTY_FRACTIONS: Dict[str, float] = {
 #: Per-trial outcome samples a shard carries back for event tracing.
 SAMPLES_PER_SHARD = 32
 
-#: Shard execution kernels.  ``batch`` classifies each sampled error
-#: pattern through the memoised pattern classifier
+#: Shard execution kernels.  ``batch`` looks each strike's draws up in
+#: an outcome memo and classifies only unseen error patterns
 #: (:mod:`repro.reliability.kernel`); ``reference`` builds a live
 #: :class:`~repro.core.policy.LineProtection` per trial.  Those two
 #: replay the identical random stream under one shard seed, so they
@@ -131,6 +135,12 @@ class ShardSpec:
     kernel: str = "batch"
 
 
+#: ``TrialOutcome(name)`` without the enum constructor's call overhead.
+_OUTCOME_OF: Dict[str, TrialOutcome] = {
+    outcome.value: outcome for outcome in TrialOutcome
+}
+
+
 @dataclass
 class ShardResult:
     """Outcome counts of one executed shard."""
@@ -149,7 +159,7 @@ class ShardResult:
         totals: Dict[TrialOutcome, int] = {}
         for per_domain in self.outcomes.values():
             for name, n in per_domain.items():
-                outcome = TrialOutcome(name)
+                outcome = _OUTCOME_OF[name]
                 totals[outcome] = totals.get(outcome, 0) + n
         return totals
 
@@ -429,17 +439,37 @@ class CampaignResult:
 class _SchemeState:
     """Mutable per-scheme accumulation while the campaign runs.
 
-    Reduction is deterministic by construction: aggregates always fold
-    shard results in ascending shard-index order (:meth:`_ordered`),
-    so a merged multi-replica campaign and a single-node ``--jobs N``
-    run reduce the same shard set identically, whatever order the
-    results arrived in.
+    Every shard enters through :meth:`absorb`, which keeps running
+    totals — ``trials`` and ``totals`` (outcome counts) — so the
+    per-round stopping check and progress event cost O(1), not a fold
+    over every shard so far.  The counts are integers, so the running
+    sums equal any fold of the same shard set.  The campaign's result
+    still folds once, in ascending shard-index order
+    (:meth:`outcome_counts` / :meth:`domain_counts`), which fixes the
+    key order of the result documents whatever order the shards
+    arrived in.
     """
 
     def __init__(self, scheme: str) -> None:
         self.scheme = scheme
         self.shard_results: Dict[int, ShardResult] = {}
         self.stopped_by: Optional[str] = None
+        self.trials = 0
+        self.totals: Dict[TrialOutcome, int] = {}
+
+    def absorb(self, result: ShardResult) -> None:
+        """Add one shard; a re-absorbed index replaces its old counts."""
+        old = self.shard_results.get(result.index)
+        if old is not None:
+            self._count(old, -1)
+        self.shard_results[result.index] = result
+        self._count(result, 1)
+
+    def _count(self, result: ShardResult, sign: int) -> None:
+        self.trials += sign * result.trials
+        totals = self.totals
+        for outcome, n in result.outcome_totals().items():
+            totals[outcome] = totals.get(outcome, 0) + sign * n
 
     def _ordered(self) -> List[ShardResult]:
         """Shard results in shard-index order — the reduction order."""
@@ -451,10 +481,6 @@ class _SchemeState:
     @property
     def shards_done(self) -> int:
         return len(self.shard_results)
-
-    @property
-    def trials(self) -> int:
-        return sum(r.trials for r in self._ordered())
 
     def outcome_counts(self) -> Dict[TrialOutcome, int]:
         counts: Dict[TrialOutcome, int] = {}
@@ -470,7 +496,7 @@ class _SchemeState:
                 domain = FaultDomain(domain_name)
                 acc = counts.setdefault(domain, {})
                 for name, n in per.items():
-                    outcome = TrialOutcome(name)
+                    outcome = _OUTCOME_OF[name]
                     acc[outcome] = acc.get(outcome, 0) + n
         return counts
 
@@ -599,11 +625,10 @@ class CampaignEngine:
         """At a round boundary: mark the scheme stopped if warranted."""
         if state.shards_done % self.config.shards_per_round:
             return  # mid-round (resume top-up pending): no decision yet
-        counts = state.outcome_counts()
         trials = state.trials
         if trials == 0:
             return
-        successes = self.config.metric_successes(counts)
+        successes = self.config.metric_successes(state.totals)
         rule = self.config.stopping
         if trials >= rule.max_trials:
             state.stopped_by = "budget"
@@ -623,9 +648,7 @@ class CampaignEngine:
                 digest
             ).items():
                 if scheme in states:
-                    states[scheme].shard_results[index] = (
-                        ShardResult.from_record(record)
-                    )
+                    states[scheme].absorb(ShardResult.from_record(record))
                     self.resumed_shards += 1
             self.checkpoint.write_header(digest, self.config.describe())
             if self.resumed_shards:
@@ -758,7 +781,7 @@ class CampaignEngine:
         Telemetry counters absorb both, so every replica's counters
         describe the whole campaign, not just its own slice.
         """
-        states[result.scheme].shard_results[result.index] = result
+        states[result.scheme].absorb(result)
         if remote:
             self.remote_shards += 1
         else:
@@ -786,9 +809,7 @@ class CampaignEngine:
             return
         schemes: Dict[str, Any] = {}
         for scheme, state in states.items():
-            successes = self.config.metric_successes(
-                state.outcome_counts()
-            )
+            successes = self.config.metric_successes(state.totals)
             schemes[scheme] = {
                 "trials": state.trials,
                 "shards": state.shards_done,

@@ -57,9 +57,14 @@ def _shard_problem(record: Dict[str, Any]) -> Optional[str]:
     for key in ("index", "trials", "seed"):
         if not _is_int(record.get(key)):
             return f"shard {key!r} must be an integer"
+    if record["index"] < 0:
+        return "shard 'index' must be non-negative"
+    if record["trials"] < 1:
+        return "shard 'trials' must be positive"
     outcomes = record.get("outcomes")
     if not isinstance(outcomes, dict):
         return "shard 'outcomes' must be an object"
+    counted = 0
     for domain, per in outcomes.items():
         if domain not in _DOMAIN_NAMES:
             return f"unknown fault domain {domain!r} in shard 'outcomes'"
@@ -73,6 +78,14 @@ def _shard_problem(record: Dict[str, Any]) -> Optional[str]:
                     f"shard outcome count {domain}/{name} must be a "
                     "non-negative integer"
                 )
+            counted += count
+    if counted != record["trials"]:
+        # The campaign's round boundaries and half-widths read 'trials'
+        # while its estimates read the counts: they must agree.
+        return (
+            f"shard outcome counts sum to {counted}, not its "
+            f"'trials' ({record['trials']})"
+        )
     return None
 
 
@@ -99,8 +112,10 @@ class CampaignCheckpoint:
         Returns ``{}`` when the file does not exist yet.  Raises
         :class:`CheckpointError` on a version or configuration-digest
         mismatch.  A torn trailing line is skipped; any other malformed
-        line — bad JSON, or a record of the wrong shape — is an error
-        naming the line (the file is not ours to guess about).
+        line — bad JSON, a record of the wrong shape, or a shard that
+        cannot be resumed from (negative index, no trials, outcome
+        counts that do not sum to its trials) — is an error naming the
+        line (the file is not ours to guess about).
         """
         if not self.path.exists():
             return {}

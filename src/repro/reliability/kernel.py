@@ -14,20 +14,28 @@ This module is the fast path.  Two observations make it possible:
    "repaired == golden" holds exactly when the correction cancels the
    error.  No per-trial line needs to exist.
 2. **The pattern space is small.**  A strike's outcome depends only on
-   the line state, the struck column and its per-word error masks, so
-   :meth:`repro.reliability.model.TrialPlan.classify` decodes each
-   distinct pattern once and memoises it; every later trial with that
-   pattern is a dictionary lookup.
+   the line state, the struck column and its per-word error masks, and
+   those are a pure function of the strike's raw draws.  The samplers
+   of :mod:`repro.reliability.scenarios` return the draws as one packed
+   int (``data_error_draws`` / ``check_error_draws``), so the kernel
+   looks ``(dirty, class, burst length, draws)`` up in the plan's
+   outcome memo (:attr:`repro.reliability.model.TrialPlan.outcome_memo`)
+   and builds and decodes the pattern (``data_masks`` / ``check_masks``
+   + :meth:`~repro.reliability.model.TrialPlan.classify`) only the
+   first time a draw key is seen.
 
-**Exact parity with the reference path.**  ``run_trials_batch`` draws
-through the same sampler functions as ``run_trial``
-(:mod:`repro.reliability.scenarios`), in the same order, and spends the
-same pooled-line index draw — so under one shard seed the two kernels
-produce *identical* per-trial outcomes, not merely the same
-distribution.  The campaign's checkpoints are therefore
+**Exact parity with the reference path.**  ``run_trials_batch`` makes
+every position draw through the same sampler functions as
+``run_trial`` — the one definition of the draw order — and spends the
+same pooled-line index draw; the class and burst-length rolls are
+inlined as bisects over the thresholds ``draw_class`` /
+``draw_burst_length`` loop over, one ``random()`` each.  So under one
+shard seed the two kernels produce *identical* per-trial outcomes, not
+merely the same distribution.  The campaign's checkpoints are therefore
 kernel-portable: a file written under ``--kernel reference`` resumes
 under ``--kernel batch`` bit-identically (pinned in
-``tests/reliability/test_kernel.py``).
+``tests/reliability/test_kernel.py``).  Tag and status strikes keep
+``_inject_tag`` / ``_inject_status`` and their ``rng.sample`` draws.
 
 Numpy is deliberately not used here: exact parity binds the kernel to
 the Mersenne-Twister draw order of :class:`random.Random`, which a
@@ -37,14 +45,15 @@ vectorized RNG cannot replay.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.policy import ProtectionPolicy
 from repro.reliability.scenarios import (
-    check_error_masks,
-    data_error_masks,
-    draw_burst_length,
-    draw_class,
+    check_error_draws,
+    check_masks,
+    data_error_draws,
+    data_masks,
     flips_for,
 )
 from repro.reliability.model import (
@@ -139,7 +148,16 @@ def run_trials_batch(
     rand = rng.random
     randbelow = rng._randbelow
     classify = plan.classify
-    classes, cdf = plan.classes, plan.cdf
+    memo = plan.outcome_memo
+    classes, class_bounds = plan.classes, plan.class_bounds
+    class_total = plan.cdf[-1]
+    n_classes = len(classes)
+    length_bounds, lengths = plan.length_bounds, plan.lengths
+    stride = plan.key_stride
+    cums = (plan.cum[False], plan.cum[True])
+    totals = (plan.total[False], plan.total[True])
+    parity_bits = (plan.parity_bits[False], plan.parity_bits[True])
+    ecc_bits = (plan.ecc_bits[False], plan.ecc_bits[True])
     dirty_fraction = config.dirty_fraction
     read_fraction = config.read_fraction
     line_bytes = config.line_bytes
@@ -152,41 +170,68 @@ def run_trials_batch(
         for domain in DOMAIN_ORDER
     }
     value_of = {out: out.value for out in TrialOutcome}
-    masked = TrialOutcome.MASKED
+    masked = TrialOutcome.MASKED.value
     for trial in range(n):
         dirty = rand() < dirty_fraction
-        cum = plan.cum[dirty]
-        roll = rand() * plan.total[dirty]
-        cls = draw_class(rng, classes, cdf)
-        length = draw_burst_length(rng, cls)
+        cum = cums[dirty]
+        roll = rand() * totals[dirty]
+        # draw_class and draw_burst_length, inlined: one random() each
+        # (the length only for burst classes), bisected against the
+        # plan's thresholds.
+        index = bisect_right(class_bounds, rand() * class_total)
+        cls = classes[index]
+        bounds = length_bounds[index]
+        if bounds:
+            length_index = bisect_right(bounds, rand())
+            length = lengths[index][length_index]
+            index += n_classes * length_index
+        else:
+            length = 0
+        # The memo key's low digits (layout: TrialPlan.outcome_memo).
+        base = index * 4 + dirty
         if roll < cum[0]:
             domain_value = "data"
             randbelow(size)  # pooled line index (outcome-inert)
-            masks = data_error_masks(rng, cls, length, line_bytes)
+            draws = data_error_draws(rng, cls, line_bytes)
             if not dirty and rand() >= read_fraction:
-                outcome = masked
+                key = masked
             else:
-                outcome = classify(dirty, "data", masks)
+                memo_key = draws * stride + base
+                key = memo.get(memo_key)
+                if key is None:
+                    key = memo[memo_key] = classify(
+                        dirty, "data",
+                        data_masks(cls, length, line_bytes, draws),
+                    ).value
         elif roll < cum[1]:
             domain_value = "tag"
-            outcome = _inject_tag(dirty, flips_for(cls, length), config, rng)
+            key = value_of[
+                _inject_tag(dirty, flips_for(cls, length), config, rng)
+            ]
         elif roll < cum[2]:
             domain_value = "status"
-            outcome = _inject_status(
-                dirty, flips_for(cls, length), config, rng
-            )
+            key = value_of[
+                _inject_status(dirty, flips_for(cls, length), config, rng)
+            ]
         else:
             domain_value = "check"
             randbelow(size)  # pooled line index (outcome-inert)
-            column, masks = check_error_masks(
-                rng, cls, length, words,
-                plan.parity_bits[dirty], plan.ecc_bits[dirty],
+            draws = check_error_draws(
+                rng, cls, words, parity_bits[dirty], ecc_bits[dirty]
             )
             if not dirty and rand() >= read_fraction:
-                outcome = masked
+                key = masked
             else:
-                outcome = classify(dirty, column, masks)
-        key = value_of[outcome]
+                memo_key = draws * stride + base + 2
+                key = memo.get(memo_key)
+                if key is None:
+                    key = memo[memo_key] = classify(
+                        dirty,
+                        *check_masks(
+                            cls, length, words,
+                            parity_bits[dirty], ecc_bits[dirty], draws,
+                        ),
+                    ).value
         per_domain = per[domain_value]
         per_domain[key] = per_domain.get(key, 0) + 1
         if len(samples) < sample_limit:

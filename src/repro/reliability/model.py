@@ -63,9 +63,11 @@ from repro.core.tag_protection import ProtectedTag, TagOutcome
 from repro.ecc.codec import Codec
 from repro.ecc.events import CheckOutcome
 from repro.reliability.scenarios import (
-    check_error_masks,
+    check_error_draws,
+    check_masks,
     class_cdf,
-    data_error_masks,
+    data_error_draws,
+    data_masks,
     draw_burst_length,
     draw_class,
     flips_for,
@@ -354,13 +356,16 @@ class TrialPlan:
     """Per-(policy, config) state shared by every kernel's trials.
 
     Holds the class mixture, the domain-roll thresholds, the check-column
-    widths per line state and the pattern → outcome memo behind
-    :meth:`classify`.  Obtain one through :func:`plan_for`.
+    widths per line state, the pattern classifier :meth:`classify` and
+    the batched kernel's draw-keyed outcome memo.  Obtain one through
+    :func:`plan_for`.
     """
 
     __slots__ = (
         "classes", "cdf", "cum", "total", "recovery", "parity_bits",
-        "ecc_bits", "codec_by_domain", "controller_refetch", "_outcomes",
+        "ecc_bits", "codec_by_domain", "controller_refetch",
+        "class_bounds", "length_bounds", "lengths", "key_stride",
+        "outcome_memo",
     )
 
     def __init__(
@@ -404,7 +409,35 @@ class TrialPlan:
                     if slot in domains
                     else 0
                 )
-        self._outcomes: Dict[Tuple[bool, str, tuple], TrialOutcome] = {}
+        # The batched kernel's inlined class and burst-length draws:
+        # draw_class / draw_burst_length's thresholds with the last one
+        # raised to infinity, so a bisect lands where their loops do,
+        # float edge included (the loops then fall back to the last
+        # entry too).
+        inf = float("inf")
+        self.class_bounds = tuple(self.cdf[:-1]) + (inf,)
+        self.length_bounds: List[Tuple[float, ...]] = []
+        self.lengths: List[Tuple[int, ...]] = []
+        for cls in self.classes:
+            acc, bounds = 0.0, []
+            for _, probability in cls.burst_pmf:
+                acc += probability
+                bounds.append(acc)
+            # Empty for non-burst classes, which draw no length.
+            self.length_bounds.append(
+                tuple(bounds[:-1]) + (inf,) if bounds else ()
+            )
+            self.lengths.append(
+                tuple(length for length, _ in cls.burst_pmf) or (0,)
+            )
+        #: Outcome value per packed draw key: ``draws * key_stride +
+        #: ((length index * classes + class index) * 2 + check) * 2 +
+        #: dirty`` (see :func:`repro.reliability.kernel.run_trials_batch`).
+        #: Bounded: one entry at most per distinct strike of this plan.
+        self.key_stride = 4 * len(self.classes) * max(
+            len(lengths) for lengths in self.lengths
+        )
+        self.outcome_memo: Dict[int, str] = {}
 
     def domain(self, dirty: bool, roll: float) -> FaultDomain:
         """The domain a ``[0, total)`` roll lands in."""
@@ -428,12 +461,9 @@ class TrialPlan:
         recovery contract of :meth:`LineProtection.access` ("repaired ==
         golden" becomes "every residual is zero") and then the
         controller's refetch.  Only the pattern and the line state
-        matter, so outcomes are memoised on ``(dirty, column, masks)``.
+        matter; the batched kernel memoises the result per strike draw
+        (:attr:`outcome_memo`), so each pattern is decoded about once.
         """
-        key = (dirty, column, tuple(masks.values()))
-        outcome = self._outcomes.get(key)
-        if outcome is not None:
-            return outcome
         recovery = self.recovery[dirty]
         if column != "data" and column != recovery.value:
             # Stale check bits of a column the recovery code never
@@ -465,10 +495,7 @@ class TrialPlan:
                 action = RecoveryAction.CORRECTED_IN_PLACE
             else:
                 action = RecoveryAction.CLEAN_READ
-        outcome = self._outcomes[key] = _finish(
-            action, dirty, self.controller_refetch
-        )
-        return outcome
+        return _finish(action, dirty, self.controller_refetch)
 
 
 _PLANS: Dict[Tuple[str, FaultModelConfig], TrialPlan] = {}
@@ -528,7 +555,10 @@ def run_trial(
     length = draw_burst_length(rng, cls)
     if domain is FaultDomain.DATA:
         line = _build_line(policy, dirty, config, rng, pool)
-        masks = data_error_masks(rng, cls, length, config.line_bytes)
+        masks = data_masks(
+            cls, length, config.line_bytes,
+            data_error_draws(rng, cls, config.line_bytes),
+        )
         _apply_data_masks(line, masks)
         outcome = _observe(line, dirty, config, rng)
     elif domain is FaultDomain.CHECK:
@@ -546,8 +576,10 @@ def run_trial(
             if line.ecc_checks is not None
             else 0
         )
-        column, cmasks = check_error_masks(
-            rng, cls, length, config.line_bytes // 8, parity_bits, ecc_bits
+        words = config.line_bytes // 8
+        column, cmasks = check_masks(
+            cls, length, words, parity_bits, ecc_bits,
+            check_error_draws(rng, cls, words, parity_bits, ecc_bits),
         )
         target = (
             line.ecc_checks if column == "ecc" else line.parity_checks

@@ -17,21 +17,26 @@ trial, nominal included, through the *same* sampler functions below,
 in the same order: dirty roll → domain roll → class roll
 (:func:`draw_class`) → burst length (:func:`draw_burst_length`, burst
 classes only) → the domain-specific position draws
-(:func:`data_error_masks` / :func:`check_error_masks`).  Sharing the
-samplers — rather than replicating their draw sequences — is what
-keeps the two kernels bit-identical under one shard seed for every
-scenario.  The nominal mixture is ordered so these samplers replay the
-pre-scenario nominal stream exactly (see :meth:`Scenario.resolve`).
+(:func:`data_error_draws` / :func:`check_error_draws`).  Sharing the
+position samplers — rather than replicating their draw sequences — is
+what keeps the two kernels bit-identical under one shard seed for every
+scenario; the batched kernel inlines only the one-``random()`` class
+and burst-length rolls.  The nominal mixture is ordered so these
+samplers replay the pre-scenario nominal stream exactly (see
+:meth:`Scenario.resolve`).
 Checkpoint digests fold the scenario name in (``nominal`` keeps the
 historical digest), so shards from different scenarios can never be
 spliced together.
 
-The masks returned are *error patterns*: ``{word index: 64-bit mask}``
-for data strikes, ``(column, {word index: column mask})`` for check
-strikes.  The reference kernel XORs them into a live
-:class:`~repro.core.policy.LineProtection`; the batched kernel looks
-them up in the pattern classifier
-(:meth:`repro.reliability.model.TrialPlan.classify`), which decodes them
+The position samplers return their draws packed into one int, a
+hashable key; :func:`data_masks` / :func:`check_masks` are pure
+functions from that key to the *error pattern*: ``{word index: 64-bit
+mask}`` for data strikes, ``(column, {word index: column mask})`` for
+check strikes.  The reference kernel XORs the pattern into a live
+:class:`~repro.core.policy.LineProtection`; the batched kernel memoises
+outcomes on the key and builds the pattern only for an unseen key, for
+the pattern classifier
+(:meth:`repro.reliability.model.TrialPlan.classify`), which decodes it
 against the zero codeword (GF(2) linearity).
 """
 
@@ -283,87 +288,133 @@ def flips_for(cls: FaultClass, length: int) -> int:
     return cls.span_words
 
 
-def data_error_masks(
-    rng: random.Random,
-    cls: FaultClass,
-    length: int,
-    line_bytes: int,
-) -> Dict[int, int]:
-    """Error pattern of one data-array strike: ``{word index: mask}``.
+def data_error_draws(
+    rng: random.Random, cls: FaultClass, line_bytes: int
+) -> int:
+    """The position draws of one data-array strike, packed into one int.
 
-    Draw order per kind (fixed — both kernels replay it):
+    This is *the* draw order of a data strike — both kernels call it,
+    so it is written once.  Per kind:
 
     * ``single``: byte, bit — the nominal model's own two draws;
     * ``word2``: byte, bit, second byte-in-word, second bit;
-    * ``burst``: one start-bit draw; ``length`` adjacent bits of the
-      line's little-endian bit order, wrapping at the line end;
-    * ``column``: bit offset, start word; the offset repeats in
-      ``span_words`` consecutive words (wrapping).
+    * ``burst``: one start-bit draw (the length was drawn before);
+    * ``column``: bit offset, start word.
+
+    Each draw ``d`` below ``n`` is one mixed-radix digit, the first
+    draw in the lowest digit, so the key is a small int that is
+    hashable and memoisable; :func:`data_masks` turns it into the
+    error pattern.  (Operands evaluate left to right, so each
+    expression draws in the order written.)
+    """
+    randbelow = rng._randbelow
+    kind = cls.kind
+    if kind == "single":
+        return randbelow(line_bytes) + line_bytes * randbelow(8)
+    if kind == "word2":
+        key = randbelow(line_bytes) + line_bytes * randbelow(8)
+        return key + line_bytes * 8 * (randbelow(8) + 8 * randbelow(8))
+    if kind == "burst":
+        return randbelow(line_bytes * 8)
+    return randbelow(64) + 64 * randbelow(line_bytes // 8)
+
+
+def data_masks(
+    cls: FaultClass, length: int, line_bytes: int, draws: int
+) -> Dict[int, int]:
+    """Error pattern ``{word index: 64-bit mask}`` of a data strike.
+
+    A pure function of the :func:`data_error_draws` key: bursts run
+    ``length`` adjacent bits of the line's little-endian bit order,
+    wrapping at the line end; column strikes repeat one bit offset in
+    ``span_words`` consecutive words (wrapping).
     """
     words = line_bytes // 8
-    if cls.kind == "single":
-        byte_idx = rng._randbelow(line_bytes)
-        bit = rng._randbelow(8)
-        return {byte_idx // 8: 1 << ((byte_idx % 8) * 8 + bit)}
-    if cls.kind == "word2":
-        byte_idx = rng._randbelow(line_bytes)
-        bit = rng._randbelow(8)
-        mask = 1 << ((byte_idx % 8) * 8 + bit)
-        mask ^= 1 << (rng._randbelow(8) * 8 + rng._randbelow(8))
+    kind = cls.kind
+    if kind == "single" or kind == "word2":
+        byte_idx, rest = draws % line_bytes, draws // line_bytes
+        mask = 1 << ((byte_idx % 8) * 8 + rest % 8)
+        if kind == "word2":
+            rest //= 8
+            mask ^= 1 << (rest % 8 * 8 + rest // 8)
         return {byte_idx // 8: mask}
-    if cls.kind == "burst":
+    if kind == "burst":
         total = line_bytes * 8
-        start = rng._randbelow(total)
         masks: Dict[int, int] = {}
         for i in range(length):
-            position = (start + i) % total
+            position = (draws + i) % total
             word = position // 64
             masks[word] = masks.get(word, 0) | 1 << (position % 64)
         return masks
-    offset = rng._randbelow(64)
-    start_word = rng._randbelow(words)
+    offset, start_word = draws % 64, draws // 64
     span = min(cls.span_words, words)
     return {(start_word + i) % words: 1 << offset for i in range(span)}
 
 
-def check_error_masks(
+def check_error_draws(
     rng: random.Random,
+    cls: FaultClass,
+    words: int,
+    parity_bits: int,
+    ecc_bits: int,
+) -> int:
+    """The draws of one check-array strike, packed into one int.
+
+    Word, then the struck column — chosen in proportion to its stored
+    bits with one ``rng.random()``, as in the nominal model — then the
+    bit positions within the column: one for ``single``, ``burst`` and
+    ``column`` strikes, two for ``word2``; a 1-bit-per-word column
+    draws none.  Digits as in :func:`data_error_draws`: word, then
+    column (0 parity, 1 ECC), then positions; :func:`check_masks`
+    builds the pattern from the key.
+    """
+    word = rng._randbelow(words)
+    strike_ecc = rng.random() * (parity_bits + ecc_bits) < ecc_bits
+    key = word + words * strike_ecc
+    col_bits = ecc_bits if strike_ecc else parity_bits
+    if col_bits > 1:
+        key += 2 * words * rng._randbelow(col_bits)
+        if cls.kind == "word2":
+            key += 2 * words * col_bits * rng._randbelow(col_bits)
+    return key
+
+
+def check_masks(
     cls: FaultClass,
     length: int,
     words: int,
     parity_bits: int,
     ecc_bits: int,
+    draws: int,
 ) -> Tuple[str, Dict[int, int]]:
-    """Error pattern of one check-array strike.
+    """Error pattern ``(column, {word index: column mask})`` of a
+    check strike, from its :func:`check_error_draws` key.
 
-    Returns ``(column, {word index: column mask})`` with ``column`` in
-    ``("parity", "ecc")``.  As in the nominal model, the struck column
-    is chosen in proportion to its stored bits (one ``rng.random()``
-    after the word draw), and a 1-bit-per-word column never draws a
-    position.  Bursts run along the column's bit order across
+    ``column`` is ``"parity"`` or ``"ecc"``.  A ``word2`` strike on a
+    1-bit-per-word column lands its second bit in the neighbouring
+    word's entry; bursts run along the column's bit order across
     consecutive words; column strikes repeat one bit offset down
     ``span_words`` words of the chosen column.
     """
-    word = rng._randbelow(words)
-    strike_ecc = rng.random() * (parity_bits + ecc_bits) < ecc_bits
+    word, rest = draws % words, draws // words
+    strike_ecc = rest % 2
+    positions = rest // 2
     column = "ecc" if strike_ecc else "parity"
     col_bits = ecc_bits if strike_ecc else parity_bits
-    if cls.kind == "single":
-        mask = 1 << rng._randbelow(col_bits) if col_bits > 1 else 1
-        return column, {word: mask}
-    if cls.kind == "word2":
+    kind = cls.kind
+    if col_bits > 1:
+        first, second = positions % col_bits, positions // col_bits
+    else:
+        first = second = 0
+    if kind == "single":
+        return column, {word: 1 << first}
+    if kind == "word2":
         if col_bits > 1:
-            mask = 1 << rng._randbelow(col_bits)
-            mask ^= 1 << rng._randbelow(col_bits)
-            return column, {word: mask}
-        # One check bit per word: the second upset bit of the strike
-        # lands in the neighbouring word's column entry.
+            return column, {word: 1 << first ^ 1 << second}
         return column, {word: 1, (word + 1) % words: 1}
-    if cls.kind == "burst":
+    if kind == "burst":
         total = words * col_bits
-        start = word * col_bits
-        if col_bits > 1:
-            start += rng._randbelow(col_bits)
+        start = word * col_bits + first
         masks: Dict[int, int] = {}
         for i in range(length):
             position = (start + i) % total
@@ -372,10 +423,9 @@ def check_error_masks(
                 position % col_bits
             )
         return column, masks
-    offset = rng._randbelow(col_bits) if col_bits > 1 else 0
     span = min(cls.span_words, words)
     return column, {
-        (word + i) % words: 1 << offset for i in range(span)
+        (word + i) % words: 1 << first for i in range(span)
     }
 
 
@@ -384,9 +434,11 @@ __all__ = [
     "FaultClass",
     "Scenario",
     "available_scenarios",
-    "check_error_masks",
+    "check_error_draws",
+    "check_masks",
     "class_cdf",
-    "data_error_masks",
+    "data_error_draws",
+    "data_masks",
     "draw_burst_length",
     "draw_class",
     "flips_for",

@@ -1,13 +1,22 @@
 """The campaign engine: seeding, determinism, resume, stopping, telemetry."""
 
+import random
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.pool import SweepEngine
 from repro.reliability.campaign import (
     CampaignConfig,
     CampaignEngine,
     SAMPLES_PER_SHARD,
+    ShardResult,
     ShardSpec,
+    _SchemeState,
     run_campaign,
     run_shard,
     shard_seed,
@@ -306,3 +315,230 @@ class TestCampaignEngineWiring:
         result = engine.run()
         assert result.total_trials == 200  # 100 per scheme
         assert (tmp_path / "c.jsonl").exists()
+
+
+# -- running totals ------------------------------------------------------------
+
+
+def _fold(state):
+    """The from-scratch aggregate: every shard so far, in index order."""
+    trials, counts = 0, {}
+    for index in sorted(state.shard_results):
+        result = state.shard_results[index]
+        trials += result.trials
+        for per_domain in result.outcomes.values():
+            for name, n in per_domain.items():
+                outcome = TrialOutcome(name)
+                counts[outcome] = counts.get(outcome, 0) + n
+    return trials, counts
+
+
+def _nonzero(counts):
+    return {outcome: n for outcome, n in counts.items() if n}
+
+
+def _assert_totals_match_fold(state):
+    trials, counts = _fold(state)
+    assert state.trials == trials
+    assert _nonzero(state.totals) == _nonzero(counts)
+
+
+class _LonghandEngine(CampaignEngine):
+    """Stopping checks and round events computed the longhand way: a
+    fresh index-ordered fold of every shard at every round boundary."""
+
+    def _check_auto_stop(self, state):
+        if state.shards_done % self.config.shards_per_round:
+            return
+        trials, counts = _fold(state)
+        if trials == 0:
+            return
+        successes = self.config.metric_successes(counts)
+        rule = self.config.stopping
+        if trials >= rule.max_trials:
+            state.stopped_by = "budget"
+        elif rule.should_stop(successes, trials):
+            state.stopped_by = "target"
+
+    def _emit_round(self, states):
+        schemes = {}
+        for scheme, state in states.items():
+            trials, counts = _fold(state)
+            successes = self.config.metric_successes(counts)
+            schemes[scheme] = {
+                "trials": trials,
+                "shards": state.shards_done,
+                "half_width": self.config.stopping.half_width(
+                    successes, trials
+                ),
+                "stopped_by": state.stopped_by,
+            }
+        self._emit_progress({"type": "round", "schemes": schemes})
+
+
+class _ShufflingEngine(SweepEngine):
+    """Hands each round's results back in a random arrival order."""
+
+    def __init__(self, seed):
+        super().__init__(jobs=1, cache=False, progress=False)
+        self.rng = random.Random(seed)
+
+    def map_tasks(self, func, items, phase="map"):
+        results = list(super().map_tasks(func, items, phase=phase))
+        self.rng.shuffle(results)
+        return results
+
+
+class _FakeFabric:
+    """A shard coordinator whose other replica is simulated in-process.
+
+    Each lease keeps a random part of the offered shards for this
+    replica; the rest are run "elsewhere" and published, some only on
+    a later poll, and come back in a random order.
+    """
+
+    poll_interval = 0.0
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.published = {}
+
+    def announce(self, specs):
+        pass
+
+    def heartbeat(self):
+        pass
+
+    def lease(self, specs):
+        mine = []
+        for spec in specs:
+            key = (spec.scheme, spec.index)
+            if key in self.published:
+                continue
+            if self.rng.random() < 0.5:
+                mine.append(spec)
+            elif self.rng.random() < 0.7:
+                self.published[key] = run_shard(spec).as_record()
+        return mine, []
+
+    def complete(self, result):
+        pass
+
+    def completed(self, keys):
+        ready = [self.published[key] for key in keys if key in self.published]
+        self.rng.shuffle(ready)
+        return ready
+
+
+def _round_events(engine_cls, config, checkpoint, engine_seed, fabric_seed):
+    events = []
+    engine = engine_cls(
+        config,
+        engine=_ShufflingEngine(engine_seed),
+        checkpoint=checkpoint,
+        progress=events.append,
+        coordinator=None if fabric_seed is None else _FakeFabric(fabric_seed),
+    )
+    result = engine.run()
+    rounds = [event["schemes"] for event in events if event["type"] == "round"]
+    return rounds, _aggregates(result)
+
+
+@st.composite
+def _campaigns(draw):
+    schemes = draw(st.lists(
+        st.sampled_from(["uniform-ecc", "non-uniform", "parity-only"]),
+        min_size=1, max_size=3, unique=True,
+    ))
+    return CampaignConfig(
+        schemes=tuple(schemes),
+        trials=draw(st.one_of(st.none(), st.integers(50, 400))),
+        trials_per_shard=draw(st.integers(10, 60)),
+        shards_per_round=draw(st.integers(1, 4)),
+        stopping=StoppingRule(
+            target_half_width=draw(st.sampled_from([0.03, 0.05, 0.1])),
+            min_trials=draw(st.integers(1, 100)),
+            max_trials=draw(st.integers(100, 600)),
+        ),
+        metric=draw(st.sampled_from(["sdc", "due", "corrected", "failure"])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestRunningTotals:
+    """The O(1) running totals equal the from-scratch fold they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        absorbs=st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.dictionaries(
+                    st.sampled_from(["data", "tag", "status", "check"]),
+                    st.dictionaries(
+                        st.sampled_from([o.value for o in TrialOutcome]),
+                        st.integers(0, 50),
+                        min_size=1,
+                    ),
+                ),
+            ),
+            max_size=25,
+        )
+    )
+    def test_every_absorb_matches_the_fold(self, absorbs):
+        state = _SchemeState("uniform-ecc")
+        for index, outcomes in absorbs:
+            trials = sum(sum(per.values()) for per in outcomes.values())
+            state.absorb(ShardResult(
+                scheme="uniform-ecc", index=index, trials=trials, seed=0,
+                outcomes=outcomes,
+            ))
+            _assert_totals_match_fold(state)
+        assert state.shards_done == len({index for index, _ in absorbs})
+
+    def test_reabsorbed_index_replaces_its_counts(self):
+        state = _SchemeState("uniform-ecc")
+        first = ShardResult("uniform-ecc", 0, 5, 0, {"data": {"sdc": 5}})
+        again = ShardResult("uniform-ecc", 0, 3, 0, {"tag": {"due": 3}})
+        state.absorb(first)
+        state.absorb(again)
+        assert state.trials == 3
+        assert _nonzero(state.totals) == {TrialOutcome.DUE: 3}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        config=_campaigns(),
+        prefix=st.integers(0, 12),
+        engine_seed=st.integers(0, 2**16),
+        fabric_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+    )
+    def test_round_events_match_the_longhand_fold(
+        self, config, prefix, engine_seed, fabric_seed
+    ):
+        checks = [0]
+        absorb = _SchemeState.absorb
+
+        def checked_absorb(state, result):
+            absorb(state, result)
+            _assert_totals_match_fold(state)
+            checks[0] += 1
+
+        with tempfile.TemporaryDirectory() as tmp:
+            # A checkpoint prefix to resume from: the first ``prefix``
+            # shards of a complete run.
+            full = Path(tmp) / "full.jsonl"
+            run_campaign(config, engine=_engine(), checkpoint=str(full))
+            lines = full.read_text().splitlines()[: 1 + prefix]
+            for name in ("fast.jsonl", "longhand.jsonl"):
+                (Path(tmp) / name).write_text("\n".join(lines) + "\n")
+            with mock.patch.object(_SchemeState, "absorb", checked_absorb):
+                fast = _round_events(
+                    CampaignEngine, config, str(Path(tmp) / "fast.jsonl"),
+                    engine_seed, fabric_seed,
+                )
+            longhand = _round_events(
+                _LonghandEngine, config, str(Path(tmp) / "longhand.jsonl"),
+                engine_seed, fabric_seed,
+            )
+        assert checks[0] > 0
+        assert fast == longhand

@@ -128,12 +128,21 @@ def _bad_shard(**changes):
         (_bad_shard(outcomes={"data": {"lost": 1}}), "unknown outcome 'lost'"),
         (_bad_shard(outcomes={"data": {"sdc": "1"}}), "non-negative integer"),
         (_bad_shard(outcomes={"data": {"sdc": -1}}), "non-negative integer"),
+        (_bad_shard(index=-1), "'index' must be non-negative"),
+        (_bad_shard(trials=0, outcomes={}), "'trials' must be positive"),
+        (_bad_shard(trials=-3), "'trials' must be positive"),
+        (_bad_shard(outcomes={"data": {"masked": 9}}), "sum to 9, not"),
+        (
+            _bad_shard(outcomes={"data": {"masked": 6}, "tag": {"sdc": 5}}),
+            "sum to 11, not",
+        ),
     ],
     ids=[
         "missing-index", "outcomes-list", "bare-list", "bare-string",
         "scheme-int", "index-str", "trials-float", "seed-bool",
         "unknown-domain", "domain-list", "unknown-outcome", "count-str",
-        "count-negative",
+        "count-negative", "index-negative", "trials-zero",
+        "trials-negative", "counts-short", "counts-over",
     ],
 )
 def test_malformed_shard_record_names_its_line(tmp_path, bad, match):

@@ -21,6 +21,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.pool import SweepEngine
 from repro.reliability.campaign import (
@@ -35,6 +37,7 @@ from repro.reliability.kernel import LinePool, run_trials_batch
 from repro.reliability.model import (
     SCHEMES,
     FaultModelConfig,
+    plan_for,
     run_trial,
     scheme_policy,
 )
@@ -334,3 +337,124 @@ class TestBerScale:
         assert scaled.estimate.fit_due[0] == pytest.approx(
             4.0 * plain.estimate.fit_due[0]
         )
+
+
+# -- memoised-kernel stream parity on random scenarios -------------------------
+
+
+def _weights(draw, n):
+    """``n`` positive weights summing to 1 (within float rounding)."""
+    raw = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    return [w / sum(raw) for w in raw]
+
+
+@st.composite
+def _fault_classes(draw):
+    kinds = draw(st.lists(
+        st.sampled_from(["single", "word2", "burst", "column"]),
+        min_size=1, max_size=4,
+    ))
+    classes = []
+    for kind, weight in zip(kinds, _weights(draw, len(kinds))):
+        if kind == "burst":
+            # Up to 160 adjacent bits: longer than a short line, so
+            # bursts wrap past the line end and over themselves.
+            lengths = draw(st.lists(
+                st.integers(2, 160), min_size=1, max_size=4,
+            ))
+            pmf = tuple(zip(lengths, _weights(draw, len(lengths))))
+            classes.append(FaultClass(kind, weight, burst_pmf=pmf))
+        elif kind == "column":
+            # Spans beyond the line's word count wrap and are clipped.
+            classes.append(FaultClass(
+                kind, weight, span_words=draw(st.integers(2, 20)),
+            ))
+        else:
+            classes.append(FaultClass(kind, weight))
+    return tuple(classes)
+
+
+def _register_random_scenario(classes):
+    # Plans are cached by scenario *name*: name each mixture uniquely.
+    name = "random-" + hashlib.sha256(repr(classes).encode()).hexdigest()[:16]
+    register_scenario(Scenario(
+        name=name, description="hypothesis mixture", classes=classes,
+    ))
+    return name
+
+
+_LINE_BYTES = st.integers(1, 16).map(lambda words: 8 * words)
+
+
+class TestMemoisedKernelStreamParity:
+    """The draw-keyed outcome memo never changes a trial or a draw."""
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        classes=_fault_classes(),
+        line_bytes=_LINE_BYTES,
+        scheme=st.sampled_from(sorted(SCHEMES)),
+        codec=st.sampled_from(["secded", "dected", "rs-symbol", "parity"]),
+        dirty_fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        read_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_batch_equals_reference(
+        self, scenario_registry, classes, line_bytes, scheme, codec,
+        dirty_fraction, read_fraction, seed,
+    ):
+        config = FaultModelConfig(
+            line_bytes=line_bytes,
+            dirty_fraction=dirty_fraction,
+            read_fraction=read_fraction,
+            scenario=_register_random_scenario(classes),
+            ecc_codec=codec,
+        )
+        policy = scheme_policy(scheme)
+        pool = LinePool.shared(line_bytes)
+        trials = 300
+        rng_ref = random.Random(seed)
+        ref_outcomes, ref_samples = {}, []
+        for trial in range(trials):
+            outcome, domain, dirty = run_trial(policy, config, rng_ref, pool)
+            per_domain = ref_outcomes.setdefault(domain.value, {})
+            per_domain[outcome.value] = per_domain.get(outcome.value, 0) + 1
+            ref_samples.append((trial, domain.value, dirty, outcome.value))
+        # Twice through the batch kernel: the second run is served from
+        # the memo the first one filled.
+        for _ in range(2):
+            rng_batch = random.Random(seed)
+            outcomes, samples = run_trials_batch(
+                policy, config, trials, rng_batch, sample_limit=trials,
+            )
+            assert outcomes == ref_outcomes
+            assert samples == ref_samples
+            assert rng_batch.getstate() == rng_ref.getstate()
+
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        classes=_fault_classes(),
+        line_bytes=st.lists(_LINE_BYTES, min_size=2, max_size=2, unique=True),
+        seed=st.integers(0, 2**32),
+    )
+    def test_line_sizes_never_share_memo_entries(
+        self, scenario_registry, classes, line_bytes, seed
+    ):
+        name = _register_random_scenario(classes)
+        policy = scheme_policy("uniform-ecc")
+        configs = [
+            FaultModelConfig(line_bytes=size, scenario=name)
+            for size in line_bytes
+        ]
+        plans = [plan_for(policy, config) for config in configs]
+        assert plans[0].outcome_memo is not plans[1].outcome_memo
+        run_trials_batch(policy, configs[0], 200, random.Random(seed))
+        before = dict(plans[0].outcome_memo)
+        run_trials_batch(policy, configs[1], 200, random.Random(seed))
+        assert plans[0].outcome_memo == before
