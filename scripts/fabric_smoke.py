@@ -10,12 +10,16 @@ asserts the fabric contract end to end:
 * both replicas report the campaign done and serve **bit-identical**
   result documents, equal to a direct :mod:`repro.api` call;
 * every shard executed exactly once across the cluster (work was
-  split, not duplicated);
+  split, not duplicated), and the shards live only in ``fabric.db``:
+  nothing is written under ``<data>/checkpoints/``;
 * ``GET /v1/workers`` shows both replicas alive;
 * a shard leased by a dead "ghost" replica is stolen and finished by a
   survivor, still bit-identical;
 * a third, fresh replica serves the finished key straight from the
-  fabric result cache without executing anything.
+  fabric result cache without executing anything;
+* a campaign canceled on one replica after its first round resumes
+  from its ``fabric.db`` rows when resubmitted to the other, still
+  bit-identical.
 
 Usage: ``PYTHONPATH=src python scripts/fabric_smoke.py``
 """
@@ -24,6 +28,7 @@ import json
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 from repro import api
 from repro.experiments.pool import SweepEngine
@@ -37,14 +42,44 @@ CAMPAIGN = {
     "seed": 9,
 }
 TOTAL_SHARDS = 8  # 500/125 = 4 shards per scheme, two schemes
+#: Slow enough (reference kernel, 20 rounds) that a cancel sent after
+#: the first round lands mid-campaign.
+SLOW_CAMPAIGN = {
+    "schemes": ["uniform-ecc"],
+    "trials": 20000,
+    "trials_per_shard": 500,
+    "shards_per_round": 2,
+    "kernel": "reference",
+    "seed": 4,
+}
 
 
-def expected_doc():
+def expected_doc(campaign=CAMPAIGN):
     direct = api.reliability(
-        api.request_from_dict(api.ReliabilityRequest, CAMPAIGN),
+        api.request_from_dict(api.ReliabilityRequest, campaign),
         engine=SweepEngine(),
     )
     return json.loads(json.dumps(direct.as_dict()))
+
+
+def start_replicas(data: str, prefix: str, lease_batch=None):
+    return [
+        ReproService(
+            port=0,
+            workers=1,
+            replica_id=f"{prefix}-{i}",
+            store=JobStore(
+                data_dir=data, workers=1, replica_id=f"{prefix}-{i}",
+                lease_batch=lease_batch,
+            ),
+        ).start()
+        for i in (1, 2)
+    ]
+
+
+def no_checkpoint_files(data: str) -> None:
+    written = list(Path(data, "checkpoints").glob("**/*"))
+    assert not written, f"reliability jobs wrote checkpoint files: {written}"
 
 
 def campaign_core(doc):
@@ -58,18 +93,7 @@ def campaign_core(doc):
 
 
 def two_replica_campaign(data: str, expected) -> str:
-    replicas = [
-        ReproService(
-            port=0,
-            workers=1,
-            replica_id=f"smoke-{i}",
-            store=JobStore(
-                data_dir=data, workers=1, replica_id=f"smoke-{i}",
-                lease_batch=1,  # force shard interleaving
-            ),
-        ).start()
-        for i in (1, 2)
-    ]
+    replicas = start_replicas(data, "smoke", lease_batch=1)  # interleave
     try:
         clients = [ServiceClient(r.url) for r in replicas]
         submitted = [c.submit("reliability", CAMPAIGN) for c in clients]
@@ -94,8 +118,7 @@ def two_replica_campaign(data: str, expected) -> str:
         )
         for doc in docs:
             # Per-replica accounting closes: every shard was executed
-            # here, absorbed from a peer, or resumed from the shared
-            # checkpoint.
+            # here, absorbed from a peer, or resumed from fabric.db.
             accounted = (
                 doc["executed_shards"]
                 + doc["remote_shards"]
@@ -106,6 +129,9 @@ def two_replica_campaign(data: str, expected) -> str:
             f"bit-identical merge: {docs[0]['executed_shards']}+"
             f"{docs[1]['executed_shards']} shards split across replicas"
         )
+
+        no_checkpoint_files(data)
+        print("no checkpoint files: the shards live only in fabric.db")
 
         workers = clients[0].workers()["workers"]
         alive = {w["replica_id"] for w in workers if w["alive"]}
@@ -126,7 +152,6 @@ def ghost_reclaim(data: str, expected) -> None:
         job, _ = store.submit("reliability", CAMPAIGN)
         store.fabric.register_worker("ghost")
         ghost_keys = [("uniform-ecc", i) for i in range(2)]
-        store.fabric.ensure_shards(job.key, ghost_keys)
         leased, _ = store.fabric.lease_shards(job.key, ghost_keys, "ghost")
         assert leased == ghost_keys
         time.sleep(0.3)  # the ghost's lease and heartbeat lapse
@@ -146,6 +171,38 @@ def ghost_reclaim(data: str, expected) -> None:
         print(f"survivor stole {len(stolen)} shards from the dead ghost")
     finally:
         store.close()
+
+
+def cancel_and_resume_elsewhere(data: str) -> None:
+    expected = expected_doc(SLOW_CAMPAIGN)
+    replicas = start_replicas(data, "cancel")
+    try:
+        clients = [ServiceClient(r.url) for r in replicas]
+        job_id = clients[0].submit("reliability", SLOW_CAMPAIGN)["job"]["id"]
+        for event in clients[0].stream_events(job_id):
+            if event["type"] == "round":
+                clients[0].cancel(job_id)
+                break
+        deadline = time.monotonic() + 60
+        while clients[0].job(job_id)["state"] != "canceled":
+            assert time.monotonic() < deadline, clients[0].job(job_id)
+            time.sleep(0.05)
+
+        submitted = clients[1].submit("reliability", SLOW_CAMPAIGN)
+        assert submitted["job"]["id"] == job_id
+        doc = clients[1].result(job_id, timeout=300)
+        assert doc["resumed_shards"] > 0, doc["resumed_shards"]
+        assert campaign_core(doc) == campaign_core(expected), (
+            "resumed campaign diverged from the single-node run"
+        )
+        no_checkpoint_files(data)
+        print(
+            f"canceled after round 1; the other replica resumed "
+            f"{doc['resumed_shards']} shards from fabric.db"
+        )
+    finally:
+        for replica in replicas:
+            replica.shutdown()
 
 
 def cache_serves_cluster_wide(data: str, job_id: str, expected) -> None:
@@ -173,6 +230,8 @@ def main() -> int:
         cache_serves_cluster_wide(data, job_id, expected)
     with tempfile.TemporaryDirectory(prefix="repro-fabric-ghost-") as data:
         ghost_reclaim(data, expected)
+    with tempfile.TemporaryDirectory(prefix="repro-fabric-cancel-") as data:
+        cancel_and_resume_elsewhere(data)
     print("fabric smoke OK")
     return 0
 

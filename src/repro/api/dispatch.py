@@ -66,7 +66,7 @@ KINDS: Dict[str, Tuple[type, Callable[..., Any]]] = {}
 ENGINE_KINDS: set = set()
 
 #: Kinds that run as resumable campaigns (``progress=``, ``checkpoint=``
-#: and fabric ``coordinator=`` / ``should_abort=`` kwargs).
+#: and ``should_abort=`` kwargs).
 CAMPAIGN_KINDS: set = set()
 
 #: Kind -> kwargs producing a representative request, for kinds whose
@@ -458,21 +458,19 @@ def reliability(
     tracer=None,
     registry=None,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-    checkpoint: Optional[str] = None,
-    coordinator=None,
+    checkpoint=None,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> ReliabilityResponse:
     """Run (or resume) a campaign.
 
-    ``checkpoint`` overrides ``request.checkpoint`` (the service passes
-    a path derived from the request digest so identical campaigns share
-    one resumable checkpoint file).  ``progress`` receives round-level
-    event dicts from the engine (see
-    :class:`repro.reliability.CampaignEngine`).  ``coordinator`` plugs
-    a :class:`repro.service.fabric.ShardCoordinator` in so several
-    service replicas lease disjoint shards of this one campaign;
-    ``should_abort`` is polled at round boundaries (and in the fabric
-    wait loop) to cancel cooperatively.
+    ``checkpoint`` is the campaign's shard store and overrides
+    ``request.checkpoint``: a JSONL path, or a store object such as the
+    :class:`repro.service.fabric.ShardCoordinator` the service passes
+    so its replicas lease disjoint shards of this one campaign from
+    ``fabric.db`` (see :class:`repro.reliability.CampaignEngine`).
+    ``progress`` receives round-level event dicts from the engine;
+    ``should_abort`` is polled on every round-loop iteration to cancel
+    cooperatively.
     """
     from repro.experiments.reliability import measured_dirty_fractions
     from repro.reliability import CampaignEngine, CheckpointError
@@ -500,7 +498,6 @@ def reliability(
             tracer=tracer,
             registry=registry,
             progress=progress,
-            coordinator=coordinator,
             should_abort=should_abort,
         ).run()
     except CheckpointError as err:
@@ -527,19 +524,17 @@ def autotune(
     registry=None,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     checkpoint: Optional[str] = None,
-    coordinator=None,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> AutotuneResponse:
     """Explore the design grid and compute per-benchmark Pareto fronts.
 
-    ``checkpoint`` (the service passes ``<data>/checkpoints/<key>.jsonl``)
-    becomes the per-point campaign checkpoint *directory* — one JSONL
-    per design point under it — overriding ``request.checkpoint_dir``.
-    ``coordinator`` is accepted for kind-capability uniformity but
-    unused: the autotuner's unit of distribution is a whole point, not
-    a campaign shard, and per-point sub-campaigns would collide on the
-    fabric's ``(scheme, shard index)`` lease keys.  ``should_abort`` is
-    polled between point batches; completed points stay cached.
+    ``checkpoint`` (the service passes ``<data>/checkpoints/<key>``) is
+    the per-point campaign checkpoint *directory* — one JSONL per
+    design point under it — overriding ``request.checkpoint_dir``.  The
+    autotuner's unit of distribution is a whole point, not a campaign
+    shard, so its sub-campaigns never use the fabric's shard store.
+    ``should_abort`` is polled between point batches; completed points
+    stay cached.
     """
     from repro.autotune import (
         PointTask,
@@ -549,7 +544,7 @@ def autotune(
         resolve_objectives,
     )
 
-    del tracer, registry, coordinator  # unused; uniform executor surface
+    del tracer, registry  # unused; uniform executor surface
     eng = _engine(engine)
     points = expand_grid(
         request.benchmarks,
@@ -562,12 +557,6 @@ def autotune(
         request.scenarios,
     )
     specs = resolve_objectives(request.objectives)
-    checkpoint_dir = request.checkpoint_dir
-    if checkpoint:
-        base = checkpoint
-        if base.endswith(".jsonl"):
-            base = base[: -len(".jsonl")]
-        checkpoint_dir = base
     tasks = [
         PointTask(
             point=point,
@@ -590,7 +579,7 @@ def autotune(
         engine=eng,
         progress=progress,
         should_abort=should_abort,
-        checkpoint_dir=checkpoint_dir,
+        checkpoint_dir=checkpoint or request.checkpoint_dir,
     )
 
     intervals = [
@@ -641,7 +630,6 @@ def recommend(
     registry=None,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     checkpoint: Optional[str] = None,
-    coordinator=None,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> RecommendResponse:
     """Explore the grid, then pick a budget-feasible front point.
@@ -661,7 +649,6 @@ def recommend(
         registry=registry,
         progress=progress,
         checkpoint=checkpoint,
-        coordinator=coordinator,
         should_abort=should_abort,
     )
     choices: Dict[str, Dict[str, Any]] = {}
@@ -709,9 +696,8 @@ register_kind(
     "reliability", ReliabilityRequest, reliability, engine=True,
     campaign=True,
 )
-# campaign=True gives autotune/recommend the service's checkpoint path
-# and cooperative-abort hook; their executors ignore the fabric
-# coordinator by design (see the autotune docstring).
+# campaign=True gives autotune/recommend the service's per-job
+# checkpoint directory and cooperative-abort hook.
 register_kind(
     "autotune", AutotuneRequest, autotune, engine=True, campaign=True,
 )

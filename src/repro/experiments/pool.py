@@ -36,6 +36,7 @@ import json
 import os
 import pickle
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,7 +192,8 @@ class ResultCache:
     def put(self, key: str, value: Any) -> None:
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
+        # One temp file per writer (process, thread): no shared name.
+        tmp = path.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
         with tmp.open("wb") as fh:
             pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)  # atomic: concurrent writers can't tear

@@ -26,8 +26,9 @@ not a handful of fixed-trial loops.  This package is that harness:
   sequential stopping rule (run until the SDC-rate interval is tight);
 * :mod:`repro.reliability.estimates` — FIT / MTTF / AVF arithmetic with
   confidence intervals propagated from the trial counts;
-* :mod:`repro.reliability.checkpoint` — JSONL shard checkpoints so an
-  interrupted campaign resumes exactly where it stopped;
+* :mod:`repro.reliability.checkpoint` — the JSONL shard store the
+  engine's round loop drives, so an interrupted campaign resumes
+  exactly where it stopped;
 * :mod:`repro.reliability.campaign` — the engine: deterministic
   per-shard seeding, fan-out over
   :class:`repro.experiments.pool.SweepEngine` workers, telemetry.

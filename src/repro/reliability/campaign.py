@@ -12,9 +12,11 @@ checkpointing and reproducibility:
 * **Fan-out.** Rounds of shards go through
   :meth:`repro.experiments.pool.SweepEngine.map_tasks`, the same worker
   pool the figure sweeps use (``--jobs N``).
-* **Checkpoint/resume.** Each completed shard's counts append to a
-  JSONL checkpoint (:mod:`repro.reliability.checkpoint`); an
-  interrupted campaign reloads them, finishes the partial round, and
+* **One round loop, one shard store.** Each round's shards are leased,
+  run and completed into a store (:mod:`repro.reliability.checkpoint`):
+  a local run is a fabric of one, optionally with a JSONL checkpoint;
+  the job service's store is its shared ``fabric.db``.  An interrupted
+  campaign reloads the store's shards, finishes the partial round, and
   continues — producing the bit-identical aggregate of an
   uninterrupted run.
 * **Statistical stopping.** With ``trials=None`` the campaign runs
@@ -24,7 +26,7 @@ checkpointing and reproducibility:
   the stopping point is identical at any ``--jobs`` value and across
   interrupt/resume.  Those aggregates are running per-scheme totals,
   updated as each shard is absorbed (run here, published by a fabric
-  peer or reloaded from the checkpoint), so a round boundary costs the
+  peer or reloaded from the store), so a round boundary costs the
   same however many shards came before it; the result folds every
   shard once, in shard-index order.
 
@@ -37,6 +39,7 @@ events) and :class:`~repro.telemetry.metrics.MetricsRegistry` counters.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -101,10 +104,10 @@ KERNELS: Tuple[str, ...] = ("batch", "reference", "vector")
 class CampaignAborted(RuntimeError):
     """The campaign stopped because ``should_abort`` returned True.
 
-    Raised out of :meth:`CampaignEngine.run` at the next round boundary
-    (or fabric wait-loop iteration) after a cancellation is observed;
-    completed shards are already checkpointed, so a later identical
-    request resumes rather than restarts.
+    Raised out of :meth:`CampaignEngine.run` at the next iteration of
+    the round loop after a cancellation is observed; completed shards
+    are already in the store, so a later identical request resumes
+    rather than restarts.
     """
 
 
@@ -424,11 +427,11 @@ class CampaignResult:
 
     config: CampaignConfig
     schemes: Dict[str, SchemeResult]
-    #: Shards replayed from the checkpoint vs executed this run.
+    #: Shards reloaded from the store vs executed this run.
     resumed_shards: int
     executed_shards: int
     #: Shards executed by *other* fabric replicas and absorbed from the
-    #: shared store (0 outside a fabric run).
+    #: shared store (0 for a store without peers).
     remote_shards: int = 0
 
     @property
@@ -519,8 +522,11 @@ class CampaignEngine:
         setting is the parallelism); a private sequential engine is
         built when omitted.
     ``checkpoint``
-        Path or :class:`CampaignCheckpoint` for durable shard results;
-        ``None`` runs without resume support.
+        The shard store: a JSONL checkpoint path, or an object with the
+        :class:`CampaignCheckpoint` store methods, such as the service's
+        :class:`~repro.service.fabric.ShardCoordinator` through which N
+        engines lease disjoint shards of one campaign.  ``None`` keeps
+        shards in memory only (no resume).
     ``tracer`` / ``registry``
         Optional telemetry sinks: per-trial ``campaign_outcome`` events
         (head-sampled per shard) and per-scheme outcome counters.
@@ -531,21 +537,10 @@ class CampaignEngine:
         ``round`` (a round boundary with per-scheme trial counts and
         achieved half-widths — the points where stopping decisions are
         made).  This is what the job service streams as NDJSON/SSE.
-    ``coordinator``
-        Optional shard-lease coordinator (duck-typed to
-        :class:`repro.service.fabric.ShardCoordinator`).  When set,
-        every round's shards are *leased* from a shared store instead
-        of executed unconditionally: this replica runs the shards it
-        wins, absorbs results other replicas publish, and steals back
-        expired leases from dead replicas — so N engines pointed at one
-        fabric cooperatively execute one campaign.  Because stopping
-        decisions still happen at round boundaries over the merged
-        (index-ordered) aggregate, the result is bit-identical to a
-        single-node run.
     ``should_abort``
-        Optional zero-arg callable polled at round boundaries and in
-        the fabric wait loop; returning True raises
-        :class:`CampaignAborted` (completed shards stay checkpointed).
+        Optional zero-arg callable polled on every iteration of the
+        round loop; returning True raises :class:`CampaignAborted`
+        (completed shards stay in the store).
     """
 
     def __init__(
@@ -556,19 +551,16 @@ class CampaignEngine:
         tracer: Optional[EventTracer] = None,
         registry: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-        coordinator: Optional[Any] = None,
         should_abort: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.config = config
         self.engine = engine or SweepEngine()
-        if checkpoint is None or isinstance(checkpoint, CampaignCheckpoint):
-            self.checkpoint = checkpoint
-        else:
-            self.checkpoint = CampaignCheckpoint(checkpoint)
+        if checkpoint is None or isinstance(checkpoint, (str, os.PathLike)):
+            checkpoint = CampaignCheckpoint(checkpoint)
+        self.store = checkpoint
         self.tracer = tracer
         self.registry = registry if registry is not None else MetricsRegistry()
         self.progress = progress
-        self.coordinator = coordinator
         self.should_abort = should_abort
         self.resumed_shards = 0
         self.executed_shards = 0
@@ -577,10 +569,6 @@ class CampaignEngine:
     def _emit_progress(self, event: Dict[str, Any]) -> None:
         if self.progress is not None:
             self.progress(event)
-
-    def _abort_check(self) -> None:
-        if self.should_abort is not None and self.should_abort():
-            raise CampaignAborted("campaign canceled")
 
     # -- scheduling --------------------------------------------------------
 
@@ -639,18 +627,16 @@ class CampaignEngine:
 
     def run(self) -> CampaignResult:
         """Run (or resume) the campaign to its stopping point."""
-        digest = config_digest(self.config.describe())
+        describe = self.config.describe()
         states = {
             scheme: _SchemeState(scheme) for scheme in self.config.schemes
         }
-        if self.checkpoint is not None:
-            for (scheme, index), record in self.checkpoint.load(
-                digest
-            ).items():
-                if scheme in states:
-                    states[scheme].absorb(ShardResult.from_record(record))
+        try:
+            for record in self.store.resume(config_digest(describe), describe):
+                state = states.get(record["scheme"])
+                if state is not None:
+                    state.absorb(ShardResult.from_record(record))
                     self.resumed_shards += 1
-            self.checkpoint.write_header(digest, self.config.describe())
             if self.resumed_shards:
                 self._emit_progress({
                     "type": "resume",
@@ -660,15 +646,12 @@ class CampaignEngine:
                         for scheme, state in states.items()
                     },
                 })
-
-        try:
             if self.config.trials is not None:
                 self._run_fixed(states)
             else:
                 self._run_auto(states)
         finally:
-            if self.checkpoint is not None:
-                self.checkpoint.close()
+            self.store.close()
         return self._result(states)
 
     def _run_fixed(self, states: Dict[str, _SchemeState]) -> None:
@@ -683,11 +666,10 @@ class CampaignEngine:
             )
             state.stopped_by = "fixed"
         # Execute round-sized batches rather than one giant map_tasks
-        # call: shard records reach the checkpoint between batches, so
-        # an interrupt loses at most one round of work per scheme.
+        # call: shard records reach the store between batches, so an
+        # interrupt loses at most one round of work per scheme.
         per_batch = self.config.shards_per_round * len(self.config.schemes)
         for start in range(0, len(specs), per_batch):
-            self._abort_check()
             self._execute(specs[start : start + per_batch], states)
             self._emit_round(states)
 
@@ -695,7 +677,6 @@ class CampaignEngine:
         for state in states.values():
             self._check_auto_stop(state)
         while True:
-            self._abort_check()
             specs: List[ShardSpec] = []
             for scheme in self.config.schemes:
                 state = states[scheme]
@@ -712,39 +693,24 @@ class CampaignEngine:
     def _execute(
         self, specs: List[ShardSpec], states: Dict[str, _SchemeState]
     ) -> None:
-        if not specs:
-            return
-        if self.coordinator is not None:
-            self._execute_fabric(specs, states)
-            return
-        results = self.engine.map_tasks(
-            run_shard, specs, phase="campaign-shard"
-        )
-        for result in sorted(results, key=lambda r: (r.scheme, r.index)):
-            self._absorb(result, states, remote=False)
-
-    def _execute_fabric(
-        self, specs: List[ShardSpec], states: Dict[str, _SchemeState]
-    ) -> None:
-        """One round through the shared fabric: lease, run, merge, steal.
+        """One round: lease, run, complete, absorb peers' results.
 
         Loops until every spec of the round has a result — executed
-        here (leases this replica won), published by another replica
-        (absorbed as ``remote``), or stolen back after the owning
-        replica's lease expired / heartbeat went stale.  The round
+        here (leases this replica won), published by a peer (absorbed
+        as ``remote``), or stolen back after the owning replica's lease
+        expired / heartbeat went stale.  A store without peers leases
+        the whole round at once, so its loop runs once.  The round
         barrier is what keeps every replica's stopping decisions — and
         therefore the shard schedule itself — identical.
         """
-        coordinator = self.coordinator
+        store = self.store
         pending: Dict[Tuple[str, int], ShardSpec] = {
             (spec.scheme, spec.index): spec for spec in specs
         }
-        coordinator.announce(list(pending.values()))
         while pending:
-            self._abort_check()
-            coordinator.heartbeat()
-            ordered = [pending[key] for key in sorted(pending)]
-            mine, stolen = coordinator.lease(ordered)
+            if self.should_abort is not None and self.should_abort():
+                raise CampaignAborted("campaign canceled")
+            mine, stolen = store.lease([pending[key] for key in sorted(pending)])
             if stolen:
                 self._emit_progress({
                     "type": "steal",
@@ -754,19 +720,17 @@ class CampaignEngine:
                 results = self.engine.map_tasks(
                     run_shard, mine, phase="campaign-shard"
                 )
-                for result in sorted(
-                    results, key=lambda r: (r.scheme, r.index)
-                ):
-                    coordinator.complete(result)
+                for result in sorted(results, key=lambda r: (r.scheme, r.index)):
+                    store.complete(result)
                     self._absorb(result, states, remote=False)
                     pending.pop((result.scheme, result.index))
-            remote = coordinator.completed(sorted(pending))
+            remote = store.completed(sorted(pending))
             for record in remote:
                 result = ShardResult.from_record(record)
                 self._absorb(result, states, remote=True)
                 pending.pop((result.scheme, result.index))
             if pending and not mine and not remote:
-                time.sleep(coordinator.poll_interval)
+                time.sleep(store.poll_interval)
 
     def _absorb(
         self,
@@ -776,8 +740,7 @@ class CampaignEngine:
     ) -> None:
         """Fold one completed shard into the running aggregates.
 
-        Local results checkpoint here; remote ones do not — the replica
-        that executed them already appended to the shared JSONL log.
+        ``remote`` only picks the counter: executed here or by a peer.
         Telemetry counters absorb both, so every replica's counters
         describe the whole campaign, not just its own slice.
         """
@@ -786,8 +749,6 @@ class CampaignEngine:
             self.remote_shards += 1
         else:
             self.executed_shards += 1
-            if self.checkpoint is not None:
-                self.checkpoint.append_shard(result.as_record())
         self._emit_telemetry(result)
         event = {
             "type": "shard",

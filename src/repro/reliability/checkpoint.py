@@ -2,7 +2,8 @@
 
 A campaign is a deterministic schedule of independent **shards** (see
 :mod:`repro.reliability.campaign`), so its durable state is simply the
-set of completed shard results.  The checkpoint is a JSON-Lines file:
+set of completed shard results.  The checkpoint is a JSON-Lines file
+with one writer:
 
 * line 1 — a ``header`` record carrying the schema version and a
   digest of everything that shapes the shard schedule (seed, model
@@ -12,13 +13,14 @@ set of completed shard results.  The checkpoint is a JSON-Lines file:
 * every further line — one ``shard`` record: scheme, shard index, and
   its outcome counts.
 
-Records are appended and flushed as each shard completes, so the file
-is valid after a SIGINT at any point; a torn final line (the process
-died mid-write) is detected and ignored on load.  Resume correctness —
-the property the tests pin — is that *interrupt + resume* produces the
-bit-identical aggregate of an uninterrupted run: shard seeds depend
-only on (seed, scheme, index), completed shards are skipped by index,
-and aggregation is an order-independent sum.
+Records are appended and fsynced as each shard completes, so the file
+is valid after a SIGKILL at any point.  A torn final line (the process
+died mid-write) is skipped on load and cut off before the next append,
+so the resumed run's records start on a line of their own.  Resume
+correctness — the property the tests pin — is that *interrupt + resume*
+produces the bit-identical aggregate of an uninterrupted run: shard
+seeds depend only on (seed, scheme, index), completed shards are
+skipped by index, and aggregation is an order-independent sum.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.reliability.model import DOMAIN_ORDER, TrialOutcome
 
@@ -96,11 +98,46 @@ def config_digest(payload: Dict[str, Any]) -> str:
 
 
 class CampaignCheckpoint:
-    """Append-only JSONL store of completed shard results."""
+    """Append-only JSONL store of completed shard results.
 
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.path = Path(path)
+    It is also the shard store a local campaign's round loop drives, a
+    fabric of one: it leases every offered shard, has no peers, and
+    appends each shard on ``complete``.  The service's
+    :class:`~repro.service.fabric.ShardCoordinator` implements the same
+    methods over ``fabric.db``.  ``path=None`` keeps nothing (no resume).
+    """
+
+    #: Seconds the engine sleeps while peers hold every pending shard.
+    poll_interval = 0.0
+
+    def __init__(self, path: Union[str, os.PathLike, None]) -> None:
+        self.path = None if path is None else Path(path)
         self._fh = None
+
+    # -- the shard-store protocol ------------------------------------------
+
+    def resume(self, digest: str, describe: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """Claim the store for the campaign ``digest`` names; return the
+        shard records it already holds."""
+        if self.path is None:
+            return []
+        done = self.load(digest)
+        self.write_header(digest, describe)
+        return list(done.values())
+
+    def lease(self, specs: Sequence[Any]) -> Tuple[List[Any], List[Any]]:
+        """``(mine, stolen)``: the offered specs to run here, and the
+        subset taken back from a dead peer (always all, and none)."""
+        return list(specs), []
+
+    def complete(self, result: Any) -> None:
+        """Keep one shard result executed here."""
+        if self.path is not None:
+            self.append_shard(result.as_record())
+
+    def completed(self, keys: Sequence[Tuple[str, int]]) -> List[Dict[str, Any]]:
+        """Records of the given shards that peers completed (none)."""
+        return []
 
     # -- reading -----------------------------------------------------------
 
@@ -157,18 +194,6 @@ class CampaignCheckpoint:
             )
         done: Dict[Tuple[str, int], Dict[str, Any]] = {}
         for lineno, record in records[1:]:
-            if record.get("type") == "header":
-                # Two fabric replicas sharing one checkpoint file can
-                # race write_header's exists() check; an identical
-                # duplicate header is harmless, a differing one is not.
-                if (
-                    record.get("version") == header.get("version")
-                    and record.get("digest") == header.get("digest")
-                ):
-                    continue
-                raise CheckpointError(
-                    f"{self.path}: conflicting duplicate header record"
-                )
             if record.get("type") != "shard":
                 raise CheckpointError(
                     f"{self.path}: unexpected record type "
@@ -188,11 +213,18 @@ class CampaignCheckpoint:
     def _open(self) -> None:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():
+                # A line torn by a kill has no newline yet: cut it off,
+                # or the next record would be glued onto it.
+                data = self.path.read_bytes()
+                os.truncate(self.path, data.rfind(b"\n") + 1)
             self._fh = self.path.open("a", encoding="utf-8")
 
     def write_header(self, digest: str, describe: Dict[str, Any]) -> None:
-        """Write the header once (no-op if the file already has content)."""
-        if self.path.exists() and self.path.stat().st_size > 0:
+        """Write the header once (no-op if the file already has a
+        complete line)."""
+        self._open()
+        if self.path.stat().st_size > 0:
             return
         self._append(
             {
@@ -217,6 +249,7 @@ class CampaignCheckpoint:
         os.fsync(self._fh.fileno())
 
     def close(self) -> None:
+        """The campaign ended or failed: give back what it holds."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None

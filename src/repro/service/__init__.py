@@ -7,7 +7,7 @@ content-addressed request keys (identical concurrent submissions share
 one execution), streams progress as NDJSON or SSE events sourced from
 the engines' telemetry hooks, and survives restarts — simulation cells
 persist in the shared on-disk result cache and campaigns resume from
-their JSONL checkpoints.
+their completed shards in the fabric store.
 
 Several replicas pointed at one ``--data-dir`` form a **fabric**: a
 shared SQLite store (:mod:`repro.service.fabric`) registers workers,

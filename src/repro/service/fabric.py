@@ -2,7 +2,7 @@
 
 N ``repro serve`` replicas pointed at one ``--data-dir`` cooperate
 through this store (``<data_dir>/fabric.db``, WAL mode, stdlib
-:mod:`sqlite3`).  It holds four tables:
+:mod:`sqlite3`).  It holds five tables:
 
 * ``jobs`` — every request ever submitted anywhere in the cluster,
   keyed by :func:`repro.api.request_key`, with its lifecycle state and
@@ -12,7 +12,9 @@ through this store (``<data_dir>/fabric.db``, WAL mode, stdlib
   cluster-wide result cache);
 * ``shards`` — one row per campaign shard, the work-stealing unit:
   ``pending`` → ``leased`` (owner + expiry) → ``done`` (with the
-  shard's outcome record);
+  shard's outcome record), the only copy of a service campaign's shards;
+* ``campaigns`` — the configuration digest each job's shards were
+  recorded under, so resuming under another one is refused;
 * ``workers`` — replica registrations with heartbeats, so leases held
   by a dead replica are recognizable and reclaimable.
 
@@ -23,7 +25,8 @@ its owner is merely slow costs a duplicate execution — never a wrong
 answer (``complete_shard`` is idempotent; duplicate records are
 bit-identical).  Every read-modify-write runs under ``BEGIN
 IMMEDIATE`` with a connection per operation, so the store is safe
-across threads and processes.
+across threads and processes; a completed shard commits with
+``synchronous=FULL``, so it is durable once ``complete_shard`` returns.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: Shard lifecycle inside the fabric store.
-SHARD_STATES = ("pending", "leased", "done")
+from repro.reliability.checkpoint import CheckpointError
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -65,6 +67,10 @@ CREATE TABLE IF NOT EXISTS shards (
     lease_expires REAL,
     record TEXT,
     PRIMARY KEY (job_key, scheme, idx)
+);
+CREATE TABLE IF NOT EXISTS campaigns (
+    job_key TEXT PRIMARY KEY,
+    digest TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS workers (
     replica_id TEXT PRIMARY KEY,
@@ -262,19 +268,6 @@ class FabricStore:
 
     # -- shards --------------------------------------------------------------
 
-    def ensure_shards(
-        self, job_key: str, keys: Sequence[Tuple[str, int]]
-    ) -> None:
-        """Announce a round's shards (idempotent: whichever replica
-        announces first wins; the rest INSERT OR IGNORE)."""
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            conn.executemany(
-                "INSERT OR IGNORE INTO shards (job_key, scheme, idx) "
-                "VALUES (?, ?, ?)",
-                [(job_key, scheme, idx) for scheme, idx in keys],
-            )
-
     def lease_shards(
         self,
         job_key: str,
@@ -282,7 +275,9 @@ class FabricStore:
         replica_id: str,
         limit: Optional[int] = None,
     ) -> Tuple[List[Tuple[str, int]], List[Tuple[str, int]]]:
-        """Lease up to ``limit`` of the offered shards (None = all).
+        """Lease up to ``limit`` of the offered shards (None = all),
+        first announcing those not yet in the store (whichever replica
+        announces a shard first wins; the rest INSERT OR IGNORE).
 
         Two passes inside one transaction: ``pending`` shards first
         (normal work distribution), then **stealing** — ``leased``
@@ -299,6 +294,11 @@ class FabricStore:
         stolen: List[Tuple[str, int]] = []
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
+            conn.executemany(
+                "INSERT OR IGNORE INTO shards (job_key, scheme, idx) "
+                "VALUES (?, ?, ?)",
+                [(job_key, scheme, idx) for scheme, idx in keys],
+            )
             rows = conn.execute(
                 "SELECT scheme, idx FROM shards "
                 "WHERE job_key = ? AND state = 'pending' "
@@ -332,12 +332,39 @@ class FabricStore:
                 )
         return leased + stolen, stolen
 
+    def open_campaign(self, job_key: str, digest: str) -> List[Dict[str, Any]]:
+        """Record ``digest`` as the configuration of ``job_key``'s shards
+        (the first caller's wins) and return the job's ``done`` records;
+        :class:`CheckpointError` if they were recorded under another."""
+        with self._connect() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            conn.execute(
+                "INSERT OR IGNORE INTO campaigns VALUES (?, ?)", (job_key, digest)
+            )
+            (recorded,) = conn.execute(
+                "SELECT digest FROM campaigns WHERE job_key = ?", (job_key,)
+            ).fetchone()
+            if recorded != digest:
+                raise CheckpointError(
+                    f"{self.path}: campaign configuration of job "
+                    f"{job_key[:16]} changed since its shards were "
+                    "recorded; resubmit it under the original configuration"
+                )
+            rows = conn.execute(
+                "SELECT record FROM shards "
+                "WHERE job_key = ? AND state = 'done' ORDER BY scheme, idx",
+                (job_key,),
+            ).fetchall()
+        return [json.loads(r[0]) for r in rows]
+
     def complete_shard(
         self, job_key: str, record: Dict[str, Any]
     ) -> None:
-        """Publish one shard's outcome record (idempotent — duplicate
-        executions of a deterministic shard write identical records)."""
+        """Publish one shard's outcome record, durably (idempotent —
+        duplicate executions of a deterministic shard write identical
+        records)."""
         with self._connect() as conn:
+            conn.execute("PRAGMA synchronous=FULL")
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
                 "UPDATE shards SET state = 'done', owner = NULL, "
@@ -365,31 +392,35 @@ class FabricStore:
             ).fetchall()
         return [json.loads(r[0]) for r in rows]
 
-    def release_worker_leases(self, replica_id: str) -> int:
-        """Return a replica's unfinished leases to ``pending`` (graceful
-        failure path — don't make peers wait out the lease clock)."""
+    def release_leases(self, job_key: str, replica_id: str) -> int:
+        """Return a replica's unfinished leases of one job to ``pending``
+        (graceful failure path — don't make peers wait out the clock)."""
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             cur = conn.execute(
                 "UPDATE shards SET state = 'pending', owner = NULL, "
                 "lease_expires = NULL "
-                "WHERE owner = ? AND state = 'leased'",
-                (replica_id,),
+                "WHERE job_key = ? AND owner = ? AND state = 'leased'",
+                (job_key, replica_id),
             )
             return cur.rowcount
 
 
 class ShardCoordinator:
-    """One campaign's view of the fabric, as the engine consumes it.
+    """One campaign's shard store in the fabric, as the engine consumes it.
 
-    :class:`~repro.reliability.campaign.CampaignEngine` drives this
-    per-round: ``announce`` the round's shards, ``lease`` a batch, run
-    them, ``complete`` each, absorb peers' results via ``completed``,
-    repeat until the round closes.  ``lease_batch=None`` leases every
-    offered shard at once — a single replica then behaves exactly like
-    a plain local run (one ``map_tasks`` call per round); smaller
-    batches interleave replicas within a round.
+    Passed as ``checkpoint=`` to
+    :class:`~repro.reliability.campaign.CampaignEngine`, it implements
+    the store methods of
+    :class:`~repro.reliability.checkpoint.CampaignCheckpoint`:
+    ``resume`` reads the job's ``done`` rows, and ``close`` returns the
+    leases a failed or aborted campaign still holds.
+    ``lease_batch=None`` leases every offered shard at once — a single
+    replica then behaves exactly like a local run (one ``map_tasks``
+    call per round); smaller batches interleave replicas within a round.
     """
+
+    poll_interval = 0.05
 
     def __init__(
         self,
@@ -397,18 +428,14 @@ class ShardCoordinator:
         job_key: str,
         replica_id: str,
         lease_batch: Optional[int] = None,
-        poll_interval: float = 0.05,
     ) -> None:
         self.store = store
         self.job_key = job_key
         self.replica_id = replica_id
         self.lease_batch = lease_batch
-        self.poll_interval = poll_interval
 
-    def announce(self, specs: Sequence[Any]) -> None:
-        self.store.ensure_shards(
-            self.job_key, [(s.scheme, s.index) for s in specs]
-        )
+    def resume(self, digest: str, describe: Dict[str, Any]) -> List[Dict[str, Any]]:
+        return self.store.open_campaign(self.job_key, digest)
 
     def lease(
         self, specs: Sequence[Any]
@@ -435,8 +462,8 @@ class ShardCoordinator:
     ) -> List[Dict[str, Any]]:
         return self.store.done_shards(self.job_key, keys)
 
-    def heartbeat(self) -> None:
-        self.store.heartbeat(self.replica_id)
+    def close(self) -> None:
+        self.store.release_leases(self.job_key, self.replica_id)
 
     def canceled(self) -> bool:
         return self.store.job_state(self.job_key) == "canceled"
@@ -444,7 +471,6 @@ class ShardCoordinator:
 
 __all__ = [
     "FabricStore",
-    "SHARD_STATES",
     "ShardCoordinator",
     "default_replica_id",
 ]

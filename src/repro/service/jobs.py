@@ -12,17 +12,15 @@ Durability lives below the store, not in it:
 * every job's sweep engine shares one on-disk
   :class:`~repro.experiments.pool.ResultCache` under
   ``<data_dir>/cache``, so finished simulation cells survive restarts;
-* every reliability campaign checkpoints to
-  ``<data_dir>/checkpoints/<job key>.jsonl``, so a campaign interrupted
-  by a crash or restart resumes from its completed shards when the same
-  request is submitted to a fresh store — bit-identical to an
-  uninterrupted run (round-boundary stopping, deterministic shard
-  seeds);
 * every store joins the :class:`~repro.service.fabric.FabricStore` at
   ``<data_dir>/fabric.db``: finished result documents are cached
   cluster-wide (any replica serves any previously computed job), and
-  reliability campaigns running on several replicas at once lease
-  shards from each other instead of duplicating work.
+  a reliability campaign's shards live only there: replicas running it
+  at once lease shards from each other, and a fresh store resumes an
+  interrupted one from its ``done`` rows — bit-identical to an
+  uninterrupted run;
+* autotune/recommend jobs checkpoint each design point under
+  ``<data_dir>/checkpoints/<job key>/``.
 
 The store's own job *records* are in-memory: a restart forgets them but
 no completed *work*.
@@ -267,8 +265,6 @@ class JobStore:
             raise ValueError("workers must be >= 0 and jobs >= 1")
         self.data_dir = Path(data_dir) if data_dir else default_data_dir()
         self.cache_dir = self.data_dir / "cache"
-        self.checkpoint_dir = self.data_dir / "checkpoints"
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self.jobs_per_engine = jobs
         self.engine_factory = engine_factory
         self.replica_id = replica_id or default_replica_id()
@@ -423,12 +419,6 @@ class JobStore:
             }),
         )
 
-    def checkpoint_path(self, key: str) -> Path:
-        """Where a reliability job's shards persist — derived from the
-        request digest, so identical campaigns share one resumable
-        file across submissions, service restarts *and* replicas."""
-        return self.checkpoint_dir / f"{key}.jsonl"
-
     def _should_abort(self, job: Job) -> Callable[[], bool]:
         def check() -> bool:
             if job.cancel_requested:
@@ -446,26 +436,23 @@ class JobStore:
                 kwargs["engine"] = self._engine(job)
             if job.kind in api.CAMPAIGN_KINDS:
                 kwargs["progress"] = job.emit
-                kwargs["checkpoint"] = str(self.checkpoint_path(job.key))
-                kwargs["coordinator"] = ShardCoordinator(
-                    self.fabric,
-                    job.key,
-                    self.replica_id,
-                    lease_batch=self.lease_batch,
-                )
                 kwargs["should_abort"] = self._should_abort(job)
+                kwargs["checkpoint"] = (
+                    ShardCoordinator(
+                        self.fabric, job.key, self.replica_id, self.lease_batch
+                    )
+                    if job.kind == "reliability"
+                    else str(self.data_dir / "checkpoints" / job.key)
+                )
             result = api.execute(job.kind, job.request, **kwargs)
         except CampaignAborted:
-            self.fabric.release_worker_leases(self.replica_id)
             self.fabric.set_job_state(job.key, "canceled")
             job._finish("canceled")
         except api.ReproError as err:
-            self.fabric.release_worker_leases(self.replica_id)
             self.fabric.set_job_state(job.key, "error", error=str(err))
             job._finish("error", error=str(err))
         except Exception:
             err = traceback.format_exc(limit=8)
-            self.fabric.release_worker_leases(self.replica_id)
             self.fabric.set_job_state(job.key, "error", error=err)
             job._finish("error", error=err)
         else:

@@ -1,6 +1,8 @@
 """Tests for the parallel sweep engine and its result cache."""
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
@@ -86,6 +88,40 @@ class TestResultCache:
         cache.put("34" * 32, 2)
         assert cache.clear() == 2
         assert len(cache) == 0
+
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        # Overlapping jobs can compute and store the same cell at once:
+        # every put must land whole, none may fail.
+        cache = ResultCache(tmp_path)
+        key = "56" * 32
+        errors = []
+
+        def writer(value):
+            for _ in range(50):
+                try:
+                    cache.put(key, value)
+                except Exception as err:
+                    errors.append(err)
+
+        threads = [
+            threading.Thread(target=writer, args=([i] * 1000,))
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.get(key) in [[i] * 1000 for i in range(4)]
+        assert [p.name for p in cache.path(key).parent.iterdir()] == [
+            cache.path(key).name
+        ]
 
 
 class TestEngineSequential:

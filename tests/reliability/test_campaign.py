@@ -1,5 +1,6 @@
 """The campaign engine: seeding, determinism, resume, stopping, telemetry."""
 
+import json
 import random
 import tempfile
 from pathlib import Path
@@ -187,6 +188,24 @@ class TestCheckpointResume:
 
         assert resumed.resumed_shards == 2
         assert _aggregates(resumed) == _aggregates(baseline)
+
+    def test_torn_checkpoint_resumes_twice(self, tmp_path):
+        # The first resume appends after a torn tail; the second must
+        # still load the file (the torn fragment was cut, not glued to).
+        config = self._auto_config()
+        path = tmp_path / "campaign.jsonl"
+        baseline = run_campaign(config, engine=_engine(), checkpoint=str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3]) + "\n" + lines[3][:17])
+
+        first = run_campaign(config, engine=_engine(), checkpoint=str(path))
+        again = run_campaign(config, engine=_engine(), checkpoint=str(path))
+
+        assert first.resumed_shards == 2 and first.executed_shards > 0
+        assert again.executed_shards == 0
+        assert again.resumed_shards == 2 + first.executed_shards
+        assert _aggregates(first) == _aggregates(baseline)
+        assert _aggregates(again) == _aggregates(baseline)
 
     def test_completed_checkpoint_replays_without_work(self, tmp_path):
         config = self._auto_config()
@@ -389,25 +408,23 @@ class _ShufflingEngine(SweepEngine):
         return results
 
 
-class _FakeFabric:
-    """A shard coordinator whose other replica is simulated in-process.
+class _FakeFabric(CampaignCheckpoint):
+    """A shard store whose other replica is simulated in-process.
 
-    Each lease keeps a random part of the offered shards for this
-    replica; the rest are run "elsewhere" and published, some only on
-    a later poll, and come back in a random order.
+    It resumes from the shard records it is given.  Each lease keeps a
+    random part of the offered shards for this replica; the rest are
+    run "elsewhere" and published, some only on a later poll, and come
+    back in a random order.
     """
 
-    poll_interval = 0.0
-
-    def __init__(self, seed):
+    def __init__(self, seed, records):
+        super().__init__(None)
         self.rng = random.Random(seed)
+        self.records = records
         self.published = {}
 
-    def announce(self, specs):
-        pass
-
-    def heartbeat(self):
-        pass
+    def resume(self, digest, describe):
+        return self.records
 
     def lease(self, specs):
         mine = []
@@ -421,9 +438,6 @@ class _FakeFabric:
                 self.published[key] = run_shard(spec).as_record()
         return mine, []
 
-    def complete(self, result):
-        pass
-
     def completed(self, keys):
         ready = [self.published[key] for key in keys if key in self.published]
         self.rng.shuffle(ready)
@@ -431,13 +445,19 @@ class _FakeFabric:
 
 
 def _round_events(engine_cls, config, checkpoint, engine_seed, fabric_seed):
+    """``checkpoint`` is a JSONL prefix; with a ``fabric_seed`` the
+    fake fabric serves its shard records instead."""
+    if fabric_seed is not None:
+        lines = Path(checkpoint).read_text().splitlines()[1:]
+        checkpoint = _FakeFabric(
+            fabric_seed, [json.loads(line) for line in lines]
+        )
     events = []
     engine = engine_cls(
         config,
         engine=_ShufflingEngine(engine_seed),
         checkpoint=checkpoint,
         progress=events.append,
-        coordinator=None if fabric_seed is None else _FakeFabric(fabric_seed),
     )
     result = engine.run()
     rounds = [event["schemes"] for event in events if event["type"] == "round"]

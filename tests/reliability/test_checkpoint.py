@@ -67,6 +67,23 @@ def test_torn_final_line_is_skipped(tmp_path):
     assert set(done) == {("uniform-ecc", 0)}
 
 
+def test_torn_tail_is_cut_before_the_next_append(tmp_path):
+    digest = config_digest({})
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"type": "header", "vers')  # killed mid-header
+    with CampaignCheckpoint(path) as ckpt:
+        assert ckpt.resume(digest, {}) == []
+        ckpt.append_shard(_shard(index=0))
+    with open(path, "a") as fh:
+        fh.write('{"scheme": "uniform-ecc", "index": 1, "tr')  # and again
+    with CampaignCheckpoint(path) as ckpt:
+        assert [r["index"] for r in ckpt.resume(digest, {})] == [0]
+        ckpt.append_shard(_shard(index=1))
+    done = CampaignCheckpoint(path).load(digest)
+    assert set(done) == {("uniform-ecc", 0), ("uniform-ecc", 1)}
+    assert len(path.read_text().splitlines()) == 3
+
+
 def test_malformed_interior_line_is_an_error(tmp_path):
     digest = config_digest({})
     path = tmp_path / "c.jsonl"

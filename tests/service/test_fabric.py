@@ -6,11 +6,15 @@ them dies — the merged estimate is **bit-identical** to a single-node
 run of the same request.
 """
 
+import sqlite3
 import threading
 import time
 
+import pytest
+
 from repro import api
 from repro.experiments.pool import SweepEngine
+from repro.reliability import CheckpointError
 from repro.service import FabricStore, JobStore, ShardCoordinator
 
 #: Fixed-trial campaign: both replicas derive the identical shard
@@ -45,7 +49,6 @@ class TestFabricStore:
         store.register_worker("a")
         store.register_worker("b")
         keys = [("s", i) for i in range(4)]
-        store.ensure_shards("job", keys)
         leased, stolen = store.lease_shards("job", keys, "a", limit=2)
         assert leased == [("s", 0), ("s", 1)] and not stolen
         # b picks up the remaining pending shards, steals nothing: a's
@@ -64,7 +67,6 @@ class TestFabricStore:
         )
         store.register_worker("a")
         store.register_worker("b")
-        store.ensure_shards("job", [("s", 0)])
         store.lease_shards("job", [("s", 0)], "a")
         for _ in range(3):  # a is slow but alive
             time.sleep(0.1)
@@ -74,7 +76,7 @@ class TestFabricStore:
 
     def test_complete_and_done_shards(self, tmp_path):
         store = FabricStore(tmp_path)
-        store.ensure_shards("job", [("s", 0), ("s", 1)])
+        store.lease_shards("job", [("s", 0), ("s", 1)], "a")
         record = {"scheme": "s", "index": 0, "trials": 50, "seed": 1,
                   "outcomes": {}}
         store.complete_shard("job", record)
@@ -87,7 +89,6 @@ class TestFabricStore:
         assert any(
             w["replica_id"] == replica for w in store.fabric.workers()
         )
-        store.fabric.ensure_shards("job", [("s", 0)])
         store.fabric.lease_shards("job", [("s", 0)], replica)
         store.close()
         assert all(
@@ -95,6 +96,32 @@ class TestFabricStore:
         )
         leased, _ = store.fabric.lease_shards("job", [("s", 0)], "other")
         assert leased == [("s", 0)]  # back to pending, not stuck leased
+
+    def test_campaign_digest_is_recorded_once_per_job(self, tmp_path):
+        store = FabricStore(tmp_path)
+        record = {"scheme": "s", "index": 0, "trials": 50, "seed": 1,
+                  "outcomes": {}}
+        assert store.open_campaign("job", "digest-a") == []
+        store.lease_shards("job", [("s", 0)], "me")
+        store.complete_shard("job", record)
+        assert store.open_campaign("job", "digest-a") == [record]
+        with pytest.raises(CheckpointError, match="configuration") as err:
+            ShardCoordinator(store, "job", "me").resume("digest-b", {})
+        assert "\n" not in str(err.value)
+        assert store.open_campaign("other-job", "digest-b") == []
+
+    def test_a_fabric_db_without_the_campaigns_table_still_opens(
+        self, tmp_path
+    ):
+        store = FabricStore(tmp_path)
+        store.lease_shards("job", [("s", 0)], "me")
+        record = {"scheme": "s", "index": 0, "trials": 5, "seed": 1,
+                  "outcomes": {}}
+        store.complete_shard("job", record)
+        with sqlite3.connect(store.path) as conn:
+            conn.execute("DROP TABLE campaigns")
+        reopened = FabricStore(tmp_path)
+        assert reopened.open_campaign("job", "digest") == [record]
 
 
 class TestTwoReplicaCampaign:
@@ -197,7 +224,6 @@ class TestTwoReplicaCampaign:
         # (no heartbeat, no completion, no lease release).
         store.fabric.register_worker("ghost")
         ghost_keys = [("uniform-ecc", i) for i in range(4)]
-        store.fabric.ensure_shards(job.key, ghost_keys)
         leased, _ = store.fabric.lease_shards(
             job.key, ghost_keys, "ghost"
         )

@@ -1,8 +1,15 @@
 """The job service: dedupe, streaming, restart-resume, HTTP protocol."""
 
 import json
+import os
+import signal
+import sqlite3
+import subprocess
+import sys
 import threading
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +110,38 @@ class TestJobStore:
             == api.campaign_doc(direct.result)
         )
 
+    def test_failed_job_keeps_other_jobs_leases(self, tmp_path):
+        store = JobStore(
+            data_dir=tmp_path, workers=0,
+            engine_factory=lambda job: _FailingEngine(1),
+        )
+        try:
+            keys = [("s", 0), ("s", 1)]
+            with sqlite3.connect(store.fabric.path) as conn:  # X's shards
+                conn.executemany(
+                    "INSERT INTO shards (job_key, scheme, idx) "
+                    "VALUES ('job-x', ?, ?)",
+                    keys,
+                )
+            leased, _ = store.fabric.lease_shards(
+                "job-x", keys, store.replica_id
+            )
+            assert leased == keys
+            failing, _ = store.submit("reliability", CAMPAIGN_REQUEST)
+            store.run_pending()
+            assert failing.state == "error"
+            # Job X still holds its leases; only the failed job's own
+            # leases went back to pending.
+            assert store.fabric.lease_shards("job-x", keys, "other") == (
+                [], []
+            )
+            released, _ = store.fabric.lease_shards(
+                failing.key, [("uniform-ecc", 0)], "other"
+            )
+            assert released == [("uniform-ecc", 0)]
+        finally:
+            store.close()
+
     def test_failed_key_is_retried(self, tmp_path):
         store = JobStore(data_dir=tmp_path, workers=0)
         job, _ = store.submit("run", {"benchmark": "swim", "refs": 1})
@@ -140,11 +179,11 @@ class TestJobStore:
 
 
 class TestRestartResume:
-    """A killed campaign resumes from its JSONL checkpoint on a fresh
-    store — the uninterrupted aggregate, bit-identical."""
+    """A killed campaign resumes from its ``fabric.db`` shard rows on a
+    fresh store — the uninterrupted aggregate, bit-identical."""
 
     #: Needs several rounds (high-variance metric, tight target) so the
-    #: simulated crash lands mid-campaign, after 2 checkpointed rounds.
+    #: simulated crash lands mid-campaign, after 2 completed rounds.
     AUTO = {
         "schemes": ["uniform-ecc"],
         "trials": None,
@@ -157,7 +196,7 @@ class TestRestartResume:
 
     def test_resume_after_simulated_restart(self, tmp_path):
         # Run 1: the service dies mid-campaign (engine crash stands in
-        # for a process kill; completed rounds are already fsynced).
+        # for a process kill; completed rounds are already committed).
         crashing = JobStore(
             data_dir=tmp_path, workers=0,
             engine_factory=lambda job: _FailingEngine(3),
@@ -165,10 +204,15 @@ class TestRestartResume:
         job, _ = crashing.submit("reliability", self.AUTO)
         crashing.run_pending()
         assert job.state == "error"
-        checkpoint = crashing.checkpoint_path(job.key)
-        assert checkpoint.exists()
-        lines = checkpoint.read_text().strip().splitlines()
-        assert len(lines) == 1 + 8  # header + 2 rounds of 4 shards
+        with sqlite3.connect(tmp_path / "fabric.db") as conn:
+            states = dict(conn.execute(
+                "SELECT state, COUNT(*) FROM shards WHERE job_key = ? "
+                "GROUP BY state",
+                (job.key,),
+            ).fetchall())
+        # 2 rounds of 4 shards done; the failed round's leases returned.
+        assert states == {"done": 8, "pending": 4}
+        assert not any((tmp_path / "checkpoints").glob("**/*"))
 
         # Run 2: a fresh store over the same data dir — "the restart".
         restarted = JobStore(
@@ -197,6 +241,84 @@ class TestRestartResume:
             e for e in resumed_job.events if e["type"] == "resume"
         ]
         assert resume_events and resume_events[0]["resumed_shards"] == 8
+
+    #: Run in a child process: one service store executing a campaign
+    #: whose rounds are slowed down, so a SIGKILL lands mid-campaign.
+    CHILD = """
+import json, sys, time
+from repro.experiments.pool import SweepEngine
+from repro.service import JobStore
+
+class Slow(SweepEngine):
+    def map_tasks(self, func, items, phase="map"):
+        time.sleep(0.2)
+        return super().map_tasks(func, items, phase=phase)
+
+store = JobStore(
+    data_dir=sys.argv[1], workers=0,
+    engine_factory=lambda job: Slow(jobs=1, cache=False, progress=False),
+)
+store.submit("reliability", json.loads(sys.argv[2]))
+store.run_pending()
+"""
+
+    def test_resume_after_kill_9(self, tmp_path):
+        request = dict(self.AUTO, trials=4000, seed=12)  # 40 shards
+        env = dict(os.environ)
+        src = str(Path(api.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", self.CHILD, str(tmp_path),
+             json.dumps(request)],
+            env=env,
+        )
+        db = tmp_path / "fabric.db"
+
+        def done_rows():
+            if not db.exists():
+                return 0
+            with sqlite3.connect(db) as conn:
+                return conn.execute(
+                    "SELECT COUNT(*) FROM shards WHERE state = 'done'"
+                ).fetchone()[0]
+
+        try:
+            deadline = time.monotonic() + 60
+            while done_rows() < 4 and child.poll() is None:
+                assert time.monotonic() < deadline, "no round completed"
+                time.sleep(0.02)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+        rows = done_rows()
+        assert 4 <= rows < 40  # at least one round, killed mid-campaign
+        assert not any((tmp_path / "checkpoints").glob("**/*"))
+
+        # The killed replica's leases are stolen once its heartbeat
+        # goes stale.
+        fresh = JobStore(
+            data_dir=tmp_path, workers=0, engine_factory=_plain_engine,
+            worker_timeout=0.5,
+        )
+        try:
+            job, _ = fresh.submit("reliability", request)
+            fresh.run_pending()
+        finally:
+            fresh.close()
+        assert job.state == "done", job.error
+        assert job.result.resumed_shards == rows
+        resume = [e for e in job.events if e["type"] == "resume"]
+        assert resume and resume[0]["resumed_shards"] == rows
+        direct = api.reliability(
+            api.request_from_dict(api.ReliabilityRequest, request),
+            engine=SweepEngine(),
+        )
+        assert (
+            api.campaign_doc(job.result.result)["schemes"]
+            == api.campaign_doc(direct.result)["schemes"]
+        )
 
 
 @pytest.fixture()
