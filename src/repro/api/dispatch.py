@@ -5,8 +5,8 @@ entry pairing a request dataclass with its executor — the CLI, the job
 service and the tests all dispatch through :func:`execute`, so adding
 a kind is one registration, not an if/elif edit in three layers.  The
 registry also carries per-kind capabilities (does the executor take a
-``SweepEngine``?  is it a resumable campaign?) that the job service
-reads instead of hard-coding kind names.
+``SweepEngine``?  is it a long, abortable campaign?) that the job
+service reads instead of hard-coding kind names.
 
 :func:`request_key` gives every request a content-addressed identity
 (folding in :func:`repro.experiments.pool.code_version`); plain
@@ -65,8 +65,8 @@ KINDS: Dict[str, Tuple[type, Callable[..., Any]]] = {}
 #: Kinds whose executor accepts an ``engine=`` SweepEngine kwarg.
 ENGINE_KINDS: set = set()
 
-#: Kinds that run as resumable campaigns (``progress=``, ``checkpoint=``
-#: and ``should_abort=`` kwargs).
+#: Kinds that run as long, abortable campaigns (``progress=`` and
+#: ``should_abort=`` kwargs).
 CAMPAIGN_KINDS: set = set()
 
 #: Kind -> kwargs producing a representative request, for kinds whose
@@ -523,18 +523,14 @@ def autotune(
     tracer=None,
     registry=None,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-    checkpoint: Optional[str] = None,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> AutotuneResponse:
     """Explore the design grid and compute per-benchmark Pareto fronts.
 
-    ``checkpoint`` (the service passes ``<data>/checkpoints/<key>``) is
-    the per-point campaign checkpoint *directory* — one JSONL per
-    design point under it — overriding ``request.checkpoint_dir``.  The
-    autotuner's unit of distribution is a whole point, not a campaign
-    shard, so its sub-campaigns never use the fabric's shard store.
-    ``should_abort`` is polled between point batches; completed points
-    stay cached.
+    The unit of work and of resumption is a whole design point, stored
+    in the engine's result cache: ``should_abort`` is polled between
+    point batches, completed points stay cached, and a rerun executes
+    only the missing ones.
     """
     from repro.autotune import (
         PointTask,
@@ -579,7 +575,6 @@ def autotune(
         engine=eng,
         progress=progress,
         should_abort=should_abort,
-        checkpoint_dir=checkpoint or request.checkpoint_dir,
     )
 
     intervals = [
@@ -629,7 +624,6 @@ def recommend(
     tracer=None,
     registry=None,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-    checkpoint: Optional[str] = None,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> RecommendResponse:
     """Explore the grid, then pick a budget-feasible front point.
@@ -648,7 +642,6 @@ def recommend(
         tracer=tracer,
         registry=registry,
         progress=progress,
-        checkpoint=checkpoint,
         should_abort=should_abort,
     )
     choices: Dict[str, Dict[str, Any]] = {}
@@ -696,8 +689,8 @@ register_kind(
     "reliability", ReliabilityRequest, reliability, engine=True,
     campaign=True,
 )
-# campaign=True gives autotune/recommend the service's per-job
-# checkpoint directory and cooperative-abort hook.
+# campaign=True gives autotune/recommend the service's progress stream
+# and cooperative-abort hook.
 register_kind(
     "autotune", AutotuneRequest, autotune, engine=True, campaign=True,
 )

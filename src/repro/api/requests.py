@@ -552,9 +552,9 @@ class AutotuneRequest(_Request):
     multiply the grid.  Each point runs a reference-mode simulation
     plus a fixed-``trials`` campaign; ``objectives`` names the
     quantities the front is computed over
-    (:func:`repro.autotune.available_objectives`).  ``checkpoint_dir``
-    gives every point a private campaign checkpoint; the service fills
-    it in from the job key automatically.
+    (:func:`repro.autotune.available_objectives`).  Finished points
+    persist in the result cache, so an interrupted sweep resumes per
+    point.
     """
 
     benchmarks: Tuple[str, ...] = _flag(
@@ -608,12 +608,6 @@ class AutotuneRequest(_Request):
     double_bit_fraction: float = _flag(0.05, _DOUBLE_BIT_HELP, metavar="P")
     raw_fit: float = _flag(1000.0, _RAW_FIT_HELP)
     n_lines: int = _flag(16384, _N_LINES_HELP)
-    checkpoint_dir: Optional[str] = _flag(
-        None,
-        "directory of per-point campaign checkpoints: an interrupted "
-        "sweep resumes mid-grid from it",
-        metavar="DIR",
-    )
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -115,12 +114,7 @@ class DesignPoint:
 
 @dataclass(frozen=True)
 class PointTask:
-    """Everything one point's evaluation depends on (picklable).
-
-    ``checkpoint`` (a per-point campaign JSONL path, or None) is the
-    one field *excluded* from the cache key — where a result is
-    persisted must not change what the result is.
-    """
+    """Everything one point's evaluation depends on (picklable)."""
 
     point: DesignPoint
     trials: int
@@ -134,10 +128,9 @@ class PointTask:
     raw_fit: float
     n_lines: int
     measure_ipc: bool
-    checkpoint: Optional[str] = None
 
     def describe(self) -> Dict[str, Any]:
-        """Canonical cache-key payload; excludes ``checkpoint``."""
+        """Canonical cache-key payload."""
         return {
             "point": self.point.describe(),
             "trials": self.trials,
@@ -390,7 +383,7 @@ def _campaign_estimate(task: PointTask, dirty_fraction: float):
         n_lines=task.n_lines,
         kernel=task.kernel,
     )
-    result = CampaignEngine(campaign, checkpoint=task.checkpoint).run()
+    result = CampaignEngine(campaign).run()
     return result.schemes[point.scheme].estimate
 
 
@@ -439,32 +432,30 @@ def explore(
     engine: Optional[SweepEngine] = None,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
-    checkpoint_dir: Optional[str] = None,
 ) -> Tuple[List[PointMetrics], int, int]:
     """Evaluate every task; returns ``(metrics, executed, cached)``.
 
     Results come back in task order whatever the engine's ``jobs``
     setting.  With a caching engine each point is content-addressed via
-    :func:`point_key`, so re-running a grid (or resuming an interrupted
-    one) only executes the missing points.  ``checkpoint_dir`` gives
-    each *executed* point a private campaign checkpoint
-    (``<dir>/<key>.jsonl``) so even a mid-point interruption resumes at
-    shard granularity.  ``should_abort`` is polled between batches;
-    aborting raises :class:`~repro.reliability.CampaignAborted` with
-    every completed point already in the cache.
+    :func:`point_key` and the cache is the grid's only store: re-running
+    a grid (or resuming an interrupted one) executes only the missing
+    points, and a point cut short is re-run whole.  ``should_abort`` is
+    polled between batches; aborting raises
+    :class:`~repro.reliability.CampaignAborted` with every completed
+    point already in the cache.
     """
     from repro.reliability import CampaignAborted
 
     eng = engine if engine is not None else SweepEngine()
     tasks = list(tasks)
     version = code_version()
+    keys = [point_key(task, version) for task in tasks]
     outputs: List[Optional[PointMetrics]] = [None] * len(tasks)
     pending: List[int] = []
 
     cached = 0
     for i, task in enumerate(tasks):
-        key = point_key(task, version)
-        hit = eng.cache.get(key) if eng.cache is not None else None
+        hit = eng.cache.get(keys[i]) if eng.cache is not None else None
         if isinstance(hit, PointMetrics):
             outputs[i] = hit
             cached += 1
@@ -488,23 +479,13 @@ def explore(
         if should_abort is not None and should_abort():
             raise CampaignAborted("autotune aborted")
         indices = pending[start:start + batch]
-        batch_tasks = []
-        for i in indices:
-            task = tasks[i]
-            if checkpoint_dir is not None and task.checkpoint is None:
-                path = Path(checkpoint_dir)
-                path.mkdir(parents=True, exist_ok=True)
-                task = replace(
-                    task,
-                    checkpoint=str(
-                        path / f"{point_key(task, version)}.jsonl"
-                    ),
-                )
-            batch_tasks.append(task)
-        results = eng.map_tasks(evaluate_point, batch_tasks, phase="autotune")
+        results = eng.map_tasks(
+            evaluate_point, [tasks[i] for i in indices], phase="autotune"
+        )
         for i, metrics in zip(indices, results):
             outputs[i] = metrics
-            eng_cache_put(eng, point_key(tasks[i], version), metrics)
+            if eng.cache is not None:
+                eng.cache.put(keys[i], metrics)
             done += 1
             if progress is not None:
                 progress({
@@ -516,11 +497,6 @@ def explore(
                     "total": len(tasks),
                 })
     return list(outputs), len(pending), cached  # type: ignore[arg-type]
-
-
-def eng_cache_put(engine: SweepEngine, key: str, value: Any) -> None:
-    if engine.cache is not None:
-        engine.cache.put(key, value)
 
 
 __all__ = [

@@ -367,6 +367,12 @@ def _render_area(response: api.AreaResponse) -> str:
 def cmd_figures(args) -> int:
     # Both branches validate the request before any cell runs.
     request = _request(args, api.FiguresRequest)
+    if args.json and request.fig != "all":
+        raise api.ReproError(
+            f"--json regenerates every figure; drop --fig {request.fig}"
+        )
+    if args.no_ipc and not args.json:
+        raise api.ReproError("--no-ipc applies only with --json")
     engine = _engine(args)
     if args.json:
         from repro.experiments import regenerate_all, save_json
@@ -374,7 +380,8 @@ def cmd_figures(args) -> int:
         config = RunConfig(n_refs=request.refs, warmup_refs=request.warmup,
                            seed=request.seed)
         doc = regenerate_all(config, include_ipc=not args.no_ipc,
-                             ipc_insts=request.refs * 2, engine=engine)
+                             ipc_insts=request.refs * 2, engine=engine,
+                             ecc_area_entries=request.ecc_area_entries)
         save_json(doc, args.json)
         print(f"wrote {args.json}")
         _print_sweep_stats(engine)
@@ -870,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8642)
     p.add_argument(
         "--data-dir", metavar="PATH", default=None,
-        help="service state root: result cache and campaign checkpoints "
+        help="service state root: result cache and fabric.db "
              "(default $REPRO_SERVICE_DIR or ~/.cache/repro-service)",
     )
     p.add_argument("--workers", type=int, default=2,

@@ -49,6 +49,7 @@ def regenerate_all(
     include_ipc: bool = True,
     ipc_insts: Optional[int] = None,
     engine: Optional["SweepEngine"] = None,
+    ecc_area_entries: int = 1,
 ) -> Dict[str, Any]:
     """Regenerate every figure/table of the paper; return one document.
 
@@ -56,7 +57,8 @@ def regenerate_all(
     provenance block.  This is the expensive full sweep (~all of the
     paper's evaluation); size it via ``config``, and pass a
     :class:`~repro.experiments.pool.SweepEngine` to parallelise and
-    cache the grid.
+    cache the grid.  ``ecc_area_entries`` is the shared ECC entries
+    per set of the area section.
     """
     doc: Dict[str, Any] = {"config": config_metadata(config)}
 
@@ -73,7 +75,7 @@ def regenerate_all(
     doc["figure7"] = figure7(config, full=full)
     doc["figure8"] = figure8(config, full=full)
 
-    conv, ours, red = area_table()
+    conv, ours, red = area_table(ecc_entries_per_set=ecc_area_entries)
     doc["area"] = {
         "conventional_kib": conv.total_kib,
         "proposed_kib": ours.total_kib,

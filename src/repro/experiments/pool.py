@@ -246,17 +246,9 @@ def build_cell_hierarchy(cell: Cell):
     return MemoryHierarchy(config=geometry.hierarchy_config(), l2=l2)
 
 
-def _execute_indexed(item):
-    """Pool payload: (index, cell) -> (index, result, worker wall-time)."""
-    index, cell = item
-    t0 = time.perf_counter()
-    output = execute_cell(cell)
-    return index, output, time.perf_counter() - t0
-
-
 def _map_indexed(payload):
-    """Pool payload for :meth:`SweepEngine.map_tasks`:
-    (func, index, item) -> (index, result, worker wall-time)."""
+    """One dispatched item: (func, index, item) -> (index, result,
+    worker wall-time).  Module-level so pool workers can unpickle it."""
     func, index, item = payload
     t0 = time.perf_counter()
     output = func(item)
@@ -391,23 +383,27 @@ class SweepEngine:
         outputs: List[Any] = [None] * len(cells)
         pending: List[int] = []
 
-        hits = 0
+        done = 0
         with self.profiler.phase("cache-lookup", events=len(cells)):
             for i, key in enumerate(keys):
                 hit = self.cache.get(key) if self.cache is not None else None
                 if hit is not None:
                     outputs[i] = hit
-                    hits += 1
+                    done += 1
                     self._record(cells[i], key, 0.0, hit, cached=True)
-                    self._tick(hits, len(cells), cells[i], True)
+                    self._tick(done, len(cells), cells[i], True)
                 else:
                     pending.append(i)
 
-        if pending:
-            if self.jobs == 1 or len(pending) == 1:
-                self._run_inline(cells, keys, outputs, pending)
-            else:
-                self._run_pool(cells, keys, outputs, pending)
+        for j, output, wall in self._dispatch(
+            execute_cell, [cells[i] for i in pending]
+        ):
+            i = pending[j]
+            outputs[i] = output
+            self._store(keys[i], output)
+            self._record(cells[i], keys[i], wall, output, cached=False)
+            done += 1
+            self._tick(done, len(cells), cells[i], False, wall)
         self.stats.wall_s += time.perf_counter() - t0
         self._tick_done()
         return outputs
@@ -466,23 +462,9 @@ class SweepEngine:
             return []
         t0 = time.perf_counter()
         outputs: List[Any] = [None] * len(items)
-        if self.jobs == 1 or len(items) == 1:
-            for i, item in enumerate(items):
-                t1 = time.perf_counter()
-                outputs[i] = func(item)
-                self.profiler.add(phase, time.perf_counter() - t1, 1)
-        else:
-            import multiprocessing
-
-            with multiprocessing.Pool(
-                processes=min(self.jobs, len(items))
-            ) as pool:
-                for i, output, wall in pool.imap_unordered(
-                    _map_indexed,
-                    [(func, i, item) for i, item in enumerate(items)],
-                ):
-                    outputs[i] = output
-                    self.profiler.add(phase, wall, 1)
+        for i, output, wall in self._dispatch(func, items):
+            outputs[i] = output
+            self.profiler.add(phase, wall, 1)
         self.stats.wall_s += time.perf_counter() - t0
         return outputs
 
@@ -495,31 +477,21 @@ class SweepEngine:
 
     # -- internals ---------------------------------------------------------
 
-    def _run_inline(self, cells, keys, outputs, pending) -> None:
-        done = len(cells) - len(pending)
-        for i in pending:
-            t0 = time.perf_counter()
-            output = execute_cell(cells[i])
-            wall = time.perf_counter() - t0
-            outputs[i] = output
-            self._store(keys[i], output)
-            self._record(cells[i], keys[i], wall, output, cached=False)
-            done += 1
-            self._tick(done, len(cells), cells[i], False, wall)
-
-    def _run_pool(self, cells, keys, outputs, pending) -> None:
+    def _dispatch(self, func: Callable[[Any], Any], items: List[Any]):
+        """Yield ``(index, output, worker wall-time)`` as each item
+        finishes: inline when ``jobs == 1`` or there is one item (the
+        determinism reference), otherwise in completion order from a
+        worker pool.  Callers place outputs by index."""
+        if self.jobs == 1 or len(items) < 2:
+            for i, item in enumerate(items):
+                yield _map_indexed((func, i, item))
+            return
         import multiprocessing
 
-        done = len(cells) - len(pending)
-        with multiprocessing.Pool(processes=min(self.jobs, len(pending))) as pool:
-            for i, output, wall in pool.imap_unordered(
-                _execute_indexed, [(i, cells[i]) for i in pending]
-            ):
-                outputs[i] = output
-                self._store(keys[i], output)
-                self._record(cells[i], keys[i], wall, output, cached=False)
-                done += 1
-                self._tick(done, len(cells), cells[i], False, wall)
+        with multiprocessing.Pool(processes=min(self.jobs, len(items))) as pool:
+            yield from pool.imap_unordered(
+                _map_indexed, [(func, i, item) for i, item in enumerate(items)]
+            )
 
     def _store(self, key: str, output: Any) -> None:
         if self.cache is not None:

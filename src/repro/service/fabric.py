@@ -465,9 +465,6 @@ class ShardCoordinator:
     def close(self) -> None:
         self.store.release_leases(self.job_key, self.replica_id)
 
-    def canceled(self) -> bool:
-        return self.store.job_state(self.job_key) == "canceled"
-
 
 __all__ = [
     "FabricStore",

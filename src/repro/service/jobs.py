@@ -19,8 +19,8 @@ Durability lives below the store, not in it:
   at once lease shards from each other, and a fresh store resumes an
   interrupted one from its ``done`` rows — bit-identical to an
   uninterrupted run;
-* autotune/recommend jobs checkpoint each design point under
-  ``<data_dir>/checkpoints/<job key>/``.
+* an autotune/recommend job's finished design points are entries of
+  that same result cache, so a rerun executes only the missing points.
 
 The store's own job *records* are in-memory: a restart forgets them but
 no completed *work*.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import queue
+import sqlite3
 import threading
 import time
 import traceback
@@ -429,7 +430,25 @@ class JobStore:
     def _execute(self, job: Job) -> None:
         if not job._start():
             return  # canceled while queued
-        self.fabric.set_job_state(job.key, "running")
+        try:
+            self.fabric.set_job_state(job.key, "running")
+            state, result, error = self._run(job)
+            if state == "done":
+                self.fabric.store_result(job.key, result.as_dict())
+            self.fabric.set_job_state(job.key, state, error=error)
+        except sqlite3.Error as err:
+            # A locked or broken fabric.db fails this job, never the
+            # worker thread: the queue behind it keeps draining.
+            state, result, error = "error", None, f"fabric error: {err}"
+            try:
+                self.fabric.set_job_state(job.key, state, error=error)
+            except sqlite3.Error:
+                pass  # best effort: the local record still says why
+        job._finish(state, result=result, error=error)
+
+    def _run(self, job: Job) -> Tuple[str, Any, Optional[str]]:
+        """Execute the job's request: ``(terminal state, result, error)``.
+        Fabric errors propagate to :meth:`_execute`."""
         try:
             kwargs: Dict[str, Any] = {}
             if job.kind in api.ENGINE_KINDS:
@@ -437,28 +456,19 @@ class JobStore:
             if job.kind in api.CAMPAIGN_KINDS:
                 kwargs["progress"] = job.emit
                 kwargs["should_abort"] = self._should_abort(job)
-                kwargs["checkpoint"] = (
-                    ShardCoordinator(
-                        self.fabric, job.key, self.replica_id, self.lease_batch
-                    )
-                    if job.kind == "reliability"
-                    else str(self.data_dir / "checkpoints" / job.key)
+            if job.kind == "reliability":
+                kwargs["checkpoint"] = ShardCoordinator(
+                    self.fabric, job.key, self.replica_id, self.lease_batch
                 )
-            result = api.execute(job.kind, job.request, **kwargs)
+            return "done", api.execute(job.kind, job.request, **kwargs), None
         except CampaignAborted:
-            self.fabric.set_job_state(job.key, "canceled")
-            job._finish("canceled")
+            return "canceled", None, None
         except api.ReproError as err:
-            self.fabric.set_job_state(job.key, "error", error=str(err))
-            job._finish("error", error=str(err))
+            return "error", None, str(err)
+        except sqlite3.Error:
+            raise
         except Exception:
-            err = traceback.format_exc(limit=8)
-            self.fabric.set_job_state(job.key, "error", error=err)
-            job._finish("error", error=err)
-        else:
-            if job._finish("done", result=result):
-                self.fabric.store_result(job.key, result.as_dict())
-                self.fabric.set_job_state(job.key, "done")
+            return "error", None, traceback.format_exc(limit=8)
 
     def close(self) -> None:
         """Stop the worker threads (queued jobs are abandoned), leave

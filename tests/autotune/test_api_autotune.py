@@ -98,10 +98,7 @@ class TestWire:
             )
 
     def test_request_key_is_stable(self):
-        # Same request, same key — the dedupe invariant.  (Like
-        # reliability's `checkpoint`, an explicit checkpoint_dir is
-        # part of the identity; service submissions leave it None and
-        # the store derives the real directory from the job key.)
+        # Same request, same key — the dedupe invariant.
         assert api.request_key("autotune", request()) == api.request_key(
             "autotune", request()
         )

@@ -4,7 +4,7 @@ The acceptance contract — fronts bit-identical across ``--jobs``
 values and across a mid-sweep resume — is smoke-tested end to end by
 ``scripts/autotune_smoke.py``; these tests pin the pieces it rests on
 at unit size: canonicalization collapses inapplicable axes, the cache
-key ignores the checkpoint path, and :func:`explore` serves a warm
+key covers every field of the task, and :func:`explore` serves a warm
 cache without executing.
 """
 
@@ -130,12 +130,6 @@ class TestLabels:
 
 
 class TestPointKey:
-    def test_checkpoint_path_does_not_change_the_key(self):
-        (p,) = grid()
-        a = task(p)
-        b = dataclasses.replace(a, checkpoint="/tmp/somewhere.jsonl")
-        assert point_key(a, version="v") == point_key(b, version="v")
-
     def test_any_describe_field_changes_the_key(self):
         (p,) = grid()
         a = task(p)
@@ -195,7 +189,7 @@ class TestExplore:
         assert len(points) == len(tasks)
         assert points[-1]["done"] == points[-1]["total"] == len(tasks)
 
-    def test_checkpoint_dir_survives_an_abort(self, tmp_path):
+    def test_an_abort_keeps_finished_points_in_the_cache(self, tmp_path):
         """Aborting between batches loses nothing: finished points are
         in the result cache and the rerun completes the rest."""
         from repro.reliability.campaign import CampaignAborted
@@ -221,7 +215,6 @@ class TestExplore:
                 engine=SweepEngine(jobs=1, cache=cache),
                 progress=record,
                 should_abort=abort_after_first,
-                checkpoint_dir=str(tmp_path / "ckpt"),
             )
         _, executed, cached = explore(
             tasks, engine=SweepEngine(jobs=1, cache=cache),

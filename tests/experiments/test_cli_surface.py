@@ -62,7 +62,6 @@ SURFACE = {
             choices=_BENCHMARKS,
         ),
         "--cache-dir": _opt("cache_dir", None),
-        "--checkpoint-dir": _opt("checkpoint_dir", None),
         "--codecs": _opt("codecs", ["secded", "dected"], nargs="+"),
         "--double-bit-fraction": _opt("double_bit_fraction", 0.05),
         "--ecc-entries": _opt("ecc_entries", [1], nargs="+"),
@@ -147,7 +146,6 @@ SURFACE = {
             choices=_BENCHMARKS,
         ),
         "--cache-dir": _opt("cache_dir", None),
-        "--checkpoint-dir": _opt("checkpoint_dir", None),
         "--codecs": _opt("codecs", ["secded", "dected"], nargs="+"),
         "--double-bit-fraction": _opt("double_bit_fraction", 0.05),
         "--ecc-entries": _opt("ecc_entries", [1], nargs="+"),
@@ -393,7 +391,6 @@ DEFAULT_DOCS = {
         "double_bit_fraction": 0.05,
         "raw_fit": 1000.0,
         "n_lines": 16384,
-        "checkpoint_dir": None,
     },
 }
 DEFAULT_DOCS["recommend"] = {
@@ -526,7 +523,7 @@ ARGV_CASES = [
         "eager --scenarios nominal burst-heavy --objectives area fit "
         "--trials 100 --trials-per-shard 50 --kernel reference --insts 1000 "
         "--double-bit-fraction 0.1 --raw-fit 500 --n-lines 1024 "
-        "--checkpoint-dir ckpt --refs 3000 --warmup 1000 --seed 2",
+        "--refs 3000 --warmup 1000 --seed 2",
         "autotune",
         {
             "benchmarks": ["swim", "mcf"],
@@ -547,7 +544,6 @@ ARGV_CASES = [
             "double_bit_fraction": 0.1,
             "raw_fit": 500.0,
             "n_lines": 1024,
-            "checkpoint_dir": "ckpt",
         },
     ),
     (

@@ -54,6 +54,36 @@ class TestFigures:
         )
         assert not out.exists()
 
+    def test_json_with_one_figure(self, tmp_path, capsys, no_cells):
+        out = tmp_path / "figures.json"
+        _rejects(
+            capsys, ["figures", "--json", str(out), "--fig", "8"],
+            "--json regenerates every figure; drop --fig 8",
+        )
+        assert not out.exists()
+
+    def test_no_ipc_without_json(self, capsys, no_cells):
+        _rejects(
+            capsys, ["figures", "--fig", "8", "--no-ipc"],
+            "--no-ipc applies only with --json",
+        )
+
+    def test_json_area_follows_area_entries(self, tmp_path, capsys):
+        import json
+
+        from repro.experiments import area_table
+
+        out = tmp_path / "figures.json"
+        assert main([
+            "figures", "--json", str(out), "--no-ipc", "--no-cache",
+            "--refs", "300", "--warmup", "100", "--ecc-area-entries", "4",
+        ]) == 0
+        _, ours, _ = area_table(ecc_entries_per_set=4)
+        assert json.loads(out.read_text())["area"]["proposed_kib"] == (
+            ours.total_kib
+        )
+        assert ours.total_kib != area_table()[1].total_kib
+
 
 class TestInject:
     def test_more_flips_than_codeword_bits(self, capsys):

@@ -142,6 +142,30 @@ class TestJobStore:
         finally:
             store.close()
 
+    def test_locked_fabric_fails_one_job_not_the_worker(self, tmp_path):
+        store = JobStore(data_dir=tmp_path, workers=1)
+        real = store.fabric.set_job_state
+        locked = []
+
+        def locked_once(key, state, error=None):
+            if not locked:
+                locked.append(key)
+                raise sqlite3.OperationalError("database is locked")
+            return real(key, state, error=error)
+
+        store.fabric.set_job_state = locked_once
+        try:
+            first, _ = store.submit("area", {"ecc_entries": 1})
+            second, _ = store.submit("area", {"ecc_entries": 2})
+            assert first.wait(timeout=10) == "error"
+            assert first.error == "fabric error: database is locked"
+            assert store.fabric.job_state(first.key) == "error"
+            assert second.wait(timeout=10) == "done"
+            assert store.fabric.job_state(second.key) == "done"
+            assert store._threads[0].is_alive()
+        finally:
+            store.close()
+
     def test_failed_key_is_retried(self, tmp_path):
         store = JobStore(data_dir=tmp_path, workers=0)
         job, _ = store.submit("run", {"benchmark": "swim", "refs": 1})
@@ -279,10 +303,14 @@ store.run_pending()
         def done_rows():
             if not db.exists():
                 return 0
-            with sqlite3.connect(db) as conn:
-                return conn.execute(
-                    "SELECT COUNT(*) FROM shards WHERE state = 'done'"
-                ).fetchone()[0]
+            try:
+                with sqlite3.connect(db) as conn:
+                    return conn.execute(
+                        "SELECT COUNT(*) FROM shards WHERE state = 'done'"
+                    ).fetchone()[0]
+            except sqlite3.OperationalError:
+                return 0  # the child has created the file, not the schema
+
 
         try:
             deadline = time.monotonic() + 60
