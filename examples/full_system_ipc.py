@@ -2,9 +2,9 @@
 """Full-system run: does the protection scheme cost performance?
 
 Drives the four-issue out-of-order core (Table 1) through a benchmark's
-full instruction stream twice — conventional L2 vs the paper's
-protected L2 — and reports IPC, branch behaviour and memory-bus
-pressure.  The paper's claim: the extra write-backs (cleaning + ECC
+full instruction stream on two machines — conventional L2 vs the
+paper's protected L2, replaying one recorded front end — and reports
+IPC, branch behaviour and memory-bus pressure.  The paper's claim: the extra write-backs (cleaning + ECC
 evictions) contend only on the split-transaction bus, costing <1% IPC.
 
 Run:  python examples/full_system_ipc.py [benchmark]
@@ -13,7 +13,7 @@ Run:  python examples/full_system_ipc.py [benchmark]
 import sys
 
 from repro.core import ProtectionConfig
-from repro.experiments import RunConfig, render_table, run_ipc
+from repro.experiments import RunConfig, render_table, run_ipc_group
 
 
 def main():
@@ -21,11 +21,9 @@ def main():
     config = RunConfig(n_refs=40_000, warmup_refs=0)
     n_insts = 120_000
 
-    org = run_ipc(benchmark, None, config, n_insts=n_insts)
-    ours = run_ipc(
-        benchmark,
-        ProtectionConfig(cleaning_interval=1 << 20, ecc_entries_per_set=1),
-        config,
+    full = ProtectionConfig(cleaning_interval=1 << 20, ecc_entries_per_set=1)
+    org, ours = run_ipc_group(
+        benchmark, [(None, "standard"), (full, "standard")], config,
         n_insts=n_insts,
     )
 

@@ -72,7 +72,7 @@ def main() -> int:
 
     rc, out, _ = cli(
         "ipc", "--benchmark", "mesa", "--variant", "silent-write",
-        "--insts", "8000", "--refs", "4000", "--warmup", "0",
+        "--insts", "8000",
     )
     assert rc == 0, f"repro ipc exited {rc}"
     assert "energy (uJ)" in out and "ours = silent-write" in out, (

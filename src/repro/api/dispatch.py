@@ -51,7 +51,7 @@ from repro.api.responses import (
     RunResponse,
 )
 from repro.experiments.pool import Cell, SweepEngine, cell_key, code_version
-from repro.experiments.runner import interval_label
+from repro.experiments.runner import RunConfig, interval_label
 
 #: Wire-protocol version tag.  Every document the job service sends —
 #: job, result, event, error — carries ``"schema": SCHEMA``, and
@@ -248,16 +248,31 @@ def run(
 
 
 def ipc(
-    request: IpcRequest, engine: Optional[SweepEngine] = None
+    request: IpcRequest,
+    engine: Optional[SweepEngine] = None,
+    profiler=None,
 ) -> IpcResponse:
-    """Run the paired org/ours CPU-mode comparison."""
-    config = _run_config(request)
+    """Run the paired org/ours CPU-mode comparison.
+
+    Both machines go to the engine in one call, so they replay one
+    recorded front end.  ``profiler`` (opt-in) receives the engine's
+    phases, the core's record and per-machine replay among them when
+    the pair was simulated rather than served from the cache.
+    """
+    config = RunConfig(seed=request.seed)
     eng = _engine(engine)
-    org = eng.run_ipc(request.benchmark, None, config, n_insts=request.insts)
-    ours = eng.run_ipc(
-        request.benchmark, request.protection_config(), config,
-        n_insts=request.insts, variant=request.variant,
-    )
+    org, ours = eng.run_cells([
+        Cell(
+            request.benchmark, None, config, mode="ipc",
+            n_insts=request.insts,
+        ),
+        Cell(
+            request.benchmark, request.protection_config(), config,
+            mode="ipc", n_insts=request.insts, variant=request.variant,
+        ),
+    ])
+    if profiler is not None:
+        profiler.merge(eng.profiler)
     loss = 100 * (org.ipc - ours.ipc) / org.ipc if org.ipc else 0.0
     return IpcResponse(
         request=request,

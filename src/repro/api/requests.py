@@ -278,8 +278,6 @@ class IpcRequest(_Request):
     ecc_entries: Optional[int] = _flag(
         1, _ENTRIES_HELP, grammar="entries", metavar="N"
     )
-    refs: int = _flag(60_000, _REFS_HELP)
-    warmup: int = _flag(20_000, _WARMUP_HELP)
     seed: int = _flag(0)
     variant: str = _flag("standard", _VARIANT_HELP)
 

@@ -442,7 +442,8 @@ def cmd_run(args) -> int:
 def cmd_ipc(args) -> int:
     request = _request(args, api.IpcRequest)
     engine = _engine(args)
-    out = api.ipc(request, engine=engine)
+    profiler = PhaseProfiler()
+    out = api.ipc(request, engine=engine, profiler=profiler)
     rows = [
         ["IPC", out.org_ipc, out.ours_ipc],
         ["cycles", out.org_cycles, out.ours_cycles],
@@ -464,7 +465,9 @@ def cmd_ipc(args) -> int:
                        ndigits=3, title=title, response=out)
     if args.format == "table":
         print(f"IPC loss: {out.ipc_loss_pct:.2f}%")
-        _print_sweep_stats(engine)
+        print(engine.stats.summary())
+        if args.profile:
+            print(profiler.summary())
     return ret
 
 
@@ -841,7 +844,7 @@ _KIND_VERBS = {
             (_add_profile_arg, _add_pool_args, _add_trace_args,
              _add_format_arg)),
     "ipc": ("org-vs-ours IPC comparison", cmd_ipc,
-            (_add_pool_args, _add_format_arg)),
+            (_add_profile_arg, _add_pool_args, _add_format_arg)),
     "area": ("Section 5.2 area accounting", cmd_area, (_add_format_arg,)),
     "inject": ("codec fault-injection campaign", cmd_inject,
                (_add_trace_args, _add_format_arg)),

@@ -13,12 +13,15 @@ which is exactly the paper's Section 5.2 measurement.
 from repro.cpu.branch import BranchPredictor, BranchPredictorConfig
 from repro.cpu.config import FunctionalUnits, ProcessorConfig
 from repro.cpu.ooo import OoOCore, RunResult
+from repro.cpu.tape import CoreRecorder, CoreTape
 from repro.cpu.tlb import Tlb, TlbConfig
 from repro.cpu.trace import Inst, OpClass
 
 __all__ = [
     "BranchPredictor",
     "BranchPredictorConfig",
+    "CoreRecorder",
+    "CoreTape",
     "FunctionalUnits",
     "Inst",
     "OoOCore",

@@ -21,23 +21,37 @@ than iterating cycle by cycle, which keeps Python fast enough for
 million-instruction runs while preserving the latency/bandwidth/
 occupancy interactions the paper's IPC experiment depends on.
 
-:meth:`OoOCore.run` is the per-instruction hot loop of ``repro ipc``
-and is written as one flat loop (see its docstring); its stage-by-stage
-longhand, built on :class:`_BandwidthGate`, lives in
-``tests/cpu/test_ooo_differential.py`` as the oracle it must match.
+The model runs in two stages split at the front end.  Stage A
+(:class:`~repro.cpu.tape.CoreRecorder`) walks the stream once through
+the fetch blocks, the TLBs and the branch predictor, none of which
+depend on timing, and records :class:`~repro.cpu.tape.CoreTape`
+chunks.  Stage B, :meth:`OoOCore.run`, replays a chunk against the
+memory hierarchy in one flat loop and keeps the pipeline state for the
+next chunk, so machines that differ only below the core (org and ours)
+replay one recorded front end.  Stage A runs inside
+:meth:`OoOCore.run` too: given a recorder, the core records its next
+chunk and replays it, and an :class:`Inst` iterable goes through both
+stages on the core's own predictor and TLBs.  The stage-by-stage
+longhand of the timing model lives in ``tests/cpu/longhand.py`` as
+the oracle both stages together must match
+(``tests/cpu/test_ooo_differential.py``).
 """
 
 from __future__ import annotations
 
+import copy
+import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cpu.branch import BranchPredictor, BranchPredictorConfig
 from repro.cpu.config import ProcessorConfig
+from repro.cpu.tape import CoreRecorder, CoreTape
 from repro.cpu.tlb import Tlb, TlbConfig
-from repro.cpu.trace import EXEC_LATENCY, Inst, OpClass
+from repro.cpu.trace import Inst, OpClass
+from repro.telemetry.profiling import PhaseProfiler
 
 
 @dataclass
@@ -67,30 +81,6 @@ class RunResult:
         return self.load_latency_total / self.loads if self.loads else 0.0
 
 
-class _BandwidthGate:
-    """Enforces at most ``width`` events per cycle, in nondecreasing time."""
-
-    __slots__ = ("width", "_cycle", "_count")
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self._cycle = -1
-        self._count = 0
-
-    def admit(self, cycle: int) -> int:
-        """Return the first cycle >= ``cycle`` with a free slot; claim it."""
-        if cycle < self._cycle:
-            cycle = self._cycle
-        if cycle == self._cycle:
-            if self._count >= self.width:
-                cycle += 1
-                self._cycle, self._count = cycle, 0
-        else:
-            self._cycle, self._count = cycle, 0
-        self._count += 1
-        return cycle
-
-
 class OoOCore:
     """The four-issue out-of-order core driving a memory hierarchy."""
 
@@ -107,9 +97,25 @@ class OoOCore:
         self.predictor = BranchPredictor(branch_config or BranchPredictorConfig())
         self.itlb = Tlb(itlb_config or TlbConfig(entries=64, ways=4))
         self.dtlb = Tlb(dtlb_config or TlbConfig(entries=128, ways=4))
-        self._register_telemetry()
+        self._register_front_end()
 
-    def _register_telemetry(self) -> None:
+        fu_pool = self.config.functional_units.pool()
+        #: Per op class (indexed by its int value), the next-free cycle
+        #: of each unit instance; a class the pool omits has no units.
+        self._fu_free: List[List[int]] = [
+            [0] * fu_pool.get(op, 0) for op in OpClass
+        ]
+        #: Pipeline state carried from one tape chunk to the next:
+        #: commit times of in-flight instructions (RUU) / mem ops (LSQ),
+        #: each register's ready time (keyed by register id plus one),
+        #: and the scalars of :meth:`run`.
+        self._ruu: Deque[int] = deque()
+        self._lsq: Deque[int] = deque()
+        self._reg_ready: Dict[int, int] = {}
+        self._pipeline = (0, 0, 0, -1, 0, -1, 0)
+        self._totals = RunResult()
+
+    def _register_front_end(self) -> None:
         """Register the core's stats into the hierarchy's registry.
 
         A later core on the same hierarchy replaces an earlier one's
@@ -124,74 +130,119 @@ class OoOCore:
             reg.unregister_source(name)
             reg.register_source(name, source)
 
-        fu_pool = self.config.functional_units.pool()
-        #: Per op class (indexed by its int value), the next-free cycle
-        #: of each unit instance; a class the pool omits has no units.
-        self._fu_free: List[List[int]] = [
-            [0] * fu_pool.get(op, 0) for op in OpClass
-        ]
+    def recorder(self, insts: Iterable[Inst]) -> CoreRecorder:
+        """Stage A over ``insts`` on this core's predictor and TLBs."""
+        return CoreRecorder(
+            insts, self.config.fetch_block_bytes, self.predictor,
+            self.itlb, self.dtlb,
+        )
+
+    def adopt_front_end(self, other: "OoOCore") -> None:
+        """Take copies of ``other``'s predictor and TLBs, as a live run
+        over the stream ``other`` recorded would have left them here."""
+        self.predictor, self.itlb, self.dtlb = copy.deepcopy(
+            (other.predictor, other.itlb, other.dtlb)
+        )
+        self._register_front_end()
+
+    @property
+    def result(self) -> RunResult:
+        """The summary of everything this core has timed so far."""
+        return replace(self._totals)
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self, insts: Iterable[Inst]) -> RunResult:
-        """Time ``insts`` in one pass and return the run's summary.
+    def run(
+        self,
+        insts: Union[CoreTape, CoreRecorder, Iterable[Inst]],
+        profiler: Optional[PhaseProfiler] = None,
+        phase: str = "core-replay",
+    ) -> RunResult:
+        """Time ``insts`` and return the summary of everything this core
+        has timed so far.
+
+        A :class:`~repro.cpu.tape.CoreTape` is replayed where the last
+        one stopped.  A :class:`~repro.cpu.tape.CoreRecorder` from
+        :meth:`recorder` records its next chunk, which stays its
+        ``tape`` for other cores to replay, and this core replays it.
+        Any other iterable of :class:`Inst` is recorded and replayed a
+        chunk at a time on this core's predictor and TLBs.  Stage A runs
+        inside this call either way, so a caller timing ``run`` times
+        the whole core.  ``profiler`` (opt-in) accounts recording to
+        ``core-record`` and replay to ``phase``.
 
         Hot loop: this runs once per simulated instruction, so it is one
-        flat loop.  Op classes are used as ints (LOAD 4, STORE 5;
-        INT_MUL 1 and FP_MUL 3 are the unpipelined units), latencies and
-        unit free lists are per-op lists indexed by op, the fetch and
-        commit bandwidth gates (:class:`_BandwidthGate`) are inlined as
-        local ``(cycle, count)`` pairs, the hierarchy/TLB/predictor
-        methods are bound to locals and the counters live in locals
-        until the end.  The unit chosen is the first with the minimum
+        flat loop over the tape's columns.  Op classes are ints (LOAD 4,
+        STORE 5; INT_MUL 1 and FP_MUL 3 are the unpipelined units) with
+        the tape's flag bits above them (``NEW_BLOCK`` 8, ``EXTRA_SRCS``
+        16 and ``MISPREDICT`` 32, the highest, so ``code >= 32`` tests
+        it and ``code < 8`` means none is set), unit free lists are per-op
+        lists indexed by op, the fetch and commit bandwidth gates are
+        local ``(cycle, count)`` pairs, the hierarchy methods are bound
+        to locals and the pipeline state lives in locals until the end
+        of the chunk.  The unit chosen is the first with the minimum
         free time.
         """
+        if isinstance(insts, CoreRecorder):
+            start = time.perf_counter()
+            tape = insts.record(insts.chunk_insts)
+            if profiler is not None:
+                profiler.add(
+                    "core-record", time.perf_counter() - start, len(tape)
+                )
+            return self.run(tape, profiler, phase)
+        if not isinstance(insts, CoreTape):
+            recorder = self.recorder(insts)
+            self.run(recorder, profiler, phase)
+            while len(recorder.tape):
+                self.run(recorder, profiler, phase)
+            return self.result
+        start = time.perf_counter()
+        tape = insts
         cfg = self.config
         decode_width = cfg.decode_width
         commit_width = cfg.commit_width
         ruu_entries = cfg.ruu_entries
         lsq_entries = cfg.lsq_entries
         mispredict_penalty = cfg.mispredict_penalty
-        block_mask = ~(cfg.fetch_block_bytes - 1)
-        exec_latency = [EXEC_LATENCY[op] for op in OpClass]
         fu_free = self._fu_free
-        itlb = self.itlb.translate
-        dtlb = self.dtlb.translate
         ifetch = self.hierarchy.ifetch
         load = self.hierarchy.load
         store = self.hierarchy.store
-        predict = self.predictor.predict_and_update
+        block_pcs = tape.block_pcs
+        itlb_penalties = tape.itlb_penalties
+        extra_srcs = tape.extra_srcs
 
-        #: Commit times of in-flight instructions (RUU) / mem ops (LSQ).
-        ruu: Deque[int] = deque()
-        lsq: Deque[int] = deque()
+        ruu, lsq = self._ruu, self._lsq
         ruu_append, ruu_popleft = ruu.append, ruu.popleft
         lsq_append, lsq_popleft = lsq.append, lsq.popleft
-        reg_ready: Dict[int, int] = {}
+        reg_ready = self._reg_ready
         reg_get = reg_ready.get
-        #: Earliest cycle the front end may deliver the next instruction.
-        stall_until = 0
-        #: Availability time of the current fetch block.
-        block_ready = 0
-        current_block = None
-        last_commit = 0
-        #: The fetch and commit gates: cycle last admitted, count in it.
-        fetch_cycle, fetch_count = -1, 0
-        commit_cycle, commit_count = -1, 0
-        n = loads = stores = branches = mispredicts = load_latency_total = 0
+        #: ``stall_until`` is the earliest cycle the front end may
+        #: deliver the next instruction, ``block_ready`` when the
+        #: current fetch block is available; the gates are the cycle
+        #: last admitted and the count in it.
+        (
+            stall_until, block_ready, last_commit, fetch_cycle, fetch_count,
+            commit_cycle, commit_count,
+        ) = self._pipeline
+        block = extra = load_latency_total = 0
 
-        for inst in insts:
-            n += 1
-            op = inst.op
-            pc = inst.pc
-
+        for code, addr, dest, src1, src2, latency in zip(
+            tape.codes, tape.addrs, tape.dests, tape.src1, tape.src2,
+            tape.latencies,
+        ):
             # ---- fetch ----
-            block = pc & block_mask
-            if block != current_block:
-                current_block = block
-                t = stall_until if stall_until > block_ready else block_ready
-                penalty = itlb(pc)
-                block_ready = t + penalty + (ifetch(pc, t) - 1)
+            if code < 8:
+                op = code
+            else:
+                op = code & 7
+                if code & 8:
+                    t = stall_until if stall_until > block_ready else block_ready
+                    block_ready = t + itlb_penalties[block] + (
+                        ifetch(block_pcs[block], t) - 1
+                    )
+                    block += 1
             cycle = stall_until if stall_until > block_ready else block_ready
             if cycle <= fetch_cycle:
                 if fetch_count >= decode_width:
@@ -218,10 +269,20 @@ class OoOCore:
 
             # ---- issue: operands + functional unit ----
             ready = dispatch
-            for src in inst.srcs:
-                avail = reg_get(src, 0)
+            if src1:
+                avail = reg_get(src1, 0)
                 if avail > ready:
                     ready = avail
+                if src2:
+                    avail = reg_get(src2, 0)
+                    if avail > ready:
+                        ready = avail
+            if code >= 16 and code & 16:
+                for src in extra_srcs[extra]:
+                    avail = reg_get(src, 0)
+                    if avail > ready:
+                        ready = avail
+                extra += 1
             units = fu_free[op]
             if len(units) == 1:
                 unit = 0
@@ -232,15 +293,9 @@ class OoOCore:
             issue = ready if ready > free else free
 
             # ---- execute ----
-            latency = exec_latency[op]
             if op == 4:
-                latency += dtlb(inst.addr)
-                latency += load(inst.addr, issue)
-                loads += 1
+                latency += load(addr, issue)
                 load_latency_total += latency
-            elif op == 5:
-                latency += dtlb(inst.addr)
-                stores += 1
             complete = issue + latency
             # Pipelined units accept a new op next cycle; the single
             # mult/div units are unpipelined and block for the full op.
@@ -249,19 +304,14 @@ class OoOCore:
             else:
                 units[unit] = issue + 1
 
-            dest = inst.dest
-            if dest >= 0:
+            if dest:
                 reg_ready[dest] = complete
 
             # ---- branch resolution ----
-            if op == 6:
-                branches += 1
-                if predict(pc, inst.taken, inst.target):
-                    mispredicts += 1
-                    redirect = complete + mispredict_penalty
-                    if redirect > stall_until:
-                        stall_until = redirect
-                    current_block = None  # refetch starts a new block
+            if code >= 32:
+                redirect = complete + mispredict_penalty
+                if redirect > stall_until:
+                    stall_until = redirect
 
             # ---- commit (in order) ----
             cycle = complete if complete > last_commit else last_commit
@@ -280,14 +330,20 @@ class OoOCore:
                 lsq_append(last_commit)
                 if op == 5:
                     # Write-through L1 + write buffer at retirement.
-                    store(inst.addr, last_commit)
+                    store(addr, last_commit)
 
-        return RunResult(
-            instructions=n,
-            cycles=last_commit,
-            loads=loads,
-            stores=stores,
-            branches=branches,
-            mispredicts=mispredicts,
-            load_latency_total=load_latency_total,
+        self._pipeline = (
+            stall_until, block_ready, last_commit, fetch_cycle, fetch_count,
+            commit_cycle, commit_count,
         )
+        totals = self._totals
+        totals.instructions += len(tape)
+        totals.cycles = last_commit
+        totals.loads += tape.loads
+        totals.stores += tape.stores
+        totals.branches += tape.branches
+        totals.mispredicts += tape.mispredicts
+        totals.load_latency_total += load_latency_total
+        if profiler is not None:
+            profiler.add(phase, time.perf_counter() - start, len(tape))
+        return self.result

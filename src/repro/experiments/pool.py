@@ -40,13 +40,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.policy import get_variant
 from repro.core.protected_cache import ProtectionConfig
 from repro.experiments.runner import (
     RunConfig,
+    ipc_instructions,
     run_ipc,
+    run_ipc_group,
     run_refs_with_hierarchy,
 )
 from repro.telemetry.profiling import PhaseProfiler
@@ -225,6 +227,36 @@ def execute_cell(cell: Cell) -> Any:
     )
 
 
+def front_end_key(cell: Cell) -> Optional[tuple]:
+    """What an ipc cell's recorded front end depends on — the
+    benchmark, the geometry, the seed and the instruction count — or
+    None for a reference-mode cell."""
+    if cell.mode != "ipc":
+        return None
+    config = cell.config
+    return (
+        cell.benchmark, config.geometry, config.seed,
+        ipc_instructions(config, cell.n_insts),
+    )
+
+
+def execute_unit(unit: Tuple[Cell, ...]) -> Tuple[List[Any], PhaseProfiler]:
+    """Run one work unit: a reference-mode cell alone (through
+    :func:`execute_cell`, looked up when called), or ipc cells with one
+    :func:`front_end_key` through one recorded front end
+    (:func:`~repro.experiments.runner.run_ipc_group`).  Returns the
+    outputs in unit order and the unit's core phases."""
+    profiler = PhaseProfiler()
+    first = unit[0]
+    if first.mode != "ipc":
+        return [execute_cell(first)], profiler
+    outputs = run_ipc_group(
+        first.benchmark, [(cell.protection, cell.variant) for cell in unit],
+        first.config, n_insts=first.n_insts, profiler=profiler,
+    )
+    return outputs, profiler
+
+
 def build_cell_hierarchy(cell: Cell):
     """The :class:`~repro.cache.hierarchy.MemoryHierarchy` a reference-mode
     cell runs against, for any variant.
@@ -255,7 +287,7 @@ def _map_indexed(payload):
     return index, output, time.perf_counter() - t0
 
 
-def _work_units(output: Any) -> int:
+def _simulated_work(output: Any) -> int:
     """Simulated work of one result, for throughput reporting."""
     refs = getattr(output, "refs", None)
     if refs is not None:
@@ -373,7 +405,15 @@ class SweepEngine:
     # -- public API --------------------------------------------------------
 
     def run_cells(self, cells: Sequence[Cell]) -> List[Any]:
-        """Run every cell; outputs are returned in submission order."""
+        """Run every cell; outputs are returned in submission order.
+
+        Pending cells are dispatched as work units
+        (:func:`execute_unit`): ipc cells with one
+        :func:`front_end_key` together, every other cell alone.
+        Caching, records, ticks and ``on_cell`` stay per cell; a unit's
+        wall time is shared evenly among its cells, and its core phases
+        join :attr:`profiler`.
+        """
         cells = list(cells)
         if not cells:
             return []
@@ -381,7 +421,7 @@ class SweepEngine:
         version = code_version()
         keys = [cell_key(cell, version) for cell in cells]
         outputs: List[Any] = [None] * len(cells)
-        pending: List[int] = []
+        units: Dict[Any, List[int]] = {}
 
         done = 0
         with self.profiler.phase("cache-lookup", events=len(cells)):
@@ -393,17 +433,22 @@ class SweepEngine:
                     self._record(cells[i], key, 0.0, hit, cached=True)
                     self._tick(done, len(cells), cells[i], True)
                 else:
-                    pending.append(i)
+                    group = front_end_key(cells[i])
+                    units.setdefault(i if group is None else group, []).append(i)
 
-        for j, output, wall in self._dispatch(
-            execute_cell, [cells[i] for i in pending]
+        members = list(units.values())
+        for j, (unit_outputs, phases), wall in self._dispatch(
+            execute_unit,
+            [tuple(cells[i] for i in unit) for unit in members],
         ):
-            i = pending[j]
-            outputs[i] = output
-            self._store(keys[i], output)
-            self._record(cells[i], keys[i], wall, output, cached=False)
-            done += 1
-            self._tick(done, len(cells), cells[i], False, wall)
+            self.profiler.merge(phases)
+            share = wall / len(members[j])
+            for i, output in zip(members[j], unit_outputs):
+                outputs[i] = output
+                self._store(keys[i], output)
+                self._record(cells[i], keys[i], share, output, cached=False)
+                done += 1
+                self._tick(done, len(cells), cells[i], False, share)
         self.stats.wall_s += time.perf_counter() - t0
         self._tick_done()
         return outputs
@@ -421,22 +466,6 @@ class SweepEngine:
     ) -> Any:
         """Drop-in for :func:`repro.experiments.runner.run_refs`."""
         return self.run(Cell(benchmark, protection, config, variant=variant))
-
-    def run_ipc(
-        self,
-        benchmark: str,
-        protection: Optional[ProtectionConfig],
-        config: RunConfig,
-        n_insts: Optional[int] = None,
-        variant: str = "standard",
-    ) -> Any:
-        """Drop-in for :func:`repro.experiments.runner.run_ipc`."""
-        return self.run(
-            Cell(
-                benchmark, protection, config,
-                mode="ipc", n_insts=n_insts, variant=variant,
-            )
-        )
 
     def map_tasks(
         self,
@@ -498,7 +527,7 @@ class SweepEngine:
             self.cache.put(key, output)
 
     def _record(self, cell, key, wall, output, cached) -> None:
-        refs = _work_units(output)
+        refs = _simulated_work(output)
         if not cached:
             # Worker wall-time: under a pool this sums across processes,
             # so the events/s line reads as per-worker throughput.
@@ -538,4 +567,6 @@ __all__ = [
     "code_version",
     "default_cache_dir",
     "execute_cell",
+    "execute_unit",
+    "front_end_key",
 ]

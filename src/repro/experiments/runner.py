@@ -13,7 +13,14 @@ Two run modes:
   figure grid share one benchmark's tape (:func:`run_refs_with_hierarchy`).
 * **CPU mode** (:func:`run_ipc`) — expands the stream into full
   instructions and runs the out-of-order core, so bus contention turns
-  into IPC.  Used for the Section 5.2 performance-loss numbers.
+  into IPC.  Used for the Section 5.2 performance-loss numbers.  It
+  runs in two stages split at the front end: stage A
+  (:class:`~repro.cpu.tape.CoreRecorder`) generates and expands the
+  stream and runs the fetch blocks, TLBs and branch predictor, and
+  records :class:`~repro.cpu.tape.CoreTape` chunks; stage B
+  (:meth:`~repro.cpu.ooo.OoOCore.run`) replays each chunk against the
+  hierarchy.  The org and ours machines of a comparison replay the
+  same chunks (:func:`run_ipc_group`).
 
 Geometry scaling (DESIGN.md §5): Python cannot simulate the paper's
 10^9-instruction runs, so the default geometry shrinks every capacity
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import astuple, dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.hierarchy import (
@@ -507,6 +514,12 @@ def run_trace(
     )
 
 
+def ipc_instructions(config: RunConfig, n_insts: Optional[int] = None) -> int:
+    """The instructions a CPU-mode run times: ``n_insts``, or three per
+    measured reference of ``config`` when it is None."""
+    return config.n_refs * 3 if n_insts is None else n_insts
+
+
 def run_ipc(
     benchmark: str,
     protection: Optional[ProtectionConfig],
@@ -514,25 +527,85 @@ def run_ipc(
     n_insts: Optional[int] = None,
     processor: Optional[ProcessorConfig] = None,
     variant: str = "standard",
+    profiler: Optional[PhaseProfiler] = None,
 ) -> IpcRunOutput:
     """CPU-mode run: full out-of-order timing, returns IPC and traffic.
 
     ``variant`` selects the L2 under test from the variant registry
     (:func:`repro.core.policy.available_variants`); ``standard`` is the
-    plain/protected L2 the paper evaluates.
+    plain/protected L2 the paper evaluates.  The one-member case of
+    :func:`run_ipc_group`.
+    """
+    return run_ipc_group(
+        benchmark, ((protection, variant),), config, n_insts, processor,
+        profiler,
+    )[0]
+
+
+def run_ipc_group(
+    benchmark: str,
+    members: Sequence[Tuple[Optional[ProtectionConfig], str]],
+    config: RunConfig = RunConfig(),
+    n_insts: Optional[int] = None,
+    processor: Optional[ProcessorConfig] = None,
+    profiler: Optional[PhaseProfiler] = None,
+) -> List[IpcRunOutput]:
+    """CPU-mode runs of one benchmark on one front end, one per
+    ``(protection, variant)`` member, in member order.
+
+    The members share everything stage A reads (the benchmark, the
+    geometry, the seed, the instruction count and the processor), so
+    the stream is generated and recorded once: each
+    :class:`~repro.cpu.tape.CoreTape` chunk is replayed into every
+    member's core before the next is recorded, and memory holds one
+    chunk whatever ``n_insts`` is.  The first member's core records on
+    its own predictor and TLBs (inside its ``run``); the others adopt
+    their final state.
+    ``profiler`` (opt-in) accounts wall time to ``core-record`` and to
+    one ``core-replay-<member>`` phase per member (``org`` for the
+    plain standard L2, ``ours`` for a protected one, then the variant).
     """
     spec = get_benchmark(benchmark)
-    hierarchy = _variant_hierarchy(config, protection, variant)
+    cores = [
+        OoOCore(_variant_hierarchy(config, protection, variant), config=processor)
+        for protection, variant in members
+    ]
+    phases = [
+        "core-replay-" + ("org" if protection is None else "ours")
+        + ("" if variant == "standard" else f"-{variant}")
+        for protection, variant in members
+    ]
     stream = make_ref_stream(spec, config.geometry.l2_bytes, seed=config.seed)
     mix = MixConfig(fp_fraction=0.5 if spec.suite == "fp" else 0.1)
     mixer = InstructionMixer(mix, seed=config.seed)
-    core = OoOCore(hierarchy, config=processor)
+    insts = itertools.islice(
+        mixer.expand(stream), ipc_instructions(config, n_insts)
+    )
+    recorder = cores[0].recorder(insts)
+    while True:
+        # Stage A runs inside the first core's ``run``, so per-layer
+        # timing of ``OoOCore.run`` covers the whole core.
+        cores[0].run(recorder, profiler, phases[0])
+        if not len(recorder.tape):
+            break
+        for core, phase in zip(cores[1:], phases[1:]):
+            core.run(recorder.tape, profiler, phase)
+    outputs = []
+    for core, (protection, variant) in zip(cores, members):
+        if core is not cores[0]:
+            core.adopt_front_end(cores[0])
+        outputs.append(_ipc_output(benchmark, protection, variant, core))
+    return outputs
 
-    if n_insts is None:
-        n_insts = config.n_refs * 3
-    insts = itertools.islice(mixer.expand(stream), n_insts)
-    result = core.run(insts)
 
+def _ipc_output(
+    benchmark: str,
+    protection: Optional[ProtectionConfig],
+    variant: str,
+    core: OoOCore,
+) -> IpcRunOutput:
+    """One member's output once its core has run the whole stream."""
+    hierarchy = core.hierarchy
     for level in hierarchy.levels:
         check_invariants(level)
     l2 = hierarchy.l2
@@ -551,7 +624,7 @@ def run_ipc(
     return IpcRunOutput(
         benchmark=benchmark,
         protection=protection,
-        result=result,
+        result=core.result,
         writeback_fraction=hierarchy.writeback_fraction(),
         dirty_fraction=dirty,
         silent_writes=l2.stats.silent_writes,

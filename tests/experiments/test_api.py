@@ -47,7 +47,7 @@ class TestRequestPlumbing:
 
     def test_keys_separate_kinds_and_payloads(self):
         run_key = api.request_key("run", api.RunRequest(**QUICK))
-        assert run_key != api.request_key("ipc", api.IpcRequest(**QUICK))
+        assert run_key != api.request_key("ipc", api.IpcRequest())
         assert run_key != api.request_key(
             "run", api.RunRequest(benchmark="swim", **QUICK)
         )
@@ -76,14 +76,13 @@ class TestFacadeResults:
 
     def test_ipc_matches_cli_json(self, capsys):
         rc = main([
-            "ipc", "--benchmark", "swim", "--insts", "4000",
-            "--refs", "3000", "--warmup", "1000", "--no-cache",
+            "ipc", "--benchmark", "swim", "--insts", "4000", "--no-cache",
             "--format", "json",
         ])
         assert rc == 0
         cli_doc = json.loads(capsys.readouterr().out)
         direct = api.ipc(
-            api.IpcRequest(benchmark="swim", insts=4000, **QUICK),
+            api.IpcRequest(benchmark="swim", insts=4000),
             engine=_engine(),
         )
         assert cli_doc == json.loads(json.dumps(direct.as_dict()))

@@ -96,7 +96,6 @@ class TestCommands:
     def test_ipc(self, capsys):
         code = main([
             "ipc", "--benchmark", "mesa", "--insts", "8000",
-            "--refs", "4000", "--warmup", "0",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -172,6 +171,29 @@ class TestCommands:
         # The engine path always profiles its cache probe.
         assert "cache-lookup" in out
 
+    def test_ipc_profile_splits_record_from_replay(self, capsys):
+        code = main([
+            "ipc", "--benchmark", "swim", "--insts", "3000", "--no-cache",
+            "--variant", "silent-write", "--profile",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        phases = [
+            line.split(":")[0].strip()
+            for line in out[out.index("profile:"):].splitlines()[1:]
+        ]
+        assert phases == [
+            "cache-lookup", "core-record", "core-replay-org",
+            "core-replay-ours-silent-write", "execute",
+        ]
+        assert "core-record: " in out and "3000 events" in out
+
+    def test_ipc_profiles_only_when_asked(self, capsys):
+        assert main(["ipc", "--insts", "2000", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "sweep: 2 cells" in out
+        assert "profile:" not in out
+
     def test_ablate_decay(self, capsys):
         code = main([
             "ablate", "decay", "--benchmarks", "swim",
@@ -221,7 +243,7 @@ class TestVariantFlag:
     def test_ipc_variant_energy_row(self, capsys):
         code = main([
             "ipc", "--benchmark", "mesa", "--variant", "silent-write",
-            "--insts", "8000", "--refs", "4000", "--warmup", "0",
+            "--insts", "8000",
         ])
         assert code == 0
         out = capsys.readouterr().out

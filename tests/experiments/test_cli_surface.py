@@ -130,10 +130,9 @@ SURFACE = {
         "--interval": _opt("interval", 1048576),
         "--jobs": _opt("jobs", 1),
         "--no-cache": _opt("no_cache", False, nargs=0),
-        "--refs": _opt("refs", 60000),
+        "--profile": _opt("profile", False, nargs=0),
         "--seed": _opt("seed", 0),
         "--variant": _opt("variant", "standard"),
-        "--warmup": _opt("warmup", 20000),
     },
     "list": {
     },
@@ -322,8 +321,6 @@ DEFAULT_DOCS = {
         "insts": 120000,
         "interval": 1048576,
         "ecc_entries": 1,
-        "refs": 60000,
-        "warmup": 20000,
         "seed": 0,
         "variant": "standard",
     },

@@ -85,6 +85,29 @@ class TestFigures:
         assert ours.total_kib != area_table()[1].total_kib
 
 
+class TestIpc:
+    @pytest.mark.parametrize("flag", ["--refs", "--warmup"])
+    def test_reference_window_flags_are_gone(self, capsys, no_cells, flag):
+        # CPU mode times ``--insts`` instructions with no warm-up, so a
+        # reference window would only change the request's identity.
+        with pytest.raises(SystemExit) as exit_:
+            main(["ipc", flag, "5000"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            f"error: unrecognized arguments: {flag} 5000"
+        )
+
+    @pytest.mark.parametrize("field", ["refs", "warmup"])
+    def test_wire_request_naming_them_is_rejected(self, field):
+        from repro import api
+
+        with pytest.raises(
+            api.ReproError, match=f"^unknown IpcRequest field\\(s\\): {field}$"
+        ):
+            api.request_from_dict(api.IpcRequest, {field: 5000})
+
+
 class TestInject:
     def test_more_flips_than_codeword_bits(self, capsys):
         # secded: 64 data bits + 8 check bits.

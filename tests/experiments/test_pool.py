@@ -192,6 +192,100 @@ class TestEngineParallel:
             SweepEngine(jobs=0)
 
 
+class TestIpcFrontEndSharing:
+    """ipc cells with one front end run as one work unit: the stream is
+    generated and expanded once for all of them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of ``make_ref_stream`` and ``InstructionMixer.expand``
+        calls in this process (the runner's reference-mode tape memo is
+        emptied so it records anew)."""
+        from repro.experiments import runner
+        from repro.workloads.mix import InstructionMixer
+
+        counts = {"streams": 0, "expands": 0}
+        make_stream, expand = runner.make_ref_stream, InstructionMixer.expand
+
+        def counted_stream(*args, **kwargs):
+            counts["streams"] += 1
+            return make_stream(*args, **kwargs)
+
+        def counted_expand(mixer, refs):
+            counts["expands"] += 1
+            return expand(mixer, refs)
+
+        monkeypatch.setattr(runner, "make_ref_stream", counted_stream)
+        monkeypatch.setattr(InstructionMixer, "expand", counted_expand)
+        monkeypatch.setattr(runner, "_LAST_TAPE", None)
+        return counts
+
+    def test_api_ipc_records_one_front_end_per_pair(self, calls):
+        from repro import api
+
+        engine = SweepEngine()
+        for variant in ("standard", "silent-write"):
+            api.ipc(
+                api.IpcRequest(benchmark="swim", insts=2_000, variant=variant),
+                engine=engine,
+            )
+        assert calls == {"streams": 2, "expands": 2}
+        assert engine.stats.executed == 4
+
+    def test_ipc_loss_records_one_front_end_per_benchmark(self, calls):
+        rows = ipc_loss(FAST, suite="fp", n_insts=1_500)
+        assert calls["streams"] == calls["expands"] == len(rows) > 1
+
+    def test_autotune_ipc_point_still_expands_once(self, calls):
+        from repro.autotune.explore import evaluate_point
+        from tests.autotune.test_explore import grid, task
+
+        point = grid()[0]
+        metrics = evaluate_point(task(point, insts=1_500, measure_ipc=True))
+        assert metrics.ipc > 0
+        # One stream for the reference-mode tape, one for the core.
+        assert calls == {"streams": 2, "expands": 1}
+
+    def test_group_outputs_equal_solo_cells_at_any_jobs(self):
+        small = RunConfig(n_refs=2_000, warmup_refs=500)
+        cells = [
+            Cell(bench, protection, small, mode="ipc", n_insts=1_500,
+                 variant=variant)
+            for bench in ("swim", "mcf")
+            for protection, variant in (
+                (None, "standard"), (PROT, "standard"),
+                (PROT, "silent-write"),
+            )
+        ]
+        cells.insert(3, Cell("mesa", PROT, small))
+        seen = []
+        engine = SweepEngine(on_cell=seen.append)
+        grouped = engine.run_cells(cells)
+        assert grouped == [pool_mod.execute_cell(cell) for cell in cells]
+        assert grouped == SweepEngine(jobs=2).run_cells(cells)
+        assert [r.label for r in seen] == [c.label for c in cells]
+        # Stage A once per benchmark, stage B once per member.
+        for phase in (
+            "core-record", "core-replay-org", "core-replay-ours",
+            "core-replay-ours-silent-write",
+        ):
+            assert engine.profiler.record(phase).events == 2 * 1_500
+
+    def test_front_end_key(self):
+        ipc = Cell("swim", PROT, FAST, mode="ipc")
+        assert pool_mod.front_end_key(Cell("swim", PROT, FAST)) is None
+        assert pool_mod.front_end_key(ipc) == pool_mod.front_end_key(
+            Cell("swim", None, FAST, mode="ipc", variant="silent-write",
+                 n_insts=3 * FAST.n_refs)
+        )
+        for other in (
+            Cell("mcf", PROT, FAST, mode="ipc"),
+            Cell("swim", PROT, dataclasses.replace(FAST, seed=1), mode="ipc"),
+            Cell("swim", PROT, FAST, mode="ipc", n_insts=7),
+        ):
+            assert pool_mod.front_end_key(other) != pool_mod.front_end_key(ipc)
+
+
 class TestEngineCaching:
     def test_second_invocation_served_from_cache(self, tmp_path):
         first = SweepEngine(cache=tmp_path)

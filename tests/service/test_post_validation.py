@@ -22,6 +22,8 @@ def client(tmp_path):
     [
         ("run", {"benchmark": "gcc"}, "unknown benchmark 'gcc'"),
         ("ipc", {"insts": 0}, "insts must be positive"),
+        ("ipc", {"refs": 60000}, "unknown IpcRequest field(s): refs"),
+        ("ipc", {"warmup": 20000}, "unknown IpcRequest field(s): warmup"),
         ("area", {"ecc_entries": 0}, "ecc_entries must be positive"),
         ("inject", {"flips": 0}, "trials and flips must be positive"),
         ("inject", {"flips": 100}, "flips must be at most 72"),

@@ -91,3 +91,40 @@ class TestRunnerIntegration:
         assert engine.profiler.record("execute").events == 2_000
         assert "cache-lookup" in engine.profiler
         assert "profile:" in engine.summary()
+
+    def test_run_ipc_profiles_record_and_replay(self):
+        from repro.core import ProtectionConfig
+        from repro.experiments import RunConfig
+        from repro.experiments.runner import run_ipc, run_ipc_group
+
+        config = RunConfig(n_refs=2_000, warmup_refs=500)
+        full = ProtectionConfig(cleaning_interval=1 << 20,
+                                ecc_entries_per_set=1)
+        profiler = PhaseProfiler()
+        out = run_ipc("mesa", full, config, n_insts=2_500, profiler=profiler)
+        assert list(profiler.phases) == ["core-record", "core-replay-ours"]
+        assert profiler.record("core-record").events == 2_500
+        assert profiler.record("core-replay-ours").events == (
+            out.result.instructions
+        )
+
+        profiler = PhaseProfiler()
+        run_ipc_group(
+            "mesa", [(None, "standard"), (full, "decay")], config,
+            n_insts=2_500, profiler=profiler,
+        )
+        assert list(profiler.phases) == [
+            "core-record", "core-replay-org", "core-replay-ours-decay",
+        ]
+
+    def test_api_ipc_hands_the_engine_phases_to_its_profiler(self):
+        from repro import api
+        from repro.experiments.pool import SweepEngine
+
+        profiler = PhaseProfiler()
+        api.ipc(api.IpcRequest(benchmark="swim", insts=2_000),
+                engine=SweepEngine(), profiler=profiler)
+        assert profiler.record("core-record").events == 2_000
+        assert profiler.record("core-replay-org").events == 2_000
+        assert profiler.record("core-replay-ours").events == 2_000
+        assert profiler.record("execute").events == 4_000
