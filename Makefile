@@ -35,11 +35,11 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The CI performance-regression gate: measure injection-kernel
-# throughput per backend (reference / batch / vector when numpy is
-# installed) plus the autotune explorer's cold/warm-cache passes, then
-# fail if anything regressed past the committed baseline
-# (BENCH_reliability.json at the repo root, schema v5) or a speedup
-# ratio fell under its floor.  See scripts/check_bench.py.
+# throughput per backend (reference / batch) plus the autotune
+# explorer's cold/warm-cache passes, then fail if anything regressed
+# past the committed baseline (BENCH_reliability.json at the repo root,
+# schema v5) or a speedup ratio fell under its floor.  See
+# scripts/check_bench.py.
 bench-perf:
 	PYTHONPATH=src:benchmarks $(PYTHON) \
 		benchmarks/bench_reliability_throughput.py \
@@ -47,8 +47,7 @@ bench-perf:
 	$(PYTHON) scripts/check_bench.py
 
 # Refresh the committed schema-v5 baseline after an intentional kernel
-# change (run with the [fast] extra installed so the vector backend is
-# part of the baseline).
+# change.
 bench-baseline:
 	PYTHONPATH=src:benchmarks $(PYTHON) \
 		benchmarks/bench_reliability_throughput.py \

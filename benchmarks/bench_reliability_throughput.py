@@ -2,8 +2,7 @@
 
 Measures trials/second of the reliability campaign's shard kernels
 (``reference`` builds real codec objects per trial, ``batch`` looks
-sampled error patterns up in a memoised classifier, ``vector`` — when
-numpy is installed — classifies whole blocks with table gathers; see
+sampled error patterns up in a memoised classifier; see
 ``repro.reliability``)
 and an end-to-end campaign wall time, then writes the numbers to a JSON
 artifact (schema v5: per-backend entries under ``kernels``, per-scenario
@@ -20,8 +19,7 @@ that the nominal path's absolute rate holds its floor).  CI runs
 this via ``make bench-perf`` and ``scripts/check_bench.py`` fails the
 build when any backend's throughput drops below the committed baseline
 (``BENCH_reliability.json`` at the repo root) or a speedup ratio falls
-under its floor.  The ``vector`` entry is simply omitted when numpy is
-absent; the gate skips it gracefully.
+under its floor.
 
 Standalone:
 
@@ -53,7 +51,6 @@ from repro.reliability.campaign import (
 )
 from repro.reliability.model import FaultModelConfig, SCHEMES
 from repro.reliability.scenarios import available_scenarios
-from repro.reliability.vector import HAVE_NUMPY
 
 #: Schema version of the emitted JSON (bump on shape changes).
 SCHEMA = 5
@@ -183,7 +180,6 @@ def measure_runner(
 def measure_throughput(
     reference_trials: int = 20_000,
     batch_trials: int = 200_000,
-    vector_trials: int = 2_000_000,
     campaign_trials: int = 100_000,
     scenario_trials: int = 50_000,
     autotune_trials: int = 400,
@@ -192,12 +188,8 @@ def measure_throughput(
 ) -> Dict:
     """The full measurement: per-scheme kernels + an end-to-end campaign."""
     schemes = sorted(SCHEMES)
-    kernels = ["reference", "batch"] + (["vector"] if HAVE_NUMPY else [])
-    trials_for = {
-        "reference": reference_trials,
-        "batch": batch_trials,
-        "vector": vector_trials,
-    }
+    kernels = ["reference", "batch"]
+    trials_for = {"reference": reference_trials, "batch": batch_trials}
     # Warm up every kernel once: the shared pool, the plan caches and
     # the first classification of each pattern are one-time costs that
     # must not skew rates.
@@ -229,12 +221,6 @@ def measure_throughput(
             "speedup_vs_reference": rates["batch"] / rates["reference"],
         },
     }
-    if "vector" in rates:
-        kernel_doc["vector"] = {
-            "trials_per_s": rates["vector"],
-            "speedup_vs_batch": rates["vector"] / rates["batch"],
-            "speedup_vs_reference": rates["vector"] / rates["reference"],
-        }
 
     # Per-scenario batch throughput (uniform-ecc): nominal takes the
     # fast table path, correlated presets the generic mask classifier.
@@ -279,25 +265,16 @@ def measure_throughput(
 
 def _render(payload: Dict) -> str:
     kernels = payload["kernels"]
-    have_vector = "vector" in kernels
-    headers = ["scheme", "reference trials/s", "batch trials/s"]
-    if have_vector:
-        headers.append("vector trials/s")
-    headers.append("batch/ref speedup")
-    rows = []
-    for scheme, row in payload["schemes"].items():
-        cells = [scheme, row["reference_trials_per_s"],
-                 row["batch_trials_per_s"]]
-        if have_vector:
-            cells.append(row.get("vector_trials_per_s", 0.0))
-        cells.append(row["speedup"])
-        rows.append(cells)
-    total = ["ALL", kernels["reference"]["trials_per_s"],
-             kernels["batch"]["trials_per_s"]]
-    if have_vector:
-        total.append(kernels["vector"]["trials_per_s"])
-    total.append(kernels["batch"]["speedup_vs_reference"])
-    rows.append(total)
+    headers = ["scheme", "reference trials/s", "batch trials/s",
+               "batch/ref speedup"]
+    rows = [
+        [scheme, row["reference_trials_per_s"], row["batch_trials_per_s"],
+         row["speedup"]]
+        for scheme, row in payload["schemes"].items()
+    ]
+    rows.append(["ALL", kernels["reference"]["trials_per_s"],
+                 kernels["batch"]["trials_per_s"],
+                 kernels["batch"]["speedup_vs_reference"]])
     table = render_table(
         headers,
         rows,
@@ -353,7 +330,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--reference-trials", type=int, default=20_000)
     parser.add_argument("--batch-trials", type=int, default=200_000)
-    parser.add_argument("--vector-trials", type=int, default=2_000_000)
     parser.add_argument("--campaign-trials", type=int, default=100_000)
     parser.add_argument("--scenario-trials", type=int, default=50_000)
     parser.add_argument("--autotune-trials", type=int, default=400)
@@ -364,7 +340,6 @@ def main(argv=None) -> int:
     payload = measure_throughput(
         reference_trials=args.reference_trials,
         batch_trials=args.batch_trials,
-        vector_trials=args.vector_trials,
         campaign_trials=args.campaign_trials,
         scenario_trials=args.scenario_trials,
         autotune_trials=args.autotune_trials,
@@ -378,8 +353,6 @@ def main(argv=None) -> int:
     table = _render(payload)
     write_result("reliability_throughput", table)
     print(table)
-    if "vector" not in payload["kernels"]:
-        print("vector kernel: skipped (numpy not installed)")
     print(
         f"campaign: {payload['campaign']['trials']} trials in "
         f"{payload['campaign']['seconds']:.2f}s "
@@ -395,7 +368,6 @@ def bench_reliability_throughput(benchmark):
         lambda: measure_throughput(
             reference_trials=4_000,
             batch_trials=40_000,
-            vector_trials=200_000,
             campaign_trials=20_000,
             scenario_trials=10_000,
             autotune_trials=200,
@@ -407,8 +379,6 @@ def bench_reliability_throughput(benchmark):
     write_result("reliability_throughput", _render(payload))
     # Loose in-bench floors; the committed-baseline gate is the real one.
     assert payload["kernels"]["batch"]["speedup_vs_reference"] > 4
-    if "vector" in payload["kernels"]:
-        assert payload["kernels"]["vector"]["speedup_vs_batch"] > 2
     assert payload["autotune"]["warm_speedup"] > 2
     assert payload["runner"]["standard_refs_per_s"] > 0
     assert payload["runner"]["overhead_pct"] < 50  # tight gate is in CI

@@ -8,10 +8,9 @@ root) and exits non-zero when any floor is violated:
   within ``--tolerance`` (default 30%) of the baseline's, so a kernel
   regression cannot land silently even if it stays "fast enough";
 * **speedup ratios** — batch must remain at least ``--min-speedup``
-  (default 10×) faster than the reference path and vector at least
-  ``--min-vector-speedup`` (default 5×) faster than batch, *measured in
-  the same run* — machine-independent bounds that hold on slow CI
-  runners where absolute numbers drift;
+  (default 10×) faster than the reference path, *measured in the same
+  run* — a machine-independent bound that holds on slow CI runners
+  where absolute numbers drift;
 * **scenario rows** — each correlated-fault preset's batch throughput
   is gated with the same tolerance, for every scenario both artifacts
   measured.  A baseline predating the ``scenarios`` section skips
@@ -27,10 +26,6 @@ root) and exits non-zero when any floor is violated:
   path must not pay for the traffic-aware machinery), and the
   silent-write variant's in-run detection overhead must stay under
   ``--max-runner-overhead`` (default 5%).
-
-The ``vector`` backend is gated only when the current run measured it
-(numpy installed); a current run without it is a graceful skip, never a
-failure, so the stdlib-only configuration stays green.
 
 Both files are **validated before anything is dereferenced**: a schema
 bump or a missing key produces ``FAIL:`` lines (all violations, not
@@ -62,9 +57,6 @@ REQUIRED_KERNEL_KEYS = {
     "reference": ("trials_per_s",),
     "batch": ("trials_per_s", "speedup_vs_reference"),
 }
-
-#: Keys a ``vector`` entry must carry *when present*.
-VECTOR_KERNEL_KEYS = ("trials_per_s", "speedup_vs_batch")
 
 #: Keys the (v4-mandatory) ``autotune`` section must carry.
 AUTOTUNE_KEYS = ("cells_per_s_cold", "cells_per_s_warm", "warm_speedup")
@@ -125,20 +117,6 @@ def validate(doc: dict, label: str) -> list:
                     f"{label}: kernels[{kernel!r}][{key!r}] is missing "
                     f"or not a number — {REGENERATE_HINT}"
                 )
-    vector = kernels.get("vector")
-    if vector is not None:
-        if not isinstance(vector, dict):
-            problems.append(
-                f"{label}: kernels['vector'] must be an object — "
-                f"{REGENERATE_HINT}"
-            )
-        else:
-            for key in VECTOR_KERNEL_KEYS:
-                if not isinstance(vector.get(key), (int, float)):
-                    problems.append(
-                        f"{label}: kernels['vector'][{key!r}] is missing "
-                        f"or not a number — {REGENERATE_HINT}"
-                    )
     # The scenarios section is optional (a pre-v3 baseline may lack
     # it) but must be well-formed when present.
     scenarios = doc.get("scenarios")
@@ -194,7 +172,6 @@ def check(
     baseline: dict,
     tolerance: float,
     min_speedup: float,
-    min_vector_speedup: float,
     min_autotune_speedup: float,
     max_runner_overhead: float,
 ) -> list:
@@ -203,9 +180,7 @@ def check(
     cur = current["kernels"]
     base = baseline["kernels"]
 
-    for kernel in ("reference", "batch") + (
-        ("vector",) if "vector" in cur and "vector" in base else ()
-    ):
+    for kernel in ("reference", "batch"):
         floor = base[kernel]["trials_per_s"] * (1.0 - tolerance)
         got = cur[kernel]["trials_per_s"]
         if got < floor:
@@ -222,13 +197,6 @@ def check(
             f"{cur['batch']['speedup_vs_reference']:.1f}x is below the "
             f"{min_speedup:.1f}x floor"
         )
-    if "vector" in cur:
-        if cur["vector"]["speedup_vs_batch"] < min_vector_speedup:
-            problems.append(
-                f"vector/batch speedup "
-                f"{cur['vector']['speedup_vs_batch']:.1f}x is below the "
-                f"{min_vector_speedup:.1f}x floor"
-            )
 
     # Scenario floors: only for presets both artifacts measured.
     cur_scenarios = current.get("scenarios") or {}
@@ -298,11 +266,6 @@ def _summary_line(label: str, doc: dict) -> str:
         f"batch {kernels['batch']['trials_per_s']:,.0f} "
         f"({kernels['batch']['speedup_vs_reference']:.1f}x)",
     ]
-    if "vector" in kernels:
-        parts.append(
-            f"vector {kernels['vector']['trials_per_s']:,.0f} "
-            f"({kernels['vector']['speedup_vs_batch']:.1f}x batch)"
-        )
     autotune = doc["autotune"]
     runner = doc["runner"]
     return (
@@ -340,12 +303,6 @@ def main(argv=None) -> int:
         help="required batch/reference speedup in the current run",
     )
     parser.add_argument(
-        "--min-vector-speedup",
-        type=float,
-        default=5.0,
-        help="required vector/batch speedup when vector was measured",
-    )
-    parser.add_argument(
         "--min-autotune-speedup",
         type=float,
         default=5.0,
@@ -376,17 +333,12 @@ def main(argv=None) -> int:
         baseline,
         args.tolerance,
         args.min_speedup,
-        args.min_vector_speedup,
         args.min_autotune_speedup,
         args.max_runner_overhead,
     )
 
     print(_summary_line("current ", current))
     print(_summary_line("baseline", baseline))
-    if "vector" not in current["kernels"]:
-        print("note: vector backend not measured (numpy absent); skipped")
-    elif "vector" not in baseline["kernels"]:
-        print("note: baseline has no vector entry; vector floor skipped")
     if not baseline.get("scenarios"):
         print("note: baseline has no scenario rows; scenario floors skipped")
     if problems:

@@ -211,11 +211,12 @@ def run(
         )
     else:
         eng = _engine(engine)
+        mark = eng.profiler.mark()
         out = eng.run_refs(
             request.benchmark, protection, config, variant=request.variant,
         )
         if profiler is not None:
-            profiler.merge(eng.profiler)
+            profiler.merge(eng.profiler, since=mark)
 
     label = None
     if protection is not None and protection.cleaning_interval is not None:
@@ -255,12 +256,14 @@ def ipc(
     """Run the paired org/ours CPU-mode comparison.
 
     Both machines go to the engine in one call, so they replay one
-    recorded front end.  ``profiler`` (opt-in) receives the engine's
-    phases, the core's record and per-machine replay among them when
-    the pair was simulated rather than served from the cache.
+    recorded front end.  ``profiler`` (opt-in) receives the phases
+    this call added to the engine's, the core's record and per-machine
+    replay among them when the pair was simulated rather than served
+    from the cache.
     """
     config = RunConfig(seed=request.seed)
     eng = _engine(engine)
+    mark = eng.profiler.mark()
     org, ours = eng.run_cells([
         Cell(
             request.benchmark, None, config, mode="ipc",
@@ -272,7 +275,7 @@ def ipc(
         ),
     ])
     if profiler is not None:
-        profiler.merge(eng.profiler)
+        profiler.merge(eng.profiler, since=mark)
     loss = 100 * (org.ipc - ours.ipc) / org.ipc if org.ipc else 0.0
     return IpcResponse(
         request=request,

@@ -155,7 +155,7 @@ def _validate(request: Any) -> None:
     Registry-backed fields (:data:`_REGISTRIES`) must name registered
     values, each listed in the error; ``benchmark``/``benchmarks``
     must name known workloads; a ``refs``/``warmup`` pair must be a
-    runnable shape; the ``vector`` kernel needs numpy.
+    runnable shape.
     """
     for f in dataclasses.fields(request):
         value = getattr(request, f.name)
@@ -174,10 +174,6 @@ def _validate(request: Any) -> None:
                 _benchmark(name)
     if hasattr(request, "refs") and (request.refs < 1 or request.warmup < 0):
         raise ReproError("refs must be positive and warmup non-negative")
-    if getattr(request, "kernel", None) == "vector":
-        from repro.reliability.vector import require_numpy
-
-        require_numpy()
 
 
 def _positive_or_none(request: Any, *names: str) -> None:
@@ -455,10 +451,7 @@ class ReliabilityRequest(_Request):
         "shard execution kernel: 'batch' looks each strike's draws up "
         "in an outcome memo and decodes only unseen error patterns "
         "(~30x faster than 'reference', bit-identical results); "
-        "'reference' builds a "
-        "live LineProtection per trial; 'vector' classifies whole trial "
-        "blocks with numpy gathers (needs the [fast] extra; same "
-        "distribution, not the same per-trial stream)",
+        "'reference' builds a live LineProtection per trial",
     )
     seed: int = _flag(0)
     double_bit_fraction: float = _flag(0.05, _DOUBLE_BIT_HELP, metavar="P")
@@ -597,7 +590,7 @@ class AutotuneRequest(_Request):
     )
     trials: int = _flag(2000, "fixed injection trials per design point")
     trials_per_shard: int = _flag(500)
-    kernel: str = _flag("batch", "campaign kernel (batch, reference, vector)")
+    kernel: str = _flag("batch", "campaign kernel (batch, reference)")
     seed: int = _flag(0)
     refs: int = _flag(60_000, _REFS_HELP)
     warmup: int = _flag(20_000, _WARMUP_HELP)

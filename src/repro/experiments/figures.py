@@ -37,7 +37,6 @@ from repro.experiments.runner import (
     interval_label,
 )
 from repro.workloads.spec2000 import (
-    BENCHMARKS,
     FP_BENCHMARKS,
     INT_BENCHMARKS,
     BenchmarkSpec,

@@ -307,8 +307,11 @@ class CellRecord:
     label: str
     key: str
     wall_s: float
+    #: Simulated work: references, or instructions for an ipc cell.
     refs: int
     cached: bool
+    #: What :attr:`refs` counts, as the summary line names it.
+    unit: str = "refs"
 
     @property
     def refs_per_s(self) -> float:
@@ -349,10 +352,17 @@ class SweepStats:
             f"({self.executed} executed, {self.cached} cached), "
             f"{self.wall_s:.1f}s wall"
         )
-        if self.executed:
-            line += (
-                f", {self.refs} refs at {self.refs_per_s:,.0f} refs/s per worker"
-            )
+        work: Dict[str, List[float]] = {}
+        for r in self.records:
+            if not r.cached:
+                total = work.setdefault(r.unit, [0, 0.0])
+                total[0] += r.refs
+                total[1] += r.wall_s
+        for unit, (count, busy) in work.items():
+            rate = count / busy if busy > 0 else 0.0
+            line += f", {count} {unit} at {rate:,.0f} {unit}/s"
+        if work:
+            line += " per worker"
         return line
 
 
@@ -538,6 +548,7 @@ class SweepEngine:
             wall_s=wall,
             refs=refs,
             cached=cached,
+            unit="insts" if cell.mode == "ipc" else "refs",
         )
         self.stats.records.append(record)
         if self.on_cell is not None:

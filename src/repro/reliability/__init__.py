@@ -14,10 +14,6 @@ not a handful of fixed-trial loops.  This package is that harness:
   shared samplers plus an outcome memo keyed on each strike's draws
   give ~30× the reference path's trial throughput with bit-identical
   outcomes (``--kernel batch|reference``);
-* :mod:`repro.reliability.vector` — the numpy-vectorized kernel
-  (``--kernel vector``, the optional ``[fast]`` extra): whole-block
-  draws and table gathers for another order of magnitude, with
-  statistically-gated distribution equivalence instead of bit-identity;
 * :mod:`repro.reliability.scenarios` — correlated-fault scenario packs
   (``--scenario nominal|burst-heavy|rowcol|low-voltage``): adjacent-bit
   burst PMFs, row/column strike classes and raw-BER scaling, with
@@ -66,10 +62,6 @@ from repro.reliability.estimates import (
     mttf_interval,
     scheme_estimate,
 )
-from repro.reliability.vector import (
-    HAVE_NUMPY,
-    run_trials_vector,
-)
 from repro.reliability.model import (
     FaultDomain,
     FaultModelConfig,
@@ -88,8 +80,6 @@ from repro.reliability.scenarios import (
 )
 from repro.reliability.stopping import (
     StoppingRule,
-    proportions_match,
-    two_proportion_z,
     wilson_half_width,
     wilson_interval,
 )
@@ -104,7 +94,6 @@ __all__ = [
     "FaultClass",
     "FaultDomain",
     "FaultModelConfig",
-    "HAVE_NUMPY",
     "HOURS_PER_BILLION",
     "KERNELS",
     "LinePool",
@@ -124,16 +113,13 @@ __all__ = [
     "register_scenario",
     "fit_to_mttf_hours",
     "mttf_interval",
-    "proportions_match",
     "run_campaign",
     "run_shard",
     "run_trial",
     "run_trials_batch",
-    "run_trials_vector",
     "scheme_estimate",
     "scheme_policy",
     "shard_seed",
-    "two_proportion_z",
     "wilson_half_width",
     "wilson_interval",
 ]

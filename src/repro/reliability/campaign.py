@@ -91,14 +91,10 @@ SAMPLES_PER_SHARD = 32
 #: Shard execution kernels.  ``batch`` looks each strike's draws up in
 #: an outcome memo and classifies only unseen error patterns
 #: (:mod:`repro.reliability.kernel`); ``reference`` builds a live
-#: :class:`~repro.core.policy.LineProtection` per trial.  Those two
-#: replay the identical random stream under one shard seed, so they
-#: produce bit-identical shard results.  ``vector`` draws whole trial
-#: blocks with ``numpy.random.Generator`` and classifies them with
-#: table gathers (:mod:`repro.reliability.vector`, the ``[fast]``
-#: extra): same fault model, same distribution — enforced by a
-#: two-proportion statistical gate — but not the same per-trial stream.
-KERNELS: Tuple[str, ...] = ("batch", "reference", "vector")
+#: :class:`~repro.core.policy.LineProtection` per trial.  Both replay
+#: the identical random stream under one shard seed, so they produce
+#: bit-identical shard results.
+KERNELS: Tuple[str, ...] = ("batch", "reference")
 
 
 class CampaignAborted(RuntimeError):
@@ -132,9 +128,8 @@ class ShardSpec:
     seed: int
     model: FaultModelConfig
     sample_limit: int = SAMPLES_PER_SHARD
-    #: One of :data:`KERNELS`.  ``batch`` and ``reference`` yield the
-    #: same :class:`ShardResult` for the same spec; ``vector`` yields a
-    #: result of the same distribution.
+    #: One of :data:`KERNELS`; both yield the same :class:`ShardResult`
+    #: for the same spec.
     kernel: str = "batch"
 
 
@@ -195,40 +190,9 @@ def run_shard(spec: ShardSpec) -> ShardResult:
 
     Module-level so :meth:`SweepEngine.map_tasks` workers can pickle it.
     Dispatches on ``spec.kernel``: ``batch`` and ``reference`` consume
-    the shard seed identically (bit-identical counts); ``vector`` seeds
-    its own ``numpy.random.Generator`` from it, so its counts are
-    deterministic per spec but only distribution-equivalent to the
-    other kernels'.
+    the shard seed identically, so their counts are bit-identical.
     """
     policy = scheme_policy(spec.scheme)
-    if spec.kernel == "vector" and (
-        spec.model.scenario != "nominal" or spec.model.ecc_codec != "secded"
-    ):
-        # The vectorized kernel only implements the nominal Bernoulli
-        # model with the default codecs.  Correlated scenarios fall
-        # back to the batched kernel — which is bit-identical to the
-        # reference oracle, so the vector kernel's distribution-
-        # equivalence gate is trivially satisfied on this path (see
-        # docs/reliability.md, "Scenario packs").
-        spec = replace(spec, kernel="batch")
-    if spec.kernel == "vector":
-        from repro.reliability.vector import run_trials_vector
-
-        outcomes, samples = run_trials_vector(
-            policy,
-            spec.model,
-            spec.trials,
-            spec.seed,
-            sample_limit=spec.sample_limit,
-        )
-        return ShardResult(
-            scheme=spec.scheme,
-            index=spec.index,
-            trials=spec.trials,
-            seed=spec.seed,
-            outcomes=outcomes,
-            samples=samples,
-        )
     if spec.kernel not in KERNELS:
         raise ValueError(
             f"unknown kernel {spec.kernel!r}; known: {list(KERNELS)}"
@@ -289,9 +253,7 @@ class CampaignConfig:
         Shard execution kernel (:data:`KERNELS`).  Excluded from the
         checkpoint digest, so checkpoints stay kernel-portable:
         ``batch`` and ``reference`` produce bit-identical shard
-        results, and ``vector`` produces distribution-equivalent ones
-        (the statistical gate in ``tests/reliability/test_vector.py``
-        covers the mixed-kernel resume case too).
+        results.
     """
 
     schemes: Tuple[str, ...] = ("uniform-ecc", "non-uniform")
@@ -314,15 +276,6 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; known: {list(KERNELS)}"
             )
-        if self.kernel == "vector":
-            from repro.reliability.vector import HAVE_NUMPY
-
-            if not HAVE_NUMPY:
-                raise ValueError(
-                    "the 'vector' kernel needs numpy, which is not "
-                    "installed; install the optional extra "
-                    "(pip install -e .[fast]) or use kernel='batch'"
-                )
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be positive (or None for auto)")
         if self.trials_per_shard < 1 or self.shards_per_round < 1:

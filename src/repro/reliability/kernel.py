@@ -36,10 +36,6 @@ kernel-portable: a file written under ``--kernel reference`` resumes
 under ``--kernel batch`` bit-identically (pinned in
 ``tests/reliability/test_kernel.py``).  Tag and status strikes keep
 ``_inject_tag`` / ``_inject_status`` and their ``rng.sample`` draws.
-
-Numpy is deliberately not used here: exact parity binds the kernel to
-the Mersenne-Twister draw order of :class:`random.Random`, which a
-vectorized RNG cannot replay.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ against the zero codeword (GF(2) linearity).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 #: Strike-shape kinds a :class:`FaultClass` may take.

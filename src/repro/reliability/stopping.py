@@ -61,60 +61,6 @@ def wilson_half_width(successes: int, trials: int, z: float = Z95) -> float:
     return (hi - lo) / 2.0
 
 
-def two_proportion_z(
-    successes_a: int, trials_a: int, successes_b: int, trials_b: int
-) -> float:
-    """Pooled two-proportion z statistic for H0: p_a == p_b.
-
-    The distribution-equivalence gate's statistic: the vector kernel
-    cannot replay the batch kernel's Mersenne-Twister stream, so the two
-    backends are compared *statistically* — per (domain, outcome) rate,
-    this z must stay inside a bound for the kernels to count as
-    equivalent.  Uses the pooled standard error
-    ``sqrt(p̂(1-p̂)(1/n_a + 1/n_b))`` with
-    ``p̂ = (x_a + x_b) / (n_a + n_b)``; under H0 the statistic is
-    asymptotically standard normal.
-
-    Degenerate inputs return 0.0 (no evidence of difference): either
-    sample empty, or a pooled rate of exactly 0 or 1 — both samples
-    then agree perfectly and the standard error is 0.
-    """
-    for successes, trials in ((successes_a, trials_a), (successes_b, trials_b)):
-        if successes < 0 or trials < 0 or successes > trials:
-            raise ValueError("need 0 <= successes <= trials in both samples")
-    if trials_a == 0 or trials_b == 0:
-        return 0.0
-    pooled = (successes_a + successes_b) / (trials_a + trials_b)
-    se = math.sqrt(
-        pooled * (1.0 - pooled) * (1.0 / trials_a + 1.0 / trials_b)
-    )
-    if se == 0.0:
-        return 0.0
-    return (successes_a / trials_a - successes_b / trials_b) / se
-
-
-def proportions_match(
-    successes_a: int,
-    trials_a: int,
-    successes_b: int,
-    trials_b: int,
-    z_bound: float = 5.0,
-) -> bool:
-    """True when the two samples' rates sit within ``z_bound`` z-units.
-
-    The acceptance form of :func:`two_proportion_z`.  The default bound
-    is deliberately loose for a hypothesis test (|z| < 1.96 would be a
-    5% false-alarm rate *per comparison*, and the gate makes hundreds):
-    at 5.0 a same-distribution pair fails with probability < 1e-6 per
-    comparison, while a genuinely mis-modelled branch (rates differing
-    by a few percent at the gate's sample sizes) still lands far
-    outside it.
-    """
-    return abs(
-        two_proportion_z(successes_a, trials_a, successes_b, trials_b)
-    ) <= z_bound
-
-
 @dataclass(frozen=True)
 class StoppingRule:
     """Stop when the target rate's Wilson half-width is small enough.
@@ -162,8 +108,6 @@ class StoppingRule:
 __all__ = [
     "StoppingRule",
     "Z95",
-    "proportions_match",
-    "two_proportion_z",
     "wilson_half_width",
     "wilson_interval",
 ]

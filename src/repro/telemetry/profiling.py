@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Optional, Tuple
 
 
 @dataclass
@@ -90,13 +90,31 @@ class PhaseProfiler:
         """Plain-data view, insertion (phase-creation) ordered."""
         return {name: rec.as_dict() for name, rec in self._phases.items()}
 
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's phases into this one."""
+    def mark(self) -> Dict[str, Tuple[float, int, int]]:
+        """The ``(wall_s, events, calls)`` of every phase so far, for a
+        later :meth:`merge` of only what came after."""
+        return {
+            name: (rec.wall_s, rec.events, rec.calls)
+            for name, rec in self._phases.items()
+        }
+
+    def merge(
+        self,
+        other: "PhaseProfiler",
+        since: Optional[Dict[str, Tuple[float, int, int]]] = None,
+    ) -> None:
+        """Fold another profiler's phases into this one; with ``since``
+        (an earlier :meth:`mark` of ``other``) only the work ``other``
+        recorded after it."""
+        since = since or {}
         for name, rec in other._phases.items():
+            wall_s, events, calls = since.get(name, (0.0, 0, 0))
+            if rec.calls == calls:
+                continue
             mine = self.record(name)
-            mine.wall_s += rec.wall_s
-            mine.events += rec.events
-            mine.calls += rec.calls
+            mine.wall_s += rec.wall_s - wall_s
+            mine.events += rec.events - events
+            mine.calls += rec.calls - calls
 
     def summary(self) -> str:
         """One line per phase: wall seconds, events, events/s."""

@@ -31,11 +31,6 @@ import random
 from math import log
 from typing import Callable, Iterator, NamedTuple
 
-try:  # The [fast] extra; the zipf sampler has a stdlib fallback.
-    import numpy as np
-except ImportError:  # pragma: no cover - environment-dependent
-    np = None
-
 
 class MemRef(NamedTuple):
     """One data reference: write flag, byte address, preceding non-mem insts."""
@@ -179,46 +174,25 @@ def zipf_stream(
     and rightly survive cleaning).
     """
     n = max(1, ws_bytes // granule_bytes)
-    if np is not None:
-        ranks = np.arange(1, n + 1, dtype=np.float64)
-        weights = ranks ** (-alpha)
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        # Shuffle rank->block so hot blocks are scattered across sets.
-        perm = np.random.RandomState(rng.randrange(2**31)).permutation(n)
-        np_rng = np.random.RandomState(rng.randrange(2**31))
-
-        def _draw_picks():
-            return perm[np.searchsorted(cdf, np_rng.random_sample(batch))]
-
-    else:
-        # Stdlib fallback (no [fast] extra): same popularity law via
-        # bisect over the cumulative weights.  Deterministic per seed,
-        # but a different stream than the numpy sampler — installs with
-        # and without numpy produce different (equally valid) traces.
-        weights_py = [float(rank) ** (-alpha) for rank in range(1, n + 1)]
-        cdf_py, acc = [], 0.0
-        for weight in weights_py:
-            acc += weight
-            cdf_py.append(acc)
-        cdf_py = [value / acc for value in cdf_py]
-        perm_py = list(range(n))
-        random.Random(rng.randrange(2**31)).shuffle(perm_py)
-        py_rng = random.Random(rng.randrange(2**31))
-
-        def _draw_picks():
-            return [
-                perm_py[
-                    min(bisect.bisect_left(cdf_py, py_rng.random()), n - 1)
-                ]
-                for _ in range(batch)
-            ]
+    # Picks bisect the cumulative Zipf weights; the rank->block shuffle
+    # scatters the hot blocks across sets.
+    cdf, acc = [], 0.0
+    for rank in range(1, n + 1):
+        acc += float(rank) ** (-alpha)
+        cdf.append(acc)
+    cdf = [value / acc for value in cdf]
+    perm = list(range(n))
+    random.Random(rng.randrange(2**31)).shuffle(perm)
+    pick_draw = random.Random(rng.randrange(2**31)).random
 
     slots_per_block = max(1, granule_bytes // 8)
     draw, lambd = rng.random, _gap_rate(mean_gap)
     alloc_slot = 0  # bump-allocator position, in 8-byte slots
     while True:
-        picks = _draw_picks()
+        picks = [
+            perm[min(bisect.bisect_left(cdf, pick_draw()), n - 1)]
+            for _ in range(batch)
+        ]
         for block in picks:
             if rng.random() < store_ratio:
                 if rng.random() < fresh_write_fraction:
@@ -229,12 +203,12 @@ def zipf_stream(
                     alloc_slot = (alloc_slot + 1) % (n * slots_per_block)
                     addr = base + target_block * granule_bytes + slot * 8
                 else:
-                    addr = base + int(block) * granule_bytes
+                    addr = base + block * granule_bytes
                 yield MemRef(True, addr, _gap(draw, lambd))
             else:
                 addr = (
                     base
-                    + int(block) * granule_bytes
+                    + block * granule_bytes
                     + rng.randrange(0, granule_bytes, 8)
                 )
                 yield MemRef(False, addr, _gap(draw, lambd))

@@ -11,8 +11,6 @@ presentation is a visible diff.
 import contextlib
 import io
 
-import pytest
-
 from repro.autotune import (
     DesignPoint,
     PointMetrics,

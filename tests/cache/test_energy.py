@@ -8,7 +8,7 @@ from repro.cache.energy import (
     compare_schemes,
     estimate_energy,
 )
-from repro.experiments import RunConfig, SCALED_GEOMETRY, run_refs
+from repro.experiments import RunConfig, SCALED_GEOMETRY
 from repro.experiments.runner import _build_hierarchy
 from repro.core import ProtectionConfig
 

@@ -1,7 +1,5 @@
 """Tests for the optional three-level (L1/L2/L3) hierarchy."""
 
-import pytest
-
 from repro.cache import HierarchyConfig, MemoryHierarchy
 from repro.cache.cache import CacheConfig, WritePolicy
 from repro.cache.hierarchy import default_l3_config

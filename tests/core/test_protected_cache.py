@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, WritebackReason
-from repro.cache.cache import AccessResult
 from repro.core import (
     IntegrityError,
     ProtectedL2,

@@ -1,7 +1,5 @@
 """Tests for the out-of-order core timing model."""
 
-import pytest
-
 from repro.cache import HierarchyConfig, MemoryHierarchy
 from repro.cache.cache import CacheConfig, WritePolicy
 from repro.cpu import Inst, OoOCore, OpClass, ProcessorConfig

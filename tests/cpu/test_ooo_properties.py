@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu import Inst, OoOCore, OpClass, ProcessorConfig
+from repro.cpu import OoOCore, OpClass, ProcessorConfig
 from repro.workloads import InstructionMixer, MixConfig
 from repro.workloads.generators import MemRef
 from tests.cpu.test_ooo import make_hierarchy

@@ -1,7 +1,5 @@
 """Tests for interleaved parity and burst (multi-bit-upset) injection."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,7 +1,5 @@
 """Tests for the ablation studies."""
 
-import pytest
-
 from repro.experiments import (
     RunConfig,
     ablate_best_interval,

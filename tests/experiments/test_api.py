@@ -8,7 +8,8 @@ from repro import api
 from repro.cli import main
 from repro.experiments.pool import Cell, SweepEngine, cell_key
 from repro.experiments.runner import RunConfig
-from repro.reliability import CampaignConfig, StoppingRule, run_campaign
+from repro.reliability import run_campaign
+from repro.telemetry.profiling import PhaseProfiler
 
 
 def _engine():
@@ -89,6 +90,29 @@ class TestFacadeResults:
         assert cli_doc["ipc_loss_pct"] == pytest.approx(
             100 * (direct.org_ipc - direct.ours_ipc) / direct.org_ipc
         )
+
+    def test_reused_engine_reports_only_this_calls_phases(self):
+        engine = _engine()
+        request = api.IpcRequest(benchmark="swim", insts=2000)
+        first, second = PhaseProfiler(), PhaseProfiler()
+        api.ipc(request, engine=engine, profiler=first)
+        api.ipc(request, engine=engine, profiler=second)
+        assert first.as_dict().keys() == second.as_dict().keys()
+        for profiler in (first, second):
+            assert profiler.record("core-record").events == 2000
+            assert profiler.record("execute").events == 2 * 2000
+            assert profiler.record("cache-lookup").calls == 1
+        # The engine itself keeps the running total of both calls.
+        assert engine.profiler.record("core-record").events == 4000
+
+    def test_reused_engine_run_reports_only_this_call(self):
+        engine = _engine()
+        request = api.RunRequest(benchmark="swim", **QUICK)
+        api.run(request, engine=engine)
+        profiler = PhaseProfiler()
+        api.run(request, engine=engine, profiler=profiler)
+        assert profiler.record("execute").calls == 1
+        assert profiler.record("execute").events == QUICK["refs"]
 
     def test_area_matches_cli_json(self, capsys):
         assert main(["area", "--format", "json"]) == 0

@@ -1,7 +1,5 @@
 """Tests for the dirty-exposure / residual-failure model."""
 
-import math
-
 import pytest
 
 from repro.core import ProtectionConfig

@@ -194,6 +194,16 @@ class TestCommands:
         assert "sweep: 2 cells" in out
         assert "profile:" not in out
 
+    def test_ipc_sweep_line_counts_instructions(self, capsys):
+        assert main(["ipc", "--insts", "2000", "--no-cache"]) == 0
+        [line] = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("sweep:")
+        ]
+        # Two machines of 2000 instructions each, and no refs.
+        assert ", 4000 insts at " in line and " insts/s per worker" in line
+        assert "refs" not in line
+
     def test_ablate_decay(self, capsys):
         code = main([
             "ablate", "decay", "--benchmarks", "swim",

@@ -1,7 +1,7 @@
 """Regression tests: warm-up traffic must not pollute measured stats."""
 
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core import ProtectedL2, ProtectionConfig
+from repro.core import ProtectionConfig
 from repro.experiments import RunConfig, SCALED_GEOMETRY, run_refs
 from repro.experiments.runner import _reset_measurement, build_l2
 

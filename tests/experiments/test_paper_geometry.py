@@ -5,11 +5,8 @@ sure the full 1MB/4-way machine works end to end and that its
 geometry-derived quantities match the paper exactly.
 """
 
-import pytest
-
 from repro.core import ProtectionConfig
 from repro.experiments import PAPER_GEOMETRY, RunConfig, build_l2, run_refs
-from repro.experiments.runner import interval_label
 
 
 class TestGeometryNumbers:

@@ -147,6 +147,18 @@ class TestEngineSequential:
         assert engine.stats.refs == FAST.n_refs
         assert engine.stats.refs_per_s > 0
         assert "1 cells" in engine.summary()
+        assert f", {FAST.n_refs} refs at " in engine.summary()
+
+    def test_summary_names_each_kind_of_work(self):
+        engine = SweepEngine()
+        engine.run_cells([
+            Cell("mesa", None, FAST),
+            Cell("swim", None, FAST, mode="ipc", n_insts=1_500),
+        ])
+        line = engine.stats.summary()
+        assert f", {FAST.n_refs} refs at " in line
+        assert ", 1500 insts at " in line
+        assert line.endswith(" insts/s per worker")
 
 
 class TestEngineParallel:

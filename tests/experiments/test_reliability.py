@@ -1,7 +1,5 @@
 """Tests for the payload-level reliability campaigns."""
 
-import pytest
-
 from repro.core import (
     NonUniformPolicy,
     UniformEccPolicy,

@@ -1,9 +1,5 @@
 """Tests for trace-driven runs through the experiment runner."""
 
-import itertools
-
-import pytest
-
 from repro.core import ProtectionConfig
 from repro.experiments import RunConfig, run_trace
 from repro.workloads import MemRef, get_benchmark, make_ref_stream

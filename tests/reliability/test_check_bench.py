@@ -28,11 +28,6 @@ def _doc(**overrides):
                 "trials_per_s": 250_000.0,
                 "speedup_vs_reference": 25.0,
             },
-            "vector": {
-                "trials_per_s": 5_000_000.0,
-                "speedup_vs_batch": 20.0,
-                "speedup_vs_reference": 500.0,
-            },
         },
         "autotune": {
             "points": 3,
@@ -75,7 +70,6 @@ class TestValidation:
         rc, out = _run(tmp_path, capsys, _doc(), _doc())
         assert rc == 0
         assert "PASS:" in out
-        assert "vector" in out
 
     def test_schema_mismatch_fails_with_hint(self, tmp_path, capsys):
         rc, out = _run(tmp_path, capsys, _doc(), _doc(schema=1))
@@ -158,37 +152,12 @@ class TestGates:
         assert rc == 1
         assert "FAIL: batch throughput" in out
 
-    def test_vector_regression_fails(self, tmp_path, capsys):
-        slow = _doc()
-        slow["kernels"]["vector"]["trials_per_s"] = 1_000_000.0
-        rc, out = _run(tmp_path, capsys, slow, _doc())
-        assert rc == 1
-        assert "FAIL: vector throughput" in out
-
     def test_speedup_floors(self, tmp_path, capsys):
         weak = _doc()
         weak["kernels"]["batch"]["speedup_vs_reference"] = 8.0
-        weak["kernels"]["vector"]["speedup_vs_batch"] = 3.0
         rc, out = _run(tmp_path, capsys, weak, weak)
         assert rc == 1
         assert "batch/reference speedup 8.0x" in out
-        assert "vector/batch speedup 3.0x" in out
-
-    def test_vector_absent_from_current_is_a_skip(self, tmp_path, capsys):
-        # The stdlib-only configuration must stay green even against a
-        # baseline that *does* carry a vector entry.
-        current = _doc()
-        del current["kernels"]["vector"]
-        rc, out = _run(tmp_path, capsys, current, _doc())
-        assert rc == 0
-        assert "vector backend not measured" in out
-
-    def test_vector_absent_from_baseline_is_a_skip(self, tmp_path, capsys):
-        baseline = _doc()
-        del baseline["kernels"]["vector"]
-        rc, out = _run(tmp_path, capsys, _doc(), baseline)
-        assert rc == 0
-        assert "baseline has no vector entry" in out
 
     def test_tolerance_flag_loosens_the_floor(self, tmp_path, capsys):
         slow = _doc()

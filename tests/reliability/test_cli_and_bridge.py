@@ -87,7 +87,19 @@ def test_cli_rejects_unknown_kernel(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error:" in captured.err
-    assert "available backends: batch, reference, vector" in captured.err
+    assert "available backends: batch, reference" in captured.err
+
+
+def test_cli_rejects_retired_vector_kernel(capsys):
+    # The numpy kernel is gone: its name is an unknown backend like any
+    # other, reported on one line.
+    rc = main(["reliability", "--kernel", "vector", *QUICK])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.strip().splitlines() == [
+        "error: unknown kernel 'vector'; available backends: batch, "
+        "reference"
+    ]
 
 
 def test_cli_rejects_unknown_scenario(capsys):
@@ -134,25 +146,6 @@ def test_cli_nominal_hides_scenario_rows(capsys):
     rc, out = _cli(capsys, *QUICK)
     assert rc == 0
     assert "scenario" not in out  # default settings stay unchanged
-
-
-def test_cli_vector_kernel_end_to_end(capsys):
-    pytest.importorskip("numpy")
-    rc, out = _cli(capsys, *QUICK, "--kernel", "vector")
-    assert rc == 0
-    assert "Reliability campaign" in out
-    assert "uniform-ecc" in out and "non-uniform" in out
-
-
-def test_cli_vector_without_numpy_exits_2(monkeypatch, capsys):
-    from repro.reliability import vector
-
-    monkeypatch.setattr(vector, "HAVE_NUMPY", False)
-    rc = main(["reliability", "--kernel", "vector", *QUICK])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "error:" in captured.err
-    assert "pip install -e .[fast]" in captured.err
 
 
 def test_cli_trace_export(tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Scenario packs: presets, cross-kernel identity, digests, fallback.
+"""Scenario packs: presets, cross-kernel identity, digests.
 
-Four contracts are pinned here:
+Three contracts are pinned here:
 
 1. **Nominal is frozen.**  The per-trial outcome stream *and* the
    final Mersenne-Twister state of the nominal model match golden
@@ -13,8 +13,6 @@ Four contracts are pinned here:
    codec changes the config digest (resume across scenarios is a hard
    error) while the nominal digest is unchanged from pre-scenario
    checkpoints.
-4. **The vector kernel falls back to batch** off the nominal path,
-   bit-identically.
 """
 
 import hashlib
@@ -27,9 +25,7 @@ from hypothesis import strategies as st
 from repro.experiments.pool import SweepEngine
 from repro.reliability.campaign import (
     CampaignConfig,
-    ShardSpec,
     run_campaign,
-    run_shard,
     shard_seed,
 )
 from repro.reliability.checkpoint import CheckpointError
@@ -268,39 +264,6 @@ class TestCheckpointDigests:
             first.schemes["uniform-ecc"].outcome_counts
             == again.schemes["uniform-ecc"].outcome_counts
         )
-
-
-class TestVectorFallback:
-    def _spec(self, kernel, **model_kwargs):
-        return ShardSpec(
-            scheme="uniform-ecc",
-            index=0,
-            trials=400,
-            seed=shard_seed(0, "uniform-ecc", 0),
-            model=FaultModelConfig(**model_kwargs),
-            kernel=kernel,
-        )
-
-    def test_vector_falls_back_to_batch_for_scenarios(self):
-        vector = run_shard(
-            self._spec("vector", scenario="burst-heavy")
-        )
-        batch = run_shard(self._spec("batch", scenario="burst-heavy"))
-        assert vector.outcomes == batch.outcomes
-
-    def test_vector_falls_back_for_non_default_codec(self):
-        vector = run_shard(self._spec("vector", ecc_codec="dected"))
-        batch = run_shard(self._spec("batch", ecc_codec="dected"))
-        assert vector.outcomes == batch.outcomes
-
-    def test_nominal_vector_stays_vector(self):
-        pytest.importorskip("numpy")
-        # The nominal vector stream is deliberately *different* from
-        # the batch stream (bulk draws reorder the RNG): identical
-        # outcomes would mean the fallback fired where it must not.
-        vector = run_shard(self._spec("vector"))
-        batch = run_shard(self._spec("batch"))
-        assert vector.outcomes != batch.outcomes
 
 
 class TestBerScale:

@@ -1,23 +1,19 @@
-"""Property tests: Wilson invariants, two-proportion equivalence helper.
+"""Property tests: Wilson interval invariants.
 
 ``tests/reliability/test_stopping.py`` pins worked examples and the
 stopping rule; this module drives the same functions with hypothesis
-over their whole domain — the invariants the vector kernel's
-distribution gate (``tests/reliability/test_vector.py``) leans on.
+over their whole domain.
 """
-
-import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.reliability.stopping import (
-    proportions_match,
-    two_proportion_z,
     wilson_half_width,
     wilson_interval,
 )
+
 
 @st.composite
 def sample(draw):
@@ -67,62 +63,3 @@ class TestWilsonProperties:
         s, n = sn
         lo, hi = wilson_interval(s, n)
         assert wilson_half_width(s, n) == pytest.approx((hi - lo) / 2)
-
-
-class TestTwoProportionZ:
-    @given(a=sample(), b=sample())
-    def test_finite_and_antisymmetric(self, a, b):
-        z = two_proportion_z(a[0], a[1], b[0], b[1])
-        assert math.isfinite(z)
-        assert z == pytest.approx(
-            -two_proportion_z(b[0], b[1], a[0], a[1]), abs=1e-9
-        )
-
-    @given(sample())
-    def test_identical_samples_give_zero(self, sn):
-        s, n = sn
-        assert two_proportion_z(s, n, s, n) == 0.0
-
-    @given(a=sample(), b=sample())
-    def test_sign_follows_the_rate_difference(self, a, b):
-        z = two_proportion_z(a[0], a[1], b[0], b[1])
-        diff = a[0] / a[1] - b[0] / b[1]
-        if z > 0:
-            assert diff > 0
-        elif z < 0:
-            assert diff < 0
-
-    @given(sn=sample(), n_other=st.integers(min_value=1, max_value=200_000))
-    def test_degenerate_pooled_rates_are_zero(self, sn, n_other):
-        # All-success or all-failure on both sides: se == 0, defined as
-        # agreement rather than a division error.
-        s, n = sn
-        assert two_proportion_z(0, n, 0, n_other) == 0.0
-        assert two_proportion_z(n, n, n_other, n_other) == 0.0
-
-    @given(sample())
-    def test_empty_samples_are_zero(self, sn):
-        # No trials on one side: no evidence of disagreement.
-        s, n = sn
-        assert two_proportion_z(0, 0, s, n) == 0.0
-        assert two_proportion_z(s, n, 0, 0) == 0.0
-
-    @pytest.mark.parametrize(
-        "args",
-        [(-1, 10, 0, 10), (11, 10, 0, 10), (0, 10, -1, 10), (0, 10, 11, 10)],
-    )
-    def test_rejects_malformed_counts(self, args):
-        with pytest.raises(ValueError):
-            two_proportion_z(*args)
-
-    @given(a=sample(), b=sample(), bound=st.floats(min_value=0.1, max_value=10.0))
-    def test_proportions_match_is_the_abs_z_threshold(self, a, b, bound):
-        z = two_proportion_z(a[0], a[1], b[0], b[1])
-        assert proportions_match(
-            a[0], a[1], b[0], b[1], z_bound=bound
-        ) == (abs(z) <= bound)
-
-    def test_detects_a_gross_mismatch(self):
-        # 10% vs 20% at n=10k is far outside any sane bound.
-        assert not proportions_match(1000, 10_000, 2000, 10_000)
-        assert proportions_match(1000, 10_000, 1010, 10_000)

@@ -419,15 +419,18 @@ class TestHttpService:
         # Kernel validation happens at request construction, so a bad
         # --kernel is a 400 at POST /v1/jobs with the backend listing —
         # never an accepted job that dies worker-side as a 500.
+        # The retired numpy kernel's name is rejected the same way.
         client = ServiceClient(service.url)
-        with pytest.raises(ServiceError) as err:
-            client.submit(
-                "reliability", dict(CAMPAIGN_REQUEST, kernel="turbo")
+        for kernel in ("turbo", "vector"):
+            with pytest.raises(ServiceError) as err:
+                client.submit(
+                    "reliability", dict(CAMPAIGN_REQUEST, kernel=kernel)
+                )
+            assert err.value.status == 400
+            assert err.value.message == (
+                f"unknown kernel {kernel!r}; available backends: batch, "
+                "reference"
             )
-        assert err.value.status == 400
-        assert "available backends: batch, reference, vector" in str(
-            err.value
-        )
 
     def test_unknown_scenario_and_codec_are_400_with_listing(self, service):
         # Same pattern as the kernel: validated at request

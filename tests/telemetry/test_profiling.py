@@ -55,6 +55,20 @@ class TestPhaseProfiler:
         assert a.record("x").events == 12
         assert a.record("y").calls == 1
 
+    def test_merge_since_a_mark_takes_only_later_work(self):
+        a, b = PhaseProfiler(), PhaseProfiler()
+        b.add("x", 2.0, 7)
+        b.add("idle", 1.0, 1)
+        mark = b.mark()
+        b.add("x", 0.5, 3)
+        b.add("y", 1.0, 1)
+        a.merge(b, since=mark)
+        assert list(a.as_dict()) == ["x", "y"]
+        assert a.record("x").wall_s == pytest.approx(0.5)
+        assert a.record("x").events == 3
+        assert a.record("x").calls == 1
+        assert a.record("y").events == 1
+
     def test_summary(self):
         p = PhaseProfiler()
         assert "no phases" in p.summary()

@@ -1,7 +1,6 @@
 """Tests for trace file I/O."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
