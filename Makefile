@@ -15,7 +15,7 @@ install:
 # still propagates real findings where ruff exists (e.g. CI).
 lint:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
-		$(PYTHON) -m ruff check src tests; \
+		$(PYTHON) -m ruff check src tests benchmarks scripts; \
 	else \
 		echo "ruff not installed; skipping lint"; \
 	fi

@@ -13,7 +13,7 @@ import pytest
 from _shared import BENCH_CONFIG, write_result
 
 from repro.cache.cache import CacheConfig
-from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.cache.hierarchy import MemoryHierarchy
 from repro.core import (
     ProtectedL2,
     ProtectionConfig,

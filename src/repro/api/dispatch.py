@@ -351,9 +351,8 @@ def figures(
         figure5_6,
         figure7,
         figure8,
-        full_scheme,
-        interval_sweep,
         ipc_loss,
+        reference_grid,
         table1,
     )
 
@@ -370,17 +369,17 @@ def figures(
         )
     # Each cell is simulated once: with every figure wanted, Figure 1
     # reads the sweeps' 'org' runs; Figures 7 and 8 share one grid.
+    suites = {
+        "all": ("fp", "int"), "3": ("fp",), "5": ("fp",), "4": ("int",),
+        "6": ("int",),
+    }.get(wanted, ())
+    want_full = wanted in ("all", "7", "8")
     sweeps: Dict[str, Dict[str, Any]] = {}
-    if wanted in ("all", "3", "4", "5", "6"):
-        suites = {"3": ["fp"], "5": ["fp"], "4": ["int"], "6": ["int"]}.get(
-            wanted, ["fp", "int"]
+    full = None
+    if suites or want_full:
+        sweeps, full = reference_grid(
+            config, eng, suites=suites, full=want_full
         )
-        for suite in suites:
-            sweeps[suite] = interval_sweep(suite, config, engine=eng)
-    full = (
-        full_scheme(config, engine=eng) if wanted in ("all", "7", "8")
-        else None
-    )
     if wanted in ("all", "1"):
         f1 = figure1(
             config, engine=eng,

@@ -13,11 +13,14 @@ for the paper's scheme.
 Port arbitration note: the paper gives L1 requests priority over the
 cleaning logic at the L2 ports.  The trace-driven model realises the
 same effect structurally — cleaning sweeps (`advance`) run between
-demand accesses, never delaying one.  So every reference asks whether
-a sweep is due, and the answer is almost always no: only levels whose
-class overrides ``advance`` are asked at all (a plain L2 costs the
-reference nothing), and a protected level answers with one arithmetic
-test in :class:`~repro.core.cleaning.CleaningLogic`.
+demand accesses, never delaying one.  A sweep falls due only every
+``interval / n_sets`` cycles, so the hierarchy does not ask at every
+reference: each level with a cleaning schedule publishes the exact
+cycle its next set falls due
+(:attr:`~repro.core.cleaning.CleaningLogic.next_due`), the hierarchy
+keeps the earliest of them, and a reference costs one integer compare
+until its cycle reaches that.  Plain and ECC-only levels have no
+schedule and are never asked.
 
 Reference mode runs in two stages split at the L1 (DESIGN.md §7).
 There every reference advances the clock by its gap, whatever latency
@@ -49,6 +52,12 @@ from repro.cache.mshr import MshrFile
 from repro.cache.write_buffer import WriteBuffer
 from repro.telemetry.metrics import MetricsRegistry, StatsSourceMixin
 from repro.telemetry.tracing import EventTracer
+
+
+#: A ``next_due`` past any simulated cycle: the gate of a hierarchy
+#: with no cleaning schedule.  A cycle that reached it would only cost
+#: one empty :meth:`MemoryHierarchy._advance_l2` call.
+_NEVER = 1 << 63
 
 
 def default_l1i_config() -> CacheConfig:
@@ -222,12 +231,14 @@ class MemoryHierarchy:
             self.l3 = None
         #: Unified levels below the L1s, nearest first.
         self.levels = [self.l2] + ([self.l3] if self.l3 is not None else [])
-        #: (index, level) of the levels with background work: the ones
-        #: whose class overrides ``advance`` (the base hook does nothing).
-        self._sweeping = [
+        #: (index, level) of the levels with a cleaning schedule; a
+        #: level's ``advance`` does work only when that schedule is due.
+        self._cleaning = [
             (idx, cache) for idx, cache in enumerate(self.levels)
-            if type(cache).advance is not SetAssociativeCache.advance
+            if getattr(cache, "cleaning", None) is not None
         ]
+        #: First cycle at which any of them has a set due.
+        self._next_due = self._earliest_due()
         self.write_buffer = WriteBuffer(
             entries=self.config.write_buffer_entries,
             block_bytes=self.l2.config.line_bytes,
@@ -299,8 +310,9 @@ class MemoryHierarchy:
     # -- reference entry points ---------------------------------------------
     #
     # Each entry point first clamps ``cycle`` to the monotonic clock and
-    # runs any due cleaning sweep, then computes the L2-granular block of
-    # ``addr`` once for the MSHR lookup and, on a miss, its allocation.
+    # runs the cleaning sweeps due by then, if any, then computes the
+    # L2-granular block of ``addr`` once for the MSHR lookup and, on a
+    # miss, its allocation.
 
     def ifetch(self, addr: int, cycle: int) -> int:
         """Instruction fetch; returns latency in cycles."""
@@ -309,7 +321,7 @@ class MemoryHierarchy:
         else:
             cycle = self._clock
         self.stats.ifetches += 1
-        if self._sweeping:
+        if cycle >= self._next_due:
             self._advance_l2(cycle)
         res = self.l1i.access(addr, False, cycle)
         block = addr >> self._block_shift
@@ -331,7 +343,7 @@ class MemoryHierarchy:
         else:
             cycle = self._clock
         self.stats.loads += 1
-        if self._sweeping:
+        if cycle >= self._next_due:
             self._advance_l2(cycle)
         res = self.l1d.access(addr, False, cycle)
         block = addr >> self._block_shift
@@ -357,7 +369,7 @@ class MemoryHierarchy:
         else:
             cycle = self._clock
         self.stats.stores += 1
-        if self._sweeping:
+        if cycle >= self._next_due:
             self._advance_l2(cycle)
         self.l1d.access(addr, True, cycle)
         drained = self.write_buffer.push(addr)
@@ -373,13 +385,13 @@ class MemoryHierarchy:
         the cycle of its last.  Each reference makes the calls
         :meth:`load` or :meth:`store` would make after the L1D and the
         write buffer answered as the tape says: the clamp to the
-        monotonic clock, any due sweep, the MSHR lookup on every load
-        (a pending fill wins over a hit or a forward), and the L2 fill
-        or drained-block write.  The hierarchy's own L1D and write
+        monotonic clock, the sweeps due by then, the MSHR lookup on
+        every load (a pending fill wins over a hit or a forward), and
+        the L2 fill or drained-block write.  The hierarchy's own L1D and write
         buffer are untouched until :meth:`adopt_l1_state`.
         """
         clock = self._clock
-        sweeping = self._sweeping
+        next_due = self._next_due
         advance = self._advance_l2
         pending_ready = self.l1d_mshr.pending_ready
         allocate = self.l1d_mshr.allocate
@@ -393,8 +405,8 @@ class MemoryHierarchy:
                 clock = now = cycle
             else:
                 now = clock
-            if sweeping:
-                advance(now)
+            if now >= next_due:
+                next_due = advance(now)
             if code < STORE:
                 loads += 1
                 block = addr >> shift
@@ -427,16 +439,29 @@ class MemoryHierarchy:
 
     # -- internals -----------------------------------------------------------
 
-    def _advance_l2(self, cycle: int) -> None:
-        """Run background work (cleaning sweeps) at every unified level
-        that has any.
+    def _earliest_due(self) -> int:
+        """The least ``next_due`` over the levels with a cleaning
+        schedule (:data:`_NEVER` when there are none)."""
+        return min(
+            (cache.cleaning.next_due for _, cache in self._cleaning),
+            default=_NEVER,
+        )
 
-        Each level's cleaning write-backs are pushed to the level below
-        it (the next cache, or memory for the last level).
+    def _advance_l2(self, cycle: int) -> int:
+        """Run the cleaning sweeps due by ``cycle``; return the cycle at
+        which the next one falls due.
+
+        Only levels whose schedule is due are asked: a level asked
+        earlier would answer "nothing due" and change nothing.  Each
+        level's cleaning write-backs are pushed to the level below it
+        (the next cache, or memory for the last level).
         """
-        for idx, cache in self._sweeping:
-            for wb in cache.advance(cycle):
-                self._push_down(wb, cycle, idx + 1)
+        for idx, cache in self._cleaning:
+            if cache.cleaning.next_due <= cycle:
+                for wb in cache.advance(cycle):
+                    self._push_down(wb, cycle, idx + 1)
+        self._next_due = due = self._earliest_due()
+        return due
 
     def _push_down(self, wb, cycle: int, level: int) -> None:
         """Deliver a write-back to ``level`` (memory past the last cache).
@@ -456,26 +481,28 @@ class MemoryHierarchy:
     def _level_access(
         self, addr: int, is_write: bool, cycle: int, level: int
     ) -> int:
-        """Access unified cache ``level``; recurse downward on a miss.
+        """Access unified cache ``level``; on a miss, fill from the next
+        level, or read memory directly past the last.
 
         Returns the latency contributed by this level and everything
         below it.  Write-backs emitted by the access (replacement,
         cleaning, ECC eviction) are pushed to the next level but do not
         add to the requester's latency (they are posted).
         """
-        if level >= len(self.levels):
-            line_bytes = self.levels[-1].config.line_bytes
-            return self.memory.read(cycle, line_bytes) - cycle
         cache = self.levels[level]
         res = cache.access(addr, is_write, cycle)
-        extra = 0
+        below = level + 1
         for wb in res.writebacks:
-            self._push_down(wb, cycle, level + 1)
+            self._push_down(wb, cycle, below)
+        latency = cache.config.hit_latency
         if res.fill_addr is not None:
-            extra = self._level_access(
-                res.fill_addr, False, cycle, level + 1
-            )
-        return cache.config.hit_latency + extra
+            if below < len(self.levels):
+                latency += self._level_access(res.fill_addr, False, cycle, below)
+            else:
+                latency += (
+                    self.memory.read(cycle, cache.config.line_bytes) - cycle
+                )
+        return latency
 
     # -- reporting -------------------------------------------------------------
 

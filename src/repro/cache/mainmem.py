@@ -67,23 +67,25 @@ class MainMemory:
     def bus_free_at(self) -> int:
         return self._bus_free_at
 
-    def _claim_bus(self, cycle: int, size_bytes: int) -> int:
-        """Reserve the bus; return the cycle the transfer starts."""
-        start = max(cycle, self._bus_free_at)
-        beats = self.config.transfer_cycles(size_bytes)
+    def _claim_bus(self, cycle: int, beats: int) -> int:
+        """Reserve the bus for ``beats``; return the cycle the transfer
+        starts."""
+        start = self._bus_free_at
+        if cycle > start:
+            start = cycle
         self._bus_free_at = start + beats
         self.stats.busy_cycles += beats
         return start
 
     def read(self, cycle: int, size_bytes: int) -> int:
         """Issue a demand read at ``cycle``; return data-ready cycle."""
-        start = self._claim_bus(cycle, size_bytes)
-        self.stats.reads += 1
-        self.stats.bytes_read += size_bytes
-        self.stats.read_queue_cycles += start - cycle
-        return start + self.config.latency_cycles + self.config.transfer_cycles(
-            size_bytes
-        )
+        beats = self.config.transfer_cycles(size_bytes)
+        start = self._claim_bus(cycle, beats)
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += size_bytes
+        stats.read_queue_cycles += start - cycle
+        return start + self.config.latency_cycles + beats
 
     def write(self, cycle: int, size_bytes: int) -> int:
         """Issue a (posted) write at ``cycle``; return bus-release cycle.
@@ -92,10 +94,11 @@ class MainMemory:
         delay any subsequent demand read — that is the contention the
         paper's IPC experiment measures.
         """
-        start = self._claim_bus(cycle, size_bytes)
+        beats = self.config.transfer_cycles(size_bytes)
+        start = self._claim_bus(cycle, beats)
         self.stats.writes += 1
         self.stats.bytes_written += size_bytes
-        return start + self.config.transfer_cycles(size_bytes)
+        return start + beats
 
     def utilization(self, elapsed_cycles: int) -> float:
         """Fraction of cycles the bus was busy over ``elapsed_cycles``."""

@@ -11,10 +11,14 @@ latch then advances, so each individual line is revisited once per
 This module implements only the sweep schedule; the per-line actions
 live in :meth:`repro.core.protected_cache.ProtectedL2.advance` because
 they mutate cache state.  The sweep runs between demand accesses (the
-paper gives L1 requests priority at the L2 ports), so the schedule is
-asked at every reference and nearly always answers "nothing due": that
-answer is one multiply-add and one comparison, with no iterator or
-result object built.
+paper gives L1 requests priority at the L2 ports).  Most references
+fall between two set visits, so the schedule publishes
+:attr:`CleaningLogic.next_due`, the exact first cycle at which
+:meth:`~CleaningLogic.due_sets` would answer with a set: the memory
+hierarchy compares each reference's cycle against it and asks only
+then.  Skipping the asks in between changes nothing, because an empty
+answer only accumulates elapsed time, which the next ask adds up
+anyway.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ class CleaningLogic:
         self._tick_balance = 0
         #: Total set checks issued (for reporting).
         self.checks = 0
+        #: First cycle at which :meth:`due_sets` returns a set.
+        self.next_due = self._first_due()
 
     #: :class:`~repro.telemetry.metrics.StatsSource` identity.
     labels = {"component": "cleaning-fsm"}
@@ -60,6 +66,13 @@ class CleaningLogic:
         """Zero the check counter; the sweep latch keeps its position."""
         self.checks = 0
 
+    def _first_due(self) -> int:
+        """The least cycle whose elapsed ticks fill the balance up to
+        one interval: ``balance + (c - last) * n_sets >= interval``."""
+        n_sets = self.n_sets
+        short = self.interval_cycles - self._tick_balance
+        return self._last_cycle + (short + n_sets - 1) // n_sets
+
     def due_sets(self, cycle: int) -> Sequence[int]:
         """Every set due for a check in (last cycle, ``cycle``], in order.
 
@@ -74,6 +87,8 @@ class CleaningLogic:
         ``balance // interval`` checks are due, capped at two sweeps, and
         either way the balance keeps only its remainder modulo the
         interval (an over-long idle gap is discarded, as the cap says).
+        Every call leaves :attr:`next_due` at the first cycle the next
+        call would find a set due.
         """
         if cycle < self._last_cycle:
             raise ValueError("cleaning clock moved backwards")
@@ -82,10 +97,12 @@ class CleaningLogic:
         interval = self.interval_cycles
         if balance < interval:
             self._tick_balance = balance
+            self.next_due = self._first_due()
             return ()
         n_sets = self.n_sets
         due = min(balance // interval, 2 * n_sets)
         self._tick_balance = balance % interval
+        self.next_due = self._first_due()
         first = self.next_set
         self.next_set = (first + due) % n_sets
         self.checks += due

@@ -19,9 +19,8 @@ from repro.experiments.figures import (
     figure5_6,
     figure7,
     figure8,
-    full_scheme,
-    interval_sweep,
     ipc_loss,
+    reference_grid,
 )
 from repro.experiments.pool import SweepEngine
 from repro.experiments.runner import RunConfig
@@ -64,14 +63,12 @@ def regenerate_all(
 
     # Each cell is simulated once: Figure 1 reads the sweeps' 'org'
     # runs, Figures 7 and 8 share the full-scheme runs.
-    sweeps = {}
+    sweeps, full = reference_grid(config, engine)
     for suite, (fig_d, fig_t) in (("fp", ("figure3", "figure5")),
                                   ("int", ("figure4", "figure6"))):
-        sweep = sweeps[suite] = interval_sweep(suite, config, engine=engine)
-        doc[fig_d] = figure3_4(suite, config, sweep=sweep)
-        doc[fig_t] = figure5_6(suite, config, sweep=sweep)
+        doc[fig_d] = figure3_4(suite, config, sweep=sweeps[suite])
+        doc[fig_t] = figure5_6(suite, config, sweep=sweeps[suite])
     doc["figure1"] = figure1(config, sweep={**sweeps["fp"], **sweeps["int"]})
-    full = full_scheme(config, engine=engine)
     doc["figure7"] = figure7(config, full=full)
     doc["figure8"] = figure8(config, full=full)
 

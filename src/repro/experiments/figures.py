@@ -15,12 +15,14 @@ the paper-style tables.  Figure/Table numbering follows the paper:
 
 Figure 1 can read the sweeps' 'org' runs and Figures 7/8 share one
 :func:`full_scheme` grid when the caller passes them in, so a full
-regeneration simulates each cell once.
+regeneration simulates each cell once.  :func:`reference_grid` runs the
+sweeps and the full scheme together, benchmark by benchmark, so the
+cells that read one benchmark's L1 tape run back to back.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import default_l2_config
 from repro.core.area import (
@@ -89,6 +91,51 @@ def figure1(
     }
 
 
+def reference_grid(
+    config: RunConfig = RunConfig(),
+    engine: Optional[SweepEngine] = None,
+    suites: Sequence[str] = ("fp", "int"),
+    full: bool = True,
+) -> Tuple[Dict[str, Dict[str, Dict[str, object]]], Optional[Dict[str, object]]]:
+    """The reference-mode cells behind Figures 1 and 3–8 in one
+    :meth:`~repro.experiments.pool.SweepEngine.run_cells` call.
+
+    Returns ``(sweeps, full)``: ``sweeps`` maps each of ``suites`` to
+    its :func:`interval_sweep`, and ``full`` is the
+    :func:`full_scheme` (``None`` without ``full``).  Cells go in
+    benchmark order (FP, then INT), each benchmark's sweep then its
+    full-scheme cell, so a sequential engine runs every cell of a
+    benchmark back to back and records its L1 tape once.
+    """
+    for suite in suites:
+        if suite not in ("fp", "int"):
+            raise ValueError(f"unknown suite {suite!r}; use 'fp' or 'int'")
+    grid = config.geometry.paper_intervals
+    sweeps: Dict[str, Dict[str, Dict[str, object]]] = {s: {} for s in suites}
+    full_out: Optional[Dict[str, object]] = {} if full else None
+    cells: List[Cell] = []
+    slots: List[Tuple[dict, str]] = []
+    for suite in ("fp", "int"):
+        for spec in _suite(suite):
+            if suite in sweeps:
+                row = sweeps[suite][spec.name] = {}
+                for paper_interval in grid:
+                    protection = ProtectionConfig(
+                        cleaning_interval=paper_interval,
+                        ecc_entries_per_set=None,
+                    )
+                    cells.append(Cell(spec.name, protection, config))
+                    slots.append((row, interval_label(paper_interval)))
+                cells.append(Cell(spec.name, None, config))
+                slots.append((row, "org"))
+            if full_out is not None:
+                cells.append(Cell(spec.name, _ours(), config))
+                slots.append((full_out, spec.name))
+    for (into, key), res in zip(slots, _engine(engine).run_cells(cells)):
+        into[key] = res
+    return sweeps, full_out
+
+
 def interval_sweep(
     suite: str,
     config: RunConfig = RunConfig(),
@@ -103,23 +150,7 @@ def interval_sweep(
     be projected from one set of simulations.  All cells of the grid are
     independent, so an ``engine`` with ``jobs > 1`` fans them out.
     """
-    grid = config.geometry.paper_intervals
-    cells: List[Cell] = []
-    slots: List[Tuple[str, str]] = []
-    for spec in _suite(suite):
-        for paper_interval in grid:
-            protection = ProtectionConfig(
-                cleaning_interval=paper_interval, ecc_entries_per_set=None
-            )
-            cells.append(Cell(spec.name, protection, config))
-            slots.append((spec.name, interval_label(paper_interval)))
-        cells.append(Cell(spec.name, None, config))
-        slots.append((spec.name, "org"))
-    outputs = _engine(engine).run_cells(cells)
-    out: Dict[str, Dict[str, object]] = {}
-    for (bench, label), res in zip(slots, outputs):
-        out.setdefault(bench, {})[label] = res
-    return out
+    return reference_grid(config, engine, suites=(suite,), full=False)[0][suite]
 
 
 def figure3_4(
@@ -169,11 +200,7 @@ def full_scheme(
 ) -> Dict[str, "object"]:
     """The full-scheme runs behind Figures 7 and 8: every benchmark under
     :func:`_ours`.  Returns {benchmark: RefRunOutput}."""
-    specs = _suite(None)
-    outputs = _engine(engine).run_cells(
-        [Cell(spec.name, _ours(), config) for spec in specs]
-    )
-    return {spec.name: out for spec, out in zip(specs, outputs)}
+    return reference_grid(config, engine, suites=())[1]
 
 
 def figure7(

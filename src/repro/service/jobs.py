@@ -417,6 +417,7 @@ class JobStore:
                 "cached": record.cached,
                 "wall_s": record.wall_s,
                 "refs": record.refs,
+                "unit": record.unit,
             }),
         )
 

@@ -10,12 +10,20 @@ output record, the same registry snapshot and the same L1D, write-buffer
 and L2 line state from both, including warm-ups longer than the stream,
 a hierarchy driven twice, chunk edges anywhere in a window, the
 memoised tape of a benchmark stream and threads sharing that memo.
+
+The hierarchy asks a level's cleaning FSM only once the level's next
+due cycle is reached.  :class:`UngatedHierarchy` is the longhand of that
+gate: it asks every level with a cleaning schedule at every reference.
+Both must leave the same outputs, state and FSM latches, on every L2
+variant and on a three-level hierarchy whose L3 sweeps on its own
+interval.
 """
 
 import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 import threading
@@ -25,9 +33,10 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.hierarchy import L1Recorder, MemoryHierarchy
 from repro.core.policy import available_variants, build_variant_l2, get_variant
-from repro.core.protected_cache import ProtectionConfig
+from repro.core.protected_cache import ProtectedL2, ProtectionConfig
 from repro.core.scrub import check_invariants
 from repro.experiments import runner
 from repro.experiments.runner import (
@@ -153,12 +162,16 @@ def designs(draw):
         seed=draw(st.integers(0, 3)),
     )
 
-    def build(plain=False):
+    def build(plain=False, cls=MemoryHierarchy, make_l3=None):
         hier_cfg = replace(geometry.hierarchy_config(), mshr_entries=mshrs)
         if plain:
-            return MemoryHierarchy(config=hier_cfg)
+            return cls(config=hier_cfg)
         l2 = build_variant_l2(variant, geometry, protection, seed=config.seed)
-        return MemoryHierarchy(config=hier_cfg, l2=l2)
+        l3 = None
+        if make_l3 is not None:
+            l3 = make_l3(l2.config)
+            hier_cfg = replace(hier_cfg, l3=l3.config)
+        return cls(config=hier_cfg, l2=l2, l3=l3)
 
     return build, config, protection
 
@@ -292,3 +305,129 @@ def test_memo_is_safe_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == {i: expected[job] for i, job in enumerate(jobs)}
+
+
+class UngatedHierarchy(MemoryHierarchy):
+    """The cleaning rule the next-due gate must reproduce: :meth:`load`,
+    :meth:`store` and :meth:`ifetch` ask every level that has a cleaning
+    schedule at every reference, and the inherited gate never opens."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._next_due = math.inf
+
+    def _ask_every_level(self, cycle):
+        cycle = max(cycle, self.clock)
+        for idx, cache in enumerate(self.levels):
+            if getattr(cache, "cleaning", None) is not None:
+                for wb in cache.advance(cycle):
+                    self._push_down(wb, cycle, idx + 1)
+
+    def ifetch(self, addr, cycle):
+        self._ask_every_level(cycle)
+        return super().ifetch(addr, cycle)
+
+    def load(self, addr, cycle):
+        self._ask_every_level(cycle)
+        return super().load(addr, cycle)
+
+    def store(self, addr, cycle):
+        self._ask_every_level(cycle)
+        return super().store(addr, cycle)
+
+
+def full_state(hierarchy):
+    """:func:`state` plus every level's lines, the instruction side and
+    each cleaning FSM's latch and next due cycle."""
+    return (
+        state(hierarchy),
+        [lines(level) for level in hierarchy.levels],
+        lines(hierarchy.l1i),
+        dict(hierarchy.l1i_mshr._pending),
+        [
+            (level.cleaning.checks, level.cleaning.next_set,
+             level.cleaning.next_due)
+            for level in hierarchy.levels
+            if getattr(level, "cleaning", None) is not None
+        ],
+    )
+
+
+@st.composite
+def gate_designs(draw):
+    """(hierarchy factory taking the class, run configuration,
+    protection): every L2 variant, ECC-only and plain L2s, and an
+    optional L3 — plain, or protected on an interval that is not a
+    power of two, so it never sweeps in step with the L2."""
+    build_two_level, config, protection = draw(designs())
+    l3_kind = draw(st.sampled_from([None, "plain", "protected"]))
+    l3_interval = draw(st.sampled_from([300, 700, 1500, 5000]))
+    l3_ecc = draw(st.sampled_from([None, 1]))
+
+    def make_l3(l2_config):
+        l3_config = replace(
+            l2_config, name="l3", size_bytes=4 * l2_config.size_bytes,
+            ways=8, hit_latency=25,
+        )
+        if l3_kind == "plain":
+            return SetAssociativeCache(l3_config)
+        return ProtectedL2(l3_config, ProtectionConfig(
+            cleaning_interval=l3_interval, ecc_entries_per_set=l3_ecc
+        ))
+
+    def build(cls=MemoryHierarchy):
+        return build_two_level(
+            cls=cls, make_l3=make_l3 if l3_kind is not None else None
+        )
+
+    return build, config, protection
+
+
+def assert_same_state(gated, ungated):
+    assert full_state(gated) == full_state(ungated)
+    for level in gated.levels:
+        check_invariants(level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_designs(), streams(600))
+def test_gated_runs_match_ungated_rule(design, stream):
+    build, config, protection = design
+    ungated_h = build(UngatedHierarchy)
+    ungated = longhand_run_ref_stream(stream, ungated_h, config, "t", protection)
+    tape_h, live_h = build(), build()
+    tape = run_ref_stream(stream, tape_h, config, "t", protection)
+    live = longhand_run_ref_stream(stream, live_h, config, "t", protection)
+    assert digest(tape) == digest(live) == digest(ungated)
+    assert_same_state(tape_h, ungated_h)
+    assert_same_state(live_h, ungated_h)
+
+
+@st.composite
+def cpu_requests(draw):
+    """(kind, address, cycle) calls as an out-of-order core makes them:
+    instruction fetches, loads and stores, cycles that mostly advance —
+    sometimes by far more than two sweeps — and sometimes step back."""
+    cycle = 0
+    calls = []
+    for _ in range(draw(st.integers(0, 300))):
+        cycle += draw(st.one_of(
+            st.integers(0, 6), st.integers(0, 400), st.integers(0, 60_000)
+        ))
+        presented = max(0, cycle - draw(st.sampled_from([0, 0, 0, 3, 20])))
+        kind = draw(st.sampled_from(["ifetch", "load", "store"]))
+        addr = 0x10000 + 8 * draw(st.integers(0, 2047))
+        calls.append((kind, addr, presented))
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_designs(), cpu_requests())
+def test_gated_entry_points_match_ungated_rule(design, calls):
+    build, _, _ = design
+    gated, ungated = build(), build(UngatedHierarchy)
+    for kind, addr, cycle in calls:
+        assert getattr(gated, kind)(addr, cycle) == getattr(ungated, kind)(
+            addr, cycle
+        )
+    assert_same_state(gated, ungated)

@@ -1,5 +1,7 @@
 """Tests for the cleaning-logic sweep scheduler."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,40 @@ class TestSchedule:
         cycle += interval
         assert list(fast.due_sets(cycle)) == list(slow.due_sets(cycle))
         assert (fast.checks, fast.next_set) == (slow.checks, slow.next_set)
+
+    @given(
+        st.integers(1, 64),
+        st.integers(1, 5000),
+        st.lists(
+            st.one_of(st.integers(0, 300), st.integers(0, 40_000)),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_next_due_is_the_first_nonempty_cycle(self, n_sets, interval, steps):
+        """Before any call and after every call — including calls the
+        two-sweep cap cut short — ``next_due`` is the first cycle at
+        which ``due_sets`` answers with a set, for the FSM and for the
+        generator definition alike."""
+        fast = CleaningLogic(n_sets=n_sets, interval_cycles=interval)
+        slow = GeneratorSchedule(n_sets, interval)
+        cycle = 0
+        for dt in [0] + steps:
+            cycle += dt
+            list(slow.due_sets(cycle))
+            fast.due_sets(cycle)
+            due = fast.next_due
+            assert due > cycle
+            for probe in (fast, slow):
+                early, exact = copy.deepcopy(probe), copy.deepcopy(probe)
+                assert list(early.due_sets(due - 1)) == []
+                assert list(exact.due_sets(due)) != []
+
+    def test_next_due_of_a_fresh_fsm(self):
+        # 4 sets in 400 cycles: set 0 falls due at cycle 100.
+        assert CleaningLogic(n_sets=4, interval_cycles=400).next_due == 100
+        assert CleaningLogic(n_sets=3, interval_cycles=400).next_due == 134
+        assert CleaningLogic(n_sets=8, interval_cycles=4).next_due == 1
 
     def test_checks_counter(self):
         cl = CleaningLogic(n_sets=4, interval_cycles=40)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.experiments import (
     RunConfig,
     area_table,
@@ -10,10 +11,16 @@ from repro.experiments import (
     figure5_6,
     figure7,
     figure8,
+    full_scheme,
+    interval_sweep,
+    reference_grid,
+    regenerate_all,
+    runner,
     table1,
 )
 
 FAST = RunConfig(n_refs=10_000, warmup_refs=3_000)
+SMALL = RunConfig(n_refs=1_500, warmup_refs=500)
 
 
 class TestTable1:
@@ -82,6 +89,53 @@ class TestFigure7_8:
             assert row["total"] == pytest.approx(
                 row["WB"] + row["Clean-WB"] + row["ECC-WB"], abs=1e-9
             )
+
+
+class TestOneTapePerBenchmark:
+    """A sequential figure regeneration records each benchmark's L1 tape
+    once: its sweep and full-scheme cells run back to back."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Stage A recorders built and reference streams made (the
+        runner's tape memo starts empty)."""
+        counts = {"tapes": 0, "streams": 0}
+        recorder, make_stream = runner.L1Recorder, runner.make_ref_stream
+
+        def counted_recorder(*args):
+            counts["tapes"] += 1
+            return recorder(*args)
+
+        def counted_stream(*args, **kwargs):
+            counts["streams"] += 1
+            return make_stream(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "L1Recorder", counted_recorder)
+        monkeypatch.setattr(runner, "make_ref_stream", counted_stream)
+        monkeypatch.setattr(runner, "_LAST_TAPE", None)
+        return counts
+
+    def test_regenerate_all_records_fourteen_tapes(self, counts):
+        doc = regenerate_all(SMALL, include_ipc=False)
+        assert counts == {"tapes": 14, "streams": 14}
+        assert len(doc["figure7"]) == len(doc["figure1"]) == 14
+
+    def test_api_figures_records_one_tape_per_benchmark(self, counts):
+        for fig, benchmarks in (("all", 14), ("7", 14), ("4", 7)):
+            counts["tapes"] = 0
+            api.figures(api.FiguresRequest(fig=fig, refs=1_500, warmup=500))
+            assert counts["tapes"] == benchmarks, fig
+
+    def test_grid_equals_its_parts(self):
+        sweeps, full = reference_grid(SMALL)
+        assert sweeps == {
+            "fp": interval_sweep("fp", SMALL),
+            "int": interval_sweep("int", SMALL),
+        }
+        assert full == full_scheme(SMALL)
+        assert reference_grid(SMALL, suites=("int",), full=False) == (
+            {"int": sweeps["int"]}, None
+        )
 
 
 class TestAreaTable:

@@ -201,6 +201,22 @@ class TestJobStore:
         assert events[-1]["state"] == "done"
         assert any(event["type"] == "cell" for event in events)
 
+    def test_cell_events_name_their_unit(self, tmp_path):
+        # An ipc cell's work is instructions, a run cell's references.
+        store = JobStore(data_dir=tmp_path, workers=0)
+        jobs = [
+            store.submit("ipc", {"benchmark": "swim", "insts": 2000})[0],
+            store.submit("run", RUN_REQUEST)[0],
+        ]
+        store.run_pending()
+        (ipc, run) = (
+            [e for e in job.iter_events() if e["type"] == "cell"]
+            for job in jobs
+        )
+        assert len(ipc) == 2 and len(run) == 1
+        assert all(e["unit"] == "insts" and e["refs"] == 2000 for e in ipc)
+        assert run[0]["unit"] == "refs"
+
 
 class TestRestartResume:
     """A killed campaign resumes from its ``fabric.db`` shard rows on a
