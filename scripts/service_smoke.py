@@ -7,12 +7,12 @@ dedupe onto the first job), follows the NDJSON progress stream to
 completion, fetches the result document, and asserts it matches a
 direct :mod:`repro.api` call bit for bit.  Then it runs a small
 autotune grid: the served document must equal a direct
-:func:`repro.api.autotune` call, the data dir must hold only the
-result cache and ``fabric.db`` (no per-point checkpoints), and an
-overlapping grid on a fresh replica over the same data dir must
-execute only its new points.  Exits nonzero on any mismatch — this is
-the end-to-end gate that the service, the facade and the campaign
-engine agree.
+:func:`repro.api.autotune` call, the data dir must hold only
+``fabric.db*`` (the one store: no result-cache tree, no per-point
+checkpoints), and an overlapping grid on a fresh replica over the same
+data dir must execute only its new points.  Exits nonzero on any
+mismatch — this is the end-to-end gate that the service, the facade
+and the campaign engine agree.
 
 Usage: ``PYTHONPATH=src python scripts/service_smoke.py``
 """
@@ -47,9 +47,8 @@ OVERLAP = dict(GRID, codecs=["secded", "dected"])
 
 
 def check_autotune(client: ServiceClient, data: str) -> None:
-    """Served grid == direct call; only the cache and fabric.db on
-    disk; a fresh replica executes only an overlapping grid's new
-    points."""
+    """Served grid == direct call; only fabric.db* on disk; a fresh
+    replica executes only an overlapping grid's new points."""
     job = client.submit("autotune", GRID)["job"]
     served = client.result(job["id"], timeout=300)
     direct = api.autotune(
@@ -63,10 +62,7 @@ def check_autotune(client: ServiceClient, data: str) -> None:
           f"({served['executed']} points)")
 
     entries = sorted(path.name for path in Path(data).iterdir())
-    stray = [
-        name for name in entries
-        if name != "cache" and not name.startswith("fabric.db")
-    ]
+    stray = [name for name in entries if not name.startswith("fabric.db")]
     assert not stray, f"unexpected data-dir entries: {stray}"
 
     replica = ReproService(port=0, data_dir=data, workers=1).start()

@@ -50,6 +50,7 @@ from repro.experiments import (
     render_series,
     render_table,
 )
+from repro.experiments.pool import StoreError
 from repro.experiments.report import render_snapshot
 from repro.telemetry import (
     EventTracer,
@@ -931,7 +932,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except api.ReproError as err:
+    except (api.ReproError, StoreError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,10 +9,11 @@ function of its key and serves fresh hierarchies only), so the grid can
 be
 
 * **fanned out** over a :mod:`multiprocessing` pool (``jobs > 1``), and
-* **memoised** on disk, keyed by a content hash of everything the cell
-  depends on: geometry, protection knobs, workload, run configuration,
-  simulation variant, and a hash of the simulator's own source code, so
-  a code change invalidates every cached result automatically.
+* **memoised** in one SQLite store (:class:`ResultCache`), keyed by a
+  content hash of everything the cell depends on: geometry, protection
+  knobs, workload, run configuration, simulation variant, and a hash of
+  the simulator's own source code, so a code change invalidates every
+  cached result automatically.
 
 Determinism: a :class:`Cell` carries its seed inside its
 :class:`~repro.experiments.runner.RunConfig` and each worker builds a
@@ -35,8 +36,8 @@ import hashlib
 import json
 import os
 import pickle
+import sqlite3
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,7 +162,21 @@ def cell_key(cell: Cell, version: Optional[str] = None) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# -- the on-disk result cache -------------------------------------------------
+# -- the result store ---------------------------------------------------------
+
+def connect_store(path: Path) -> sqlite3.Connection:
+    """A new connection to a store file: WAL, ``synchronous=NORMAL``,
+    30 s busy timeout.  Open one per operation, so none is shared
+    between threads or held open across a worker pool's fork."""
+    conn = sqlite3.connect(str(path), timeout=30.0)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.execute("PRAGMA synchronous=NORMAL")
+    return conn
+
+
+class StoreError(Exception):
+    """A store directory that cannot be created or opened."""
+
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro-sweeps``."""
@@ -172,44 +187,48 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Pickle-per-key store under one directory, sharded by key prefix."""
+    """Content-addressed store of pickled results: one table of
+    ``<directory>/fabric.db``, shared by sweep cells, autotune design
+    points and a service's job documents.  A put commits one row whole.
+    """
 
     def __init__(self, directory: Union[str, Path, None] = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.pkl"
+        self.file = self.directory / "fabric.db"
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            # A table name no earlier layout used: an old data dir's
+            # ``results`` rows (and ``cache/`` pickle files) just miss.
+            with connect_store(self.file) as conn:
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS entries "
+                    "(key TEXT PRIMARY KEY, value BLOB NOT NULL)"
+                )
+        except (OSError, sqlite3.Error) as err:
+            raise StoreError(
+                f"cannot open the result store in {self.directory}: {err}"
+            ) from None
 
     def get(self, key: str) -> Optional[Any]:
-        """The cached result for ``key``, or None (misses and corrupt
-        entries look the same: the cell is simply recomputed)."""
-        path = self.path(key)
+        """The stored value for ``key``, or None; a row that no longer
+        unpickles is a miss too, so the result is simply recomputed."""
+        with connect_store(self.file) as conn:
+            row = conn.execute(
+                "SELECT value FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+        if row is None:
+            return None
         try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            return pickle.loads(row[0])
+        except Exception:
             return None
 
     def put(self, key: str, value: Any) -> None:
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # One temp file per writer (process, thread): no shared name.
-        tmp = path.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-        with tmp.open("wb") as fh:
-            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)  # atomic: concurrent writers can't tear
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*/*.pkl"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        n = 0
-        for path in self.directory.glob("*/*.pkl"):
-            path.unlink(missing_ok=True)
-            n += 1
-        return n
+        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        with connect_store(self.file) as conn:
+            conn.execute(
+                "INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, blob)
+            )
 
 
 # -- cell execution (top level so worker processes can pickle it) -------------
@@ -572,10 +591,12 @@ __all__ = [
     "CellRecord",
     "ResultCache",
     "SweepEngine",
+    "StoreError",
     "SweepStats",
     "build_cell_hierarchy",
     "cell_key",
     "code_version",
+    "connect_store",
     "default_cache_dir",
     "execute_cell",
     "execute_unit",

@@ -2,14 +2,13 @@
 
 N ``repro serve`` replicas pointed at one ``--data-dir`` cooperate
 through this store (``<data_dir>/fabric.db``, WAL mode, stdlib
-:mod:`sqlite3`).  It holds five tables:
+:mod:`sqlite3`).  Beside the :class:`~repro.experiments.pool.ResultCache`
+table of finished results, so *any* replica serves a job *any* replica
+computed, it holds four tables:
 
 * ``jobs`` — every request ever submitted anywhere in the cluster,
   keyed by :func:`repro.api.request_key`, with its lifecycle state and
   cluster-wide submission count;
-* ``results`` — the serialized result document of each finished job,
-  so *any* replica serves a job *any* replica computed (the
-  cluster-wide result cache);
 * ``shards`` — one row per campaign shard, the work-stealing unit:
   ``pending`` → ``leased`` (owner + expiry) → ``done`` (with the
   shard's outcome record), the only copy of a service campaign's shards;
@@ -34,12 +33,11 @@ from __future__ import annotations
 import json
 import os
 import socket
-import sqlite3
 import time
 import uuid
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.pool import ResultCache, connect_store
 from repro.reliability.checkpoint import CheckpointError
 
 _SCHEMA = """
@@ -52,11 +50,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     created_at REAL NOT NULL,
     finished_at REAL,
     submissions INTEGER NOT NULL DEFAULT 1
-);
-CREATE TABLE IF NOT EXISTS results (
-    key TEXT PRIMARY KEY,
-    doc TEXT NOT NULL,
-    created_at REAL NOT NULL
 );
 CREATE TABLE IF NOT EXISTS shards (
     job_key TEXT NOT NULL,
@@ -81,6 +74,10 @@ CREATE TABLE IF NOT EXISTS workers (
 );
 """
 
+#: Keeps job documents apart from sweep cells: a plain run's request key
+#: *is* its cell's key.
+_DOCUMENT = "job-document:"
+
 
 def default_replica_id() -> str:
     """``<hostname>-<pid>-<4 hex>`` — unique even for two stores in
@@ -101,30 +98,18 @@ class FabricStore:
     ) -> None:
         if lease_duration <= 0 or worker_timeout <= 0:
             raise ValueError("lease_duration and worker_timeout must be > 0")
-        self.data_dir = Path(data_dir)
-        self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.path = self.data_dir / "fabric.db"
+        self.results = ResultCache(data_dir)
+        self.path = self.results.file
         self.lease_duration = lease_duration
         self.worker_timeout = worker_timeout
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.executescript(_SCHEMA)
-
-    def _connect(self) -> sqlite3.Connection:
-        # A connection per operation: sqlite3 connections are not
-        # thread-safe, and WAL + busy_timeout make short transactions
-        # from many replicas cheap enough that pooling isn't worth the
-        # locking it would reintroduce.
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
-        return conn
 
     # -- workers -------------------------------------------------------------
 
     def register_worker(self, replica_id: str) -> None:
         now = time.time()
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
                 "INSERT INTO workers "
@@ -141,7 +126,7 @@ class FabricStore:
         """Refresh liveness and extend this replica's active leases —
         a slow shard on a live replica should not look abandoned."""
         now = time.time()
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
                 "UPDATE workers SET last_heartbeat = ? WHERE replica_id = ?",
@@ -154,7 +139,7 @@ class FabricStore:
             )
 
     def remove_worker(self, replica_id: str) -> None:
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
                 "DELETE FROM workers WHERE replica_id = ?", (replica_id,)
@@ -168,7 +153,7 @@ class FabricStore:
 
     def workers(self) -> List[Dict[str, Any]]:
         now = time.time()
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             rows = conn.execute(
                 "SELECT replica_id, started_at, last_heartbeat, pid, host "
                 "FROM workers ORDER BY started_at"
@@ -193,7 +178,7 @@ class FabricStore:
         """Record a submission: insert the job or bump its cluster-wide
         submission count.  A previously failed/canceled job re-enters
         ``queued`` (the retry semantics the local store already has)."""
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("BEGIN IMMEDIATE")
             row = conn.execute(
                 "SELECT state FROM jobs WHERE key = ?", (key,)
@@ -220,7 +205,7 @@ class FabricStore:
         self, key: str, state: str, error: Optional[str] = None
     ) -> None:
         terminal = state in ("done", "error", "canceled")
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
                 "UPDATE jobs SET state = ?, error = ?, finished_at = ? "
@@ -229,7 +214,7 @@ class FabricStore:
             )
 
     def job_state(self, key: str) -> Optional[str]:
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             row = conn.execute(
                 "SELECT state FROM jobs WHERE key = ?", (key,)
             ).fetchone()
@@ -239,7 +224,7 @@ class FabricStore:
         """Mark a non-terminal job canceled; every replica running it
         observes the state at its next abort poll.  Returns False for
         unknown or already-terminal jobs."""
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("BEGIN IMMEDIATE")
             cur = conn.execute(
                 "UPDATE jobs SET state = 'canceled', finished_at = ? "
@@ -251,20 +236,10 @@ class FabricStore:
     # -- results (cluster-wide cache) ----------------------------------------
 
     def store_result(self, key: str, doc: Dict[str, Any]) -> None:
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            conn.execute(
-                "INSERT OR REPLACE INTO results (key, doc, created_at) "
-                "VALUES (?, ?, ?)",
-                (key, json.dumps(doc, sort_keys=True), time.time()),
-            )
+        self.results.put(_DOCUMENT + key, doc)
 
     def cached_result(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT doc FROM results WHERE key = ?", (key,)
-            ).fetchone()
-        return None if row is None else json.loads(row[0])
+        return self.results.get(_DOCUMENT + key)
 
     # -- shards --------------------------------------------------------------
 
@@ -292,7 +267,7 @@ class FabricStore:
         budget = len(keys) if limit is None else limit
         leased: List[Tuple[str, int]] = []
         stolen: List[Tuple[str, int]] = []
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("BEGIN IMMEDIATE")
             conn.executemany(
                 "INSERT OR IGNORE INTO shards (job_key, scheme, idx) "
@@ -336,7 +311,7 @@ class FabricStore:
         """Record ``digest`` as the configuration of ``job_key``'s shards
         (the first caller's wins) and return the job's ``done`` records;
         :class:`CheckpointError` if they were recorded under another."""
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
                 "INSERT OR IGNORE INTO campaigns VALUES (?, ?)", (job_key, digest)
@@ -363,7 +338,7 @@ class FabricStore:
         """Publish one shard's outcome record, durably (idempotent —
         duplicate executions of a deterministic shard write identical
         records)."""
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("PRAGMA synchronous=FULL")
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
@@ -382,7 +357,7 @@ class FabricStore:
             return []
         placeholders = ",".join(["(?,?)"] * len(keys))
         flat: List[Any] = [v for pair in keys for v in pair]
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             rows = conn.execute(
                 "SELECT record FROM shards "
                 "WHERE job_key = ? AND state = 'done' "
@@ -395,7 +370,7 @@ class FabricStore:
     def release_leases(self, job_key: str, replica_id: str) -> int:
         """Return a replica's unfinished leases of one job to ``pending``
         (graceful failure path — don't make peers wait out the clock)."""
-        with self._connect() as conn:
+        with connect_store(self.path) as conn:
             conn.execute("BEGIN IMMEDIATE")
             cur = conn.execute(
                 "UPDATE shards SET state = 'pending', owner = NULL, "

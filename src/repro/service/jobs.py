@@ -7,20 +7,14 @@ so two identical submissions *are* the same job: the second submitter
 attaches to the first's progress stream and result instead of paying
 for a second execution.
 
-Durability lives below the store, not in it:
-
-* every job's sweep engine shares one on-disk
-  :class:`~repro.experiments.pool.ResultCache` under
-  ``<data_dir>/cache``, so finished simulation cells survive restarts;
-* every store joins the :class:`~repro.service.fabric.FabricStore` at
-  ``<data_dir>/fabric.db``: finished result documents are cached
-  cluster-wide (any replica serves any previously computed job), and
-  a reliability campaign's shards live only there: replicas running it
-  at once lease shards from each other, and a fresh store resumes an
-  interrupted one from its ``done`` rows — bit-identical to an
-  uninterrupted run;
-* an autotune/recommend job's finished design points are entries of
-  that same result cache, so a rerun executes only the missing points.
+Durability lives below the store, not in it, in the
+:class:`~repro.service.fabric.FabricStore` at ``<data_dir>/fabric.db``:
+its :class:`~repro.experiments.pool.ResultCache` table holds every
+finished simulation cell, design point and job result document (so a
+rerun executes only what is missing, and any replica serves any
+finished job), and a reliability campaign's shards live only in its
+``shards`` table, where replicas lease them from each other and a fresh
+store resumes an interrupted campaign bit-identically.
 
 The store's own job *records* are in-memory: a restart forgets them but
 no completed *work*.
@@ -265,7 +259,6 @@ class JobStore:
         if workers < 0 or jobs < 1:
             raise ValueError("workers must be >= 0 and jobs >= 1")
         self.data_dir = Path(data_dir) if data_dir else default_data_dir()
-        self.cache_dir = self.data_dir / "cache"
         self.jobs_per_engine = jobs
         self.engine_factory = engine_factory
         self.replica_id = replica_id or default_replica_id()
@@ -410,7 +403,7 @@ class JobStore:
             return self.engine_factory(job)
         return SweepEngine(
             jobs=self.jobs_per_engine,
-            cache=self.cache_dir,
+            cache=self.fabric.results,
             on_cell=lambda record: job.emit({
                 "type": "cell",
                 "label": record.label,

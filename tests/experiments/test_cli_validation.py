@@ -152,3 +152,37 @@ class TestTrace:
             "-n must be non-negative",
         )
         assert not out.exists()
+
+
+class TestUnusableStore:
+    """A store path that cannot hold ``fabric.db`` is one error line."""
+
+    @pytest.fixture(params=["regular-file", "not-a-database"])
+    def bad_dir(self, request, tmp_path):
+        if request.param == "regular-file":
+            path = tmp_path / "file"
+            path.write_text("x")
+        else:
+            path = tmp_path / "dir"
+            path.mkdir()
+            (path / "fabric.db").write_bytes(b"\x13" * 4096)
+        return path
+
+    def _fails(self, capsys, argv, path):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: cannot open the result store in {path}: ")
+
+    def test_run_cache_dir(self, capsys, bad_dir, no_cells):
+        self._fails(capsys, [
+            "run", "--benchmark", "mesa", "--refs", "300", "--warmup", "100",
+            "--cache-dir", str(bad_dir),
+        ], bad_dir)
+
+    def test_serve_data_dir(self, capsys, bad_dir):
+        self._fails(
+            capsys, ["serve", "--port", "0", "--data-dir", str(bad_dir)], bad_dir
+        )

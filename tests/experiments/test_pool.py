@@ -1,8 +1,15 @@
 """Tests for the parallel sweep engine and its result cache."""
 
 import dataclasses
+import os
+import pickle
+import signal
+import sqlite3
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -65,29 +72,46 @@ class TestCellKey:
             Cell("mesa", PROT, FAST, variant="bogus")
 
 
+def _rows(directory):
+    """The store's rows as ``{key: raw blob}``, read over plain sqlite3."""
+    conn = sqlite3.connect(str(directory / "fabric.db"))
+    try:
+        return dict(conn.execute("SELECT key, value FROM entries"))
+    finally:
+        conn.close()
+
+
+def _overwrite(directory, key, blob):
+    conn = sqlite3.connect(str(directory / "fabric.db"))
+    with conn:
+        conn.execute("UPDATE entries SET value = ? WHERE key = ?", (blob, key))
+    conn.close()
+
+
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ab" * 32, {"x": 1})
         assert cache.get("ab" * 32) == {"x": 1}
-        assert len(cache) == 1
+        assert list(_rows(tmp_path)) == ["ab" * 32]
 
     def test_miss_returns_none(self, tmp_path):
         assert ResultCache(tmp_path).get("cd" * 32) is None
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("blob", [
+        b"\x80\x09",  # unsupported pickle protocol 9: ValueError
+        b"cnosuchmod\nX\n.",  # a global of a missing module
+        b"not a pickle",
+        pickle.dumps({"x": list(range(50))})[:-7],  # truncated
+    ], ids=["protocol-9", "missing-module", "garbage", "truncated"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, blob):
         cache = ResultCache(tmp_path)
         key = "ef" * 32
         cache.put(key, [1, 2, 3])
-        cache.path(key).write_bytes(b"not a pickle")
+        _overwrite(tmp_path, key, blob)
         assert cache.get(key) is None
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("12" * 32, 1)
-        cache.put("34" * 32, 2)
-        assert cache.clear() == 2
-        assert len(cache) == 0
+        cache.put(key, "recomputed")  # the miss is stored over
+        assert cache.get(key) == "recomputed"
 
     def test_concurrent_writers_of_one_key(self, tmp_path):
         # Overlapping jobs can compute and store the same cell at once:
@@ -119,9 +143,107 @@ class TestResultCache:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert cache.get(key) in [[i] * 1000 for i in range(4)]
-        assert [p.name for p in cache.path(key).parent.iterdir()] == [
-            cache.path(key).name
-        ]
+        assert list(_rows(tmp_path)) == [key]
+        assert all(p.name.startswith("fabric.db") for p in tmp_path.iterdir())
+
+
+def _value(i):
+    """The value the crash tests store under key ``i``: big enough to
+    span several WAL pages, so a torn write would show."""
+    return (i, bytes([i % 251]) * 6000)
+
+
+def _key(i):
+    return f"{i:064x}"
+
+
+def _assert_whole_or_missing(directory, n):
+    """Reopen the store: each of keys ``0..n-1`` is a full hit or a
+    miss, and the store still takes a write.  Returns the hit count."""
+    cache = ResultCache(directory)
+    hits = 0
+    for i in range(n):
+        value = cache.get(_key(i))
+        assert value is None or value == _value(i), i
+        hits += value is not None
+    cache.put("ff" * 32, "after the crash")
+    assert cache.get("ff" * 32) == "after the crash"
+    return hits
+
+
+#: Run in a child process: puts keys 0, 1, 2, ... until killed.
+_PUTTER = """
+import sys
+from repro.experiments.pool import ResultCache
+cache = ResultCache(sys.argv[1])
+i = 0
+while True:
+    cache.put(f"{i:064x}", (i, bytes([i % 251]) * 6000))
+    i += 1
+"""
+
+
+class TestStoreCrashes:
+    N = 40
+
+    def test_truncated_wal_keeps_entries_whole(self, tmp_path):
+        live = tmp_path / "live"
+        cache = ResultCache(live)
+        # An open reader keeps the puts in the WAL: the last connection
+        # to close would otherwise checkpoint it into fabric.db.
+        holder = sqlite3.connect(str(live / "fabric.db"))
+        holder.execute("SELECT COUNT(*) FROM entries").fetchone()
+        try:
+            for i in range(self.N):
+                cache.put(_key(i), _value(i))
+            wal = (live / "fabric.db-wal").read_bytes()
+            db = (live / "fabric.db").read_bytes()
+        finally:
+            holder.close()
+        assert len(wal) > 32 + self.N * 6000  # every put is in the WAL
+
+        hits = []
+        cuts = [0, 32, 4096, len(wal) // 3, len(wal) // 2,
+                len(wal) - 4096, len(wal) - 1, len(wal)]
+        for cut in cuts:
+            crashed = tmp_path / f"cut-{cut}"
+            crashed.mkdir()
+            (crashed / "fabric.db").write_bytes(db)
+            (crashed / "fabric.db-wal").write_bytes(wal[:cut])
+            hits.append(_assert_whole_or_missing(crashed, self.N))
+        # Recovery keeps a prefix of the commits: more WAL, more hits.
+        assert hits == sorted(hits)
+        assert hits[0] == 0 and hits[-1] == self.N
+        assert 0 < hits[len(cuts) // 2] < self.N
+
+    def test_kill_9_mid_puts(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(pool_mod.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _PUTTER, str(tmp_path)], env=env
+        )
+
+        def rows():
+            try:
+                return len(_rows(tmp_path))
+            except sqlite3.OperationalError:
+                return 0  # the child has not created the table yet
+
+        try:
+            deadline = time.monotonic() + 60
+            while rows() < self.N and child.poll() is None:
+                assert time.monotonic() < deadline, "no puts landed"
+                time.sleep(0.01)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        stored = rows()
+        assert stored >= self.N
+        assert _assert_whole_or_missing(tmp_path, stored + 50) >= stored
 
 
 class TestEngineSequential:

@@ -6,6 +6,8 @@ them dies — the merged estimate is **bit-identical** to a single-node
 run of the same request.
 """
 
+import json
+import pickle
 import sqlite3
 import threading
 import time
@@ -13,9 +15,11 @@ import time
 import pytest
 
 from repro import api
-from repro.experiments.pool import SweepEngine
+from repro.experiments.pool import Cell, ResultCache, SweepEngine, cell_key
+from repro.experiments.runner import RefRunOutput
 from repro.reliability import CheckpointError
 from repro.service import FabricStore, JobStore, ShardCoordinator
+from repro.service import fabric as fabric_mod
 
 #: Fixed-trial campaign: both replicas derive the identical shard
 #: schedule, so cooperation is pure work-splitting.
@@ -272,6 +276,77 @@ class TestTwoReplicaCampaign:
             )
         finally:
             second.close()
+
+
+class TestOneResultStore:
+    """Cells, design points and job documents share one table."""
+
+    RUN = {"benchmark": "mesa", "refs": 3000, "warmup": 1000}
+
+    def test_run_document_and_its_cell_share_a_key_not_a_row(
+        self, tmp_path
+    ):
+        # A plain run's request key is its cell's key: the job document
+        # must not replace the cell its engine stored, nor stand in
+        # for it.
+        store = JobStore(data_dir=tmp_path, workers=0)
+        try:
+            job, _ = store.submit("run", self.RUN)
+            store.run_pending()
+            assert job.state == "done"
+        finally:
+            store.close()
+        request = api.request_from_dict(api.RunRequest, self.RUN)
+        cell = Cell(request.benchmark, request.protection_config(),
+                    request.run_config(), variant=request.variant)
+        assert job.key == cell_key(cell)
+
+        engine = SweepEngine(cache=ResultCache(tmp_path))
+        output = engine.run(cell)
+        assert engine.stats.cached == 1
+        assert isinstance(output, RefRunOutput)
+        fabric = FabricStore(tmp_path)
+        assert fabric.cached_result(job.key) == job.result_doc()
+        assert all(p.name.startswith("fabric.db") for p in tmp_path.iterdir())
+
+    def test_parent_format_data_dir_reads_as_misses(self, tmp_path):
+        """A data dir written before the one store — a ``cache/`` tree
+        of pickle files and a ``results`` table of JSON documents —
+        opens as is; its old entries miss and a job there runs."""
+        request = api.request_from_dict(api.ReliabilityRequest, CAMPAIGN)
+        key = api.request_key("reliability", request)
+        old = tmp_path / "cache" / "ab" / ("ab" * 32 + ".pkl")
+        old.parent.mkdir(parents=True)
+        old.write_bytes(pickle.dumps({"stale": True}))
+        conn = sqlite3.connect(str(tmp_path / "fabric.db"))
+        with conn:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.executescript(
+                fabric_mod._SCHEMA
+                + "CREATE TABLE results (key TEXT PRIMARY KEY, "
+                "doc TEXT NOT NULL, created_at REAL NOT NULL);"
+            )
+            conn.execute(
+                "INSERT INTO results VALUES (?, ?, ?)",
+                (key, json.dumps({"stale": True}), time.time()),
+            )
+        conn.close()
+
+        assert ResultCache(tmp_path).get("ab" * 32) is None
+        store = JobStore(
+            data_dir=tmp_path, workers=0, engine_factory=_plain_engine
+        )
+        try:
+            assert store.fabric.cached_result(key) is None
+            job, created = store.submit("reliability", CAMPAIGN)
+            assert created and job.state == "queued"
+            assert store.run_pending() == 1
+            assert job.state == "done"
+            doc = api.campaign_doc(job.result.result)
+            assert doc["schemes"] == _direct_doc()["schemes"]
+            assert store.fabric.cached_result(key) == job.result_doc()
+        finally:
+            store.close()
 
 
 class TestCoordinator:

@@ -394,6 +394,25 @@ class TestHttpService:
         )
         assert doc == json.loads(json.dumps(direct.as_dict()))
 
+    def test_store_served_document_is_byte_identical(self, service, tmp_path):
+        client = ServiceClient(service.url)
+        job_id = client.submit("run", RUN_REQUEST)["job"]["id"]
+
+        def body(url):
+            with urllib.request.urlopen(
+                f"{url}/v1/jobs/{job_id}/result?wait=120"
+            ) as response:
+                return response.read()
+
+        fresh = body(service.url)
+        replica = ReproService(port=0, data_dir=tmp_path, workers=1).start()
+        try:
+            served = ServiceClient(replica.url).submit("run", RUN_REQUEST)
+            assert served["job"]["state"] == "done"  # from the store
+            assert body(replica.url) == fresh
+        finally:
+            replica.shutdown()
+
     def test_campaign_over_http_matches_direct_call(self, service):
         client = ServiceClient(service.url)
         job_id = client.submit("reliability", CAMPAIGN_REQUEST)["job"]["id"]
