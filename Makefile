@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install lint test test-all bench bench-perf bench-baseline \
-	figures figures-par figures-smoke ipc-smoke perfbench-smoke \
+	figures figures-par figures-smoke claims-smoke perfbench-smoke \
 	reliability-smoke service-smoke \
 	fabric-smoke autotune-smoke traffic-smoke check-docs examples clean
 
@@ -63,9 +63,14 @@ figures-par:
 	$(PYTHON) -m repro figures --jobs $(JOBS)
 
 # Figure-determinism gate (EXPERIMENTS.md "Parallel sweeps"): the
-# whole --json figure document, regenerated at a small size with the
-# result cache off, must be byte-identical at --jobs 1 and --jobs 2.
-FIGURES_SMOKE_ARGS = --no-ipc --no-cache --refs 6000 --warmup 2000
+# whole --json figure document, IPC section included, regenerated at a
+# small size with the result cache off, must be byte-identical at
+# --jobs 1 and --jobs 2, and its IPC section must hold all 14
+# benchmarks' org-vs-ours rows.
+FIGURES_SMOKE_ARGS = --no-cache --refs 6000 --warmup 2000
+FIGURES_SMOKE_IPC_ROWS = 'import json, sys; \
+	ipc = [s for s in json.load(sys.stdin)["sections"] if s["title"].startswith("IPC")]; \
+	sys.exit(len(ipc) != 1 or len(ipc[0]["series"]) != 14)'
 figures-smoke:
 	@tmp=$$(mktemp -d) && \
 	PYTHONPATH=src $(PYTHON) -m repro figures --json $$tmp/jobs1.json \
@@ -73,28 +78,23 @@ figures-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro figures --json $$tmp/jobs2.json \
 		$(FIGURES_SMOKE_ARGS) --jobs 2 && \
 	cmp $$tmp/jobs1.json $$tmp/jobs2.json && \
-	echo "figures-smoke: --jobs 1 and --jobs 2 documents are identical"; \
+	$(PYTHON) -c $(FIGURES_SMOKE_IPC_ROWS) < $$tmp/jobs1.json && \
+	echo "figures-smoke: --jobs 1 and --jobs 2 documents are identical" \
+		"(14 IPC rows)"; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
-# IPC-table determinism gate: the `--fig ipc` org-vs-ours table (every
-# benchmark through the out-of-order core, which figures-smoke skips
-# with --no-ipc), regenerated at a small size with the result cache
-# off, must be identical at --jobs 1 and --jobs 2.  The timing lines
-# (`sweep:`, `profile:` and its per-phase rows) legitimately differ and
-# are dropped before the comparison.
-IPC_SMOKE_ARGS = --fig ipc --refs 6000 --warmup 2000 --no-cache
-IPC_SMOKE_TIMING = '^(sweep|profile):|^  [a-z-]+: [0-9.]+s(,|$$)'
-ipc-smoke:
+# Paper-claims gate (EXPERIMENTS.md): regenerate the bench-size figures
+# document with the result cache off, require it byte-identical to the
+# committed benchmarks/results/figures.json, then check every paper
+# claim against it and EXPERIMENTS.md's measured tables against it
+# (scripts/check_claims.py).  ~1 min at --jobs 2.
+CLAIMS_SMOKE_ARGS = --refs 120000 --warmup 40000 --jobs 2 --no-cache
+claims-smoke:
 	@tmp=$$(mktemp -d) && \
-	PYTHONPATH=src $(PYTHON) -m repro figures $(IPC_SMOKE_ARGS) --jobs 1 \
-		> $$tmp/jobs1.out && \
-	PYTHONPATH=src $(PYTHON) -m repro figures $(IPC_SMOKE_ARGS) --jobs 2 \
-		> $$tmp/jobs2.out && \
-	grep -Ev $(IPC_SMOKE_TIMING) $$tmp/jobs1.out > $$tmp/jobs1.table && \
-	grep -Ev $(IPC_SMOKE_TIMING) $$tmp/jobs2.out > $$tmp/jobs2.table && \
-	grep -q '^average ' $$tmp/jobs1.table && \
-	cmp $$tmp/jobs1.table $$tmp/jobs2.table && \
-	echo "ipc-smoke: --jobs 1 and --jobs 2 IPC tables are identical"; \
+	PYTHONPATH=src $(PYTHON) -m repro figures --json $$tmp/figures.json \
+		$(CLAIMS_SMOKE_ARGS) && \
+	cmp $$tmp/figures.json benchmarks/results/figures.json && \
+	$(PYTHON) scripts/check_claims.py; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # perfbench correctness gate (perfbench/README.md): one traced `figures`
@@ -118,7 +118,7 @@ perfbench-smoke:
 # batch and the reference kernel; a re-run from the auto campaign's
 # checkpoint executes no shard and prints the first run's table, and so
 # does a run resumed from the checkpoint's first six shards.
-# Timing lines are dropped (as in ipc-smoke), and the resume
+# Timing lines are dropped, and the resume
 # comparison also drops the resumed / executed bookkeeping line.
 RELIABILITY_SMOKE_AUTO = --trials auto --target 0.005 \
 	--trials-per-shard 250 --shards-per-round 4 --no-cache

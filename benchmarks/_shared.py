@@ -1,56 +1,27 @@
 """Shared plumbing for the benchmark harness.
 
-Every bench regenerates one table or figure of the paper, asserts the
-reproduction's acceptance criteria (shape, not absolute numbers — see
-DESIGN.md §4) and writes the rendered table under
-``benchmarks/results/`` so EXPERIMENTS.md can cite the exact output.
-
-The cleaning-interval sweep behind Figures 3–6 is memoised here so the
-four figure benches do not re-simulate the same 70 runs.  The sweeps go
-through :class:`repro.experiments.SweepEngine`; set ``REPRO_JOBS=N`` to
-fan the grid over N worker processes and ``REPRO_SWEEP_CACHE=1`` to
-reuse the on-disk result cache across bench invocations.
+Every bench regenerates one extension table (an ablation, a
+related-work comparison, a reliability study), asserts its acceptance
+criteria (shape, not absolute numbers — see DESIGN.md §4) and writes
+the rendered table under ``benchmarks/results/`` so EXPERIMENTS.md can
+cite the exact output.  The paper's own figures are not benches: they
+live in the committed ``results/figures.json`` document, checked by
+``scripts/check_claims.py``.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
-from typing import Dict
 
-from repro.experiments import RunConfig, SweepEngine, interval_sweep
+from repro.experiments import RunConfig
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: The standard workload size for figure regeneration.
+#: The workload size of the benches' simulated runs (the figures' bench size).
 BENCH_CONFIG = RunConfig(n_refs=120_000, warmup_refs=40_000)
-
-_SWEEPS: Dict[str, dict] = {}
-
-
-def make_engine() -> SweepEngine:
-    """Sweep engine configured from the environment (see module docs)."""
-    return SweepEngine(
-        jobs=int(os.environ.get("REPRO_JOBS", "1")),
-        cache=os.environ.get("REPRO_SWEEP_CACHE", "") not in ("", "0"),
-    )
-
-
-def get_sweep(suite: str) -> dict:
-    """Memoised interval sweep for a suite ('fp' or 'int')."""
-    if suite not in _SWEEPS:
-        _SWEEPS[suite] = interval_sweep(suite, BENCH_CONFIG,
-                                        engine=make_engine())
-    return _SWEEPS[suite]
 
 
 def write_result(name: str, text: str) -> None:
     """Persist a rendered table for EXPERIMENTS.md."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def series_average(series: Dict[str, Dict[str, float]], column: str) -> float:
-    """Arithmetic mean of one column across benchmarks."""
-    vals = [row[column] for row in series.values() if column in row]
-    return sum(vals) / len(vals)

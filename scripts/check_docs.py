@@ -9,6 +9,10 @@ without a line of documentation fails CI here, which is how the docs tree
 stays honest as the surface grows.  It also requires that every field of
 every ``repro.api.KINDS`` request class has an argument on its verb, so
 no request field is reachable over the wire but not from the CLI.
+Every ``repro …`` / ``python -m repro …`` line of a fenced shell block
+goes through the live parser too (``parse_args`` only, nothing runs),
+so a quoted command that names a removed flag, study or benchmark
+fails here instead of in a reader's terminal.
 
 Usage: python scripts/check_docs.py  (exit 0 = consistent)
 """
@@ -16,6 +20,10 @@ Usage: python scripts/check_docs.py  (exit 0 = consistent)
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -151,6 +159,85 @@ def check(surface: dict, corpus: str) -> list:
     return failures
 
 
+#: A fenced-block line that invokes the CLI, after any ``$ `` prompt
+#: and ``VAR=value`` prefixes.
+_COMMAND = re.compile(r"^(?:\w+=\S*\s+)*(?:python3?\s+-m\s+repro|repro)\s")
+
+
+def doc_commands() -> list:
+    """``[(where, argv)]`` for every CLI line of a non-Python fenced
+    block in the corpus; ``where`` is ``path:line``.
+
+    Backslash continuations are joined, comments, ``VAR=value``
+    prefixes and everything from the first shell operator on are
+    dropped, and a line that expands a shell variable (``$s``,
+    ``$(mktemp -d)``) is skipped: its argv is not known statically.
+    """
+    commands = []
+    for pattern in DOC_GLOBS:
+        for path in sorted(REPO.glob(pattern)):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            fence = None
+            i = 0
+            while i < len(lines):
+                start, line = i, lines[i].strip()
+                i += 1
+                if line.startswith("```"):
+                    fence = None if fence is not None else line[3:].strip()
+                    continue
+                if fence is None or fence == "python":
+                    continue
+                while line.endswith("\\") and i < len(lines):
+                    line = line[:-1] + " " + lines[i].strip()
+                    i += 1
+                line = line[2:] if line.startswith("$ ") else line
+                if not _COMMAND.match(line) or "$" in line:
+                    continue
+                tokens = shlex.split(line, comments=True)
+                while "=" in tokens[0]:
+                    tokens.pop(0)
+                # Drop the program: ``repro`` or ``python -m repro``.
+                argv = tokens[3:] if tokens[0] != "repro" else tokens[1:]
+                # A pipe, list or redirection ends the CLI's arguments.
+                end = next((n for n, token in enumerate(argv)
+                            if token[0] in "|&;<>" or token.startswith("2>")),
+                           len(argv))
+                argv = argv[:end]
+                where = f"{path.relative_to(REPO)}:{start + 1}"
+                commands.append((where, argv))
+    return commands
+
+
+def parse_error(argv: list) -> str:
+    """The live parser's complaint about ``argv``, or ``""``."""
+    from repro.cli import build_parser
+
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            build_parser().parse_args(argv)
+    except SystemExit as exit:
+        if exit.code:
+            lines = stderr.getvalue().strip().splitlines()
+            if not lines:
+                return f"exit status {exit.code}"
+            return lines[-1].removeprefix("error: ")
+    return ""
+
+
+def check_commands(commands: list, parse=parse_error) -> list:
+    """``FAIL:`` lines for documented commands the parser rejects."""
+    failures = []
+    for where, argv in commands:
+        error = parse(argv)
+        if error:
+            failures.append(
+                f"FAIL: {where}: repro {' '.join(argv)}: {error}"
+            )
+    return failures
+
+
 def main() -> int:
     surface = cli_surface()
     names = registry_names()
@@ -158,6 +245,8 @@ def main() -> int:
     failures = check(surface, doc_corpus())
     failures += check_registries(names, api_doc_text())
     failures += check_fields(fields, cli_dests())
+    commands = doc_commands()
+    failures += check_commands(commands)
     n_flags = sum(len(f) for f in surface.values())
     n_names = sum(len(v) for v in names.values())
     n_fields = sum(len(v) for v in fields.values())
@@ -168,14 +257,16 @@ def main() -> int:
         print(
             f"\n(checked {n_flags} flags across {len(surface)} verbs "
             f"against {', '.join(DOC_GLOBS)}, {n_names} registered "
-            f"names against docs/api.md, and {n_fields} request fields "
-            f"against their verbs' flags)"
+            f"names against docs/api.md, {n_fields} request fields "
+            f"against their verbs' flags, and {len(commands)} documented "
+            f"commands against the parser)"
         )
         return 1
     print(
         f"docs OK: {len(surface)} verbs, {n_flags} flags, "
         f"{n_names} registered names all documented; "
-        f"{n_fields} request fields all have a flag"
+        f"{n_fields} request fields all have a flag; "
+        f"{len(commands)} documented commands all parse"
     )
     return 0
 

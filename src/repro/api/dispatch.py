@@ -341,9 +341,12 @@ def figures(
 ) -> FiguresResponse:
     """Regenerate the requested figures as structured sections.
 
-    This is the whole of the old ``cmd_figures`` orchestration: which
-    sweeps to run, how to title them, which suites feed which figure —
-    the CLI and the service both just render the returned sections.
+    The one figure orchestrator: which sweeps to run, how to title
+    them, which suites feed which figure.  ``repro figures`` renders
+    the sections as tables, ``repro figures --json`` writes
+    ``as_dict()`` of the response, and the service returns the same
+    document; ``scripts/check_claims.py`` checks the paper's claims
+    against its committed bench-size copy.
     """
     from repro.experiments import (
         figure1,

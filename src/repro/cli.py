@@ -13,7 +13,7 @@ from the fields of its request dataclass (:func:`_add_request_args` —
 name, default, type hint, and the help/grammar in the field's
 metadata), and the parsed flags become the request in one call
 (:func:`_request`).  Only the flags that are not request fields — the
-pool, ``--format``, tracing, ``--profile``, ``--json``/``--no-ipc`` —
+pool, ``--format``, tracing, ``--profile``, ``figures --json`` —
 and the ``serve``/``workers``/``trace``/``stats``/``list`` verbs are
 written out by hand.
 
@@ -45,11 +45,7 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import api
-from repro.experiments import (
-    RunConfig,
-    render_series,
-    render_table,
-)
+from repro.experiments import render_series, render_table
 from repro.experiments.pool import StoreError
 from repro.experiments.report import render_snapshot
 from repro.telemetry import (
@@ -250,9 +246,14 @@ def _add_format_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _json(response) -> str:
+    """The facade result document as the CLI writes it."""
+    return json.dumps(response.as_dict(), indent=2, sort_keys=True)
+
+
 def _emit_json(response) -> int:
     """``--format json``: the facade result document, nothing else."""
-    print(json.dumps(response.as_dict(), indent=2, sort_keys=True))
+    print(_json(response))
     return 0
 
 
@@ -320,10 +321,9 @@ def _add_front_format_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_figures_json_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", metavar="PATH",
-                        help="regenerate everything and write one JSON "
-                             "document")
-    parser.add_argument("--no-ipc", action="store_true",
-                        help="skip the (slow) IPC runs in --json mode")
+                        help="write the figures result document (the "
+                             "service's, for the same request) to PATH "
+                             "instead of printing tables")
 
 
 def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
@@ -366,28 +366,20 @@ def _render_area(response: api.AreaResponse) -> str:
 
 
 def cmd_figures(args) -> int:
-    # Both branches validate the request before any cell runs.
     request = _request(args, api.FiguresRequest)
-    if args.json and request.fig != "all":
-        raise api.ReproError(
-            f"--json regenerates every figure; drop --fig {request.fig}"
-        )
-    if args.no_ipc and not args.json:
-        raise api.ReproError("--no-ipc applies only with --json")
     engine = _engine(args)
+    response = api.figures(request, engine=engine)
     if args.json:
-        from repro.experiments import regenerate_all, save_json
-
-        config = RunConfig(n_refs=request.refs, warmup_refs=request.warmup,
-                           seed=request.seed)
-        doc = regenerate_all(config, include_ipc=not args.no_ipc,
-                             ipc_insts=request.refs * 2, engine=engine,
-                             ecc_area_entries=request.ecc_area_entries)
-        save_json(doc, args.json)
+        try:
+            with open(args.json, "w", encoding="utf-8") as out:
+                out.write(_json(response) + "\n")
+        except OSError as err:
+            raise api.ReproError(
+                f"cannot write {args.json}: {err.strerror}"
+            ) from err
         print(f"wrote {args.json}")
         _print_sweep_stats(engine)
         return 0
-    response = api.figures(request, engine=engine)
     for section in response.sections:
         if section.text is not None:
             print(section.title)
@@ -859,8 +851,16 @@ _KIND_VERBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad or removed flag is one ``error:`` line and exit status 2,
+    like a bad value (the subcommand parsers inherit the class)."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction of 'Area-Efficient Error Protection for "
                     "Caches' (DATE 2006)",

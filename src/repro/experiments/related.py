@@ -106,61 +106,6 @@ def icr_coverage(
     )
 
 
-def traffic_energy_comparison(
-    benchmarks: Optional[List[str]] = None,
-    config: RunConfig = RunConfig(),
-    variants: Optional[List[str]] = None,
-    cleaning_interval: int = 1 << 20,
-    ecc_entries: int = 1,
-) -> Dict[str, Dict[str, float]]:
-    """Figures 5–8-style comparison of the traffic-aware variants.
-
-    One reference-mode run per ``benchmark × variant`` under the
-    paper's protection; rows are ``benchmark/variant`` and the columns
-    extend the paper's write-back-traffic figures (5/6/8) with the
-    bytes the write-back stream actually put on the bus and the
-    memory-system energy of the measured window — the two quantities
-    the silent-write and wb-compress variants exist to reduce.
-
-    ``variants`` defaults to ``standard`` plus every registered
-    traffic-aware variant (:func:`repro.core.policy.traffic_aware_variants`).
-    """
-    from repro.cache.energy import estimate_energy
-    from repro.cache.hierarchy import MemoryHierarchy
-    from repro.core.policy import build_variant_l2, traffic_aware_variants
-    from repro.core.protected_cache import ProtectionConfig
-    from repro.experiments.runner import run_refs_with_hierarchy
-
-    names = benchmarks or sorted(BENCHMARKS)
-    chosen = (
-        list(variants) if variants
-        else ["standard"] + traffic_aware_variants()
-    )
-    protection = ProtectionConfig(
-        cleaning_interval=cleaning_interval,
-        ecc_entries_per_set=ecc_entries,
-    )
-    out: Dict[str, Dict[str, float]] = {}
-    for name in names:
-        for variant in chosen:
-            l2 = build_variant_l2(
-                variant, config.geometry, protection, seed=config.seed
-            )
-            hierarchy = MemoryHierarchy(
-                config=config.geometry.hierarchy_config(), l2=l2
-            )
-            run = run_refs_with_hierarchy(name, hierarchy, config, protection)
-            dirty = min(max(run.dirty_fraction, 0.0), 1.0)
-            energy = estimate_energy(hierarchy, "proposed", dirty)
-            out[f"{name}/{variant}"] = {
-                "traffic %": 100.0 * run.writeback_fraction,
-                "dirty %": 100.0 * dirty,
-                "WB bytes": float(hierarchy.memory.stats.bytes_written),
-                "energy uJ": energy.total_uj,
-            }
-    return out
-
-
 def related_work_table(
     benchmarks: Optional[List[str]] = None,
     config: RunConfig = RunConfig(),

@@ -103,7 +103,6 @@ SURFACE = {
         "--jobs": _opt("jobs", 1),
         "--json": _opt("json", None),
         "--no-cache": _opt("no_cache", False, nargs=0),
-        "--no-ipc": _opt("no_ipc", False, nargs=0),
         "--refs": _opt("refs", 60000),
         "--seed": _opt("seed", 0),
         "--warmup": _opt("warmup", 20000),

@@ -54,19 +54,12 @@ class TestFigures:
         )
         assert not out.exists()
 
-    def test_json_with_one_figure(self, tmp_path, capsys, no_cells):
-        out = tmp_path / "figures.json"
-        _rejects(
-            capsys, ["figures", "--json", str(out), "--fig", "8"],
-            "--json regenerates every figure; drop --fig 8",
-        )
-        assert not out.exists()
-
-    def test_no_ipc_without_json(self, capsys, no_cells):
-        _rejects(
-            capsys, ["figures", "--fig", "8", "--no-ipc"],
-            "--no-ipc applies only with --json",
-        )
+    def test_unwritable_json_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "figures.json"
+        assert main(["figures", "--fig", "area", "--json", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write {out}: No such file or directory"
+        ]
 
     def test_json_area_follows_area_entries(self, tmp_path, capsys):
         import json
@@ -75,13 +68,12 @@ class TestFigures:
 
         out = tmp_path / "figures.json"
         assert main([
-            "figures", "--json", str(out), "--no-ipc", "--no-cache",
-            "--refs", "300", "--warmup", "100", "--ecc-area-entries", "4",
+            "figures", "--json", str(out), "--fig", "area", "--no-cache",
+            "--ecc-area-entries", "4",
         ]) == 0
+        [section] = json.loads(out.read_text())["sections"]
         _, ours, _ = area_table(ecc_entries_per_set=4)
-        assert json.loads(out.read_text())["area"]["proposed_kib"] == (
-            ours.total_kib
-        )
+        assert dict(section["area"]["proposed"])["total"] == ours.total_kib
         assert ours.total_kib != area_table()[1].total_kib
 
 

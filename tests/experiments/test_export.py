@@ -1,79 +1,77 @@
-"""Tests for the structured JSON export."""
+"""``repro figures --json``: the one figures document.
+
+The CLI writes ``api.figures(request).as_dict()`` — the document the
+job service returns for the same request — and honours ``--fig``.
+"""
 
 import json
 
 import pytest
 
-from repro.experiments import (
-    RunConfig,
-    config_metadata,
-    load_json,
-    regenerate_all,
-    save_json,
-)
+from repro import api
+from repro.cli import main
+from repro.experiments import SweepEngine
 
-FAST = RunConfig(n_refs=4_000, warmup_refs=1_000)
+SMALL = ["--refs", "300", "--warmup", "100", "--no-cache"]
+REQUEST = {"refs": 300, "warmup": 100}
 
 
-class TestMetadata:
-    def test_provenance_fields(self):
-        meta = config_metadata(FAST)
-        assert meta["n_refs"] == 4_000
-        assert meta["geometry"]["name"] == "scaled"
-        assert meta["geometry"]["l2_bytes"] == 64 * 1024
+def _write(tmp_path, capsys, *argv):
+    path = tmp_path / "figures.json"
+    assert main(["figures", "--json", str(path), *SMALL, *argv]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {path}\n")
+    return path
 
 
-class TestRegenerateAll:
-    @pytest.fixture(scope="class")
-    def doc(self):
-        # One expensive full regeneration shared by the class's tests.
-        return regenerate_all(FAST, include_ipc=False)
-
-    def test_all_figures_present(self, doc):
-        for key in ("figure1", "figure3", "figure4", "figure5", "figure6",
-                    "figure7", "figure8", "area", "config"):
-            assert key in doc
-
-    def test_no_ipc_when_disabled(self, doc):
-        assert "ipc" not in doc
-
-    def test_figure1_has_14_benchmarks(self, doc):
-        assert len(doc["figure1"]) == 14
-
-    def test_area_block(self, doc):
-        area = doc["area"]
-        assert area["conventional_kib"] == 132.0
-        assert area["proposed_kib"] == 54.0
-        assert area["reduction"] == pytest.approx(0.59, abs=0.005)
-
-    def test_figure7_under_cap(self, doc):
-        assert all(v <= 25.0 + 1e-6 for v in doc["figure7"].values())
-
-    def test_json_serialisable(self, doc):
-        text = json.dumps(doc)
-        assert "figure1" in text
-
-    def test_roundtrip_through_file(self, doc, tmp_path):
-        path = tmp_path / "results.json"
-        save_json(doc, path)
-        loaded = load_json(path)
-        assert loaded["figure1"] == doc["figure1"]
-        assert loaded["area"]["reduction"] == doc["area"]["reduction"]
+def _dumps(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestCliJson:
-    def test_figures_json_flag(self, tmp_path, capsys):
-        from repro.cli import main
+    def test_json_is_the_figures_response(self, tmp_path, capsys):
+        path = _write(tmp_path, capsys)
+        response = api.figures(
+            api.request_from_dict(api.FiguresRequest, REQUEST),
+            engine=SweepEngine(),
+        )
+        assert path.read_bytes() == _dumps(response.as_dict())
+        titles = [s["title"] for s in json.loads(path.read_text())["sections"]]
+        assert titles[0].startswith("Table 1:")
+        assert "IPC: org vs ours" in titles
 
-        path = tmp_path / "doc.json"
-        code = main([
-            "figures", "--json", str(path), "--no-ipc",
-            "--refs", "2000", "--warmup", "500",
-        ])
-        assert code == 0
-        doc = load_json(path)
-        assert "figure8" in doc
-        assert doc["config"]["n_refs"] == 2000
+    def test_one_figure_is_one_section(self, tmp_path, capsys):
+        doc = json.loads(_write(tmp_path, capsys, "--fig", "8").read_text())
+        assert doc["request"]["fig"] == "8"
+        [section] = doc["sections"]
+        assert section["title"].startswith("Figure 8:")
+        assert len(section["series"]) == 14
+
+    def test_no_ipc_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "figures.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["figures", "--json", str(path), "--no-ipc", *SMALL])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: unrecognized arguments: --no-ipc"
+        ]
+        assert not path.exists()
+
+    def test_cli_document_is_the_services(self, tmp_path, capsys):
+        from repro.service import ReproService, ServiceClient
+
+        path = _write(tmp_path, capsys)
+        service = ReproService(
+            port=0, data_dir=tmp_path / "service", workers=1
+        ).start()
+        try:
+            client = ServiceClient(service.url)
+            job_id = client.submit("figures", REQUEST)["job"]["id"]
+            served = client.result(job_id, timeout=120)
+        finally:
+            service.shutdown()
+        assert path.read_bytes() == _dumps(served)
 
 
 class TestEachCellOnce:
@@ -81,21 +79,7 @@ class TestEachCellOnce:
     full-scheme grid, so a full regeneration runs 84 distinct
     reference-mode cells (14 benchmarks × org, 4 intervals, full)."""
 
-    def test_regenerate_all(self):
-        from repro.experiments import SweepEngine
-
-        engine = SweepEngine()
-        regenerate_all(
-            RunConfig(n_refs=300, warmup_refs=100), include_ipc=False,
-            engine=engine,
-        )
-        labels = [record.label for record in engine.stats.records]
-        assert len(labels) == len(set(labels)) == 84
-
     def test_api_figures(self):
-        from repro import api
-        from repro.experiments import SweepEngine
-
         engine = SweepEngine()
         api.figures(api.FiguresRequest(refs=300, warmup=100), engine=engine)
         labels = [

@@ -14,7 +14,6 @@ from repro.experiments import (
     full_scheme,
     interval_sweep,
     reference_grid,
-    regenerate_all,
     runner,
     table1,
 )
@@ -114,11 +113,6 @@ class TestOneTapePerBenchmark:
         monkeypatch.setattr(runner, "make_ref_stream", counted_stream)
         monkeypatch.setattr(runner, "_LAST_TAPE", None)
         return counts
-
-    def test_regenerate_all_records_fourteen_tapes(self, counts):
-        doc = regenerate_all(SMALL, include_ipc=False)
-        assert counts == {"tapes": 14, "streams": 14}
-        assert len(doc["figure7"]) == len(doc["figure1"]) == 14
 
     def test_api_figures_records_one_tape_per_benchmark(self, counts):
         for fig, benchmarks in (("all", 14), ("7", 14), ("4", 7)):

@@ -5,7 +5,8 @@ introspecting the live argparse tree; these tests pin (a) that the
 introspection actually sees newly added verbs — autotune/recommend
 must appear without any hand-maintained list being touched — and
 (b) that :func:`check` emits a greppable ``FAIL:`` line for every
-undocumented verb and flag, and nothing when the corpus covers them.
+undocumented verb and flag, and nothing when the corpus covers them,
+and (c) that every CLI line of a fenced block parses.
 """
 
 import importlib.util
@@ -126,3 +127,46 @@ class TestRequestFields:
         assert check_docs.check_fields(
             check_docs.request_fields(), check_docs.cli_dests()
         ) == []
+
+
+class TestDocumentedCommands:
+    def test_stale_command_is_a_fail_line(self):
+        failures = check_docs.check_commands([
+            ("EXPERIMENTS.md:34", ["ablate", "interval", "--jobs", "4"]),
+            ("README.md:1", ["ablate", "best-interval", "--jobs", "4"]),
+        ])
+        assert len(failures) == 1
+        assert failures[0].startswith(
+            "FAIL: EXPERIMENTS.md:34: repro ablate interval --jobs 4: "
+            "argument study: invalid choice: 'interval'"
+        )
+
+    def test_removed_flag_and_unknown_benchmark_fail(self):
+        assert check_docs.parse_error(["figures", "--no-ipc"]) == (
+            "unrecognized arguments: --no-ipc"
+        )
+        assert "invalid choice: 'gcc'" in check_docs.parse_error(
+            ["autotune", "--benchmarks", "mesa", "gcc"]
+        )
+        assert check_docs.parse_error(["figures", "--help"]) == ""
+
+    def test_commands_are_extracted_from_shell_fences(self):
+        commands = dict(check_docs.doc_commands())
+        # Env prefix, continuation, trailing comment and fence type:
+        # EXPERIMENTS.md opens with the figures-document recipe.
+        [argv] = [
+            argv for where, argv in commands.items()
+            if where.startswith("EXPERIMENTS.md:") and "--json" in argv
+            and "benchmarks/results/figures.json" in argv
+        ]
+        assert argv == [
+            "figures", "--json", "benchmarks/results/figures.json",
+            "--refs", "120000", "--warmup", "40000", "--jobs", "2",
+            "--no-cache",
+        ]
+        assert all(argv and not argv[0].startswith(("-", "python"))
+                   for argv in commands.values())
+
+    def test_repo_docs_commands_all_parse(self):
+        """The live gate: every documented command parses."""
+        assert check_docs.check_commands(check_docs.doc_commands()) == []
