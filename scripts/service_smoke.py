@@ -10,9 +10,10 @@ autotune grid: the served document must equal a direct
 :func:`repro.api.autotune` call, the data dir must hold only
 ``fabric.db*`` (the one store: no result-cache tree, no per-point
 checkpoints), and an overlapping grid on a fresh replica over the same
-data dir must execute only its new points.  Exits nonzero on any
-mismatch — this is the end-to-end gate that the service, the facade
-and the campaign engine agree.
+data dir must execute only its new points.  Last, 20 cached-key round
+trips from one client must reuse one server connection (keep-alive).
+Exits nonzero on any mismatch — this is the end-to-end gate that the
+service, the facade and the campaign engine agree.
 
 Usage: ``PYTHONPATH=src python scripts/service_smoke.py``
 """
@@ -80,6 +81,21 @@ def check_autotune(client: ServiceClient, data: str) -> None:
           f"points ({overlap['cached']} cached)")
 
 
+def check_keep_alive(service: ReproService) -> None:
+    """20 cached-key round trips from one client ride one connection."""
+    accepted = []
+    accept = service.server.get_request
+    service.server.get_request = lambda: accepted.append(1) or accept()
+    client = ServiceClient(service.url)
+    for _ in range(20):
+        job = client.submit("autotune", GRID)["job"]
+        client.result(job["id"], timeout=60)
+    assert len(accepted) == 1, (
+        f"20 cached-key round trips took {len(accepted)} connections"
+    )
+    print("20 cached-key round trips reused one server connection")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-service-smoke-") as data:
         service = ReproService(port=0, data_dir=data, workers=2).start()
@@ -123,6 +139,7 @@ def main() -> int:
             print(f"campaign document matches direct api call "
                   f"({trials} trials)")
             check_autotune(client, data)
+            check_keep_alive(service)
         finally:
             service.shutdown()
     print("service smoke OK")

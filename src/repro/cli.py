@@ -688,16 +688,14 @@ def cmd_serve(args) -> int:
 
 def cmd_workers(args) -> int:
     """List the fabric worker registry of a running service."""
-    import urllib.error
-
     from repro.service import ServiceClient
 
     client = ServiceClient(args.url)
     try:
         doc = client.workers()
-    except urllib.error.URLError as err:
+    except OSError as err:
         raise api.ReproError(
-            f"cannot reach service at {args.url}: {err.reason}"
+            f"cannot reach service at {args.url}: {err.strerror or err}"
         ) from None
     rows = [
         (

@@ -38,6 +38,7 @@ import os
 import pickle
 import sqlite3
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -164,13 +165,64 @@ def cell_key(cell: Cell, version: Optional[str] = None) -> str:
 
 # -- the result store ---------------------------------------------------------
 
+#: Store files one thread keeps a connection to; past this, the least
+#: recently used connection closes (a test run touches hundreds).
+_HELD_PER_THREAD = 8
+
+
+class _Held(dict):
+    """One thread's held connections: ``{path: (connection, file id)}``,
+    least recently used first."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pid = os.getpid()
+
+    def __del__(self) -> None:
+        # A fork's child frees its copies of the parent's connections;
+        # it keeps them unclosed, so it never touches the parent's locks.
+        if os.getpid() != self.pid:
+            _INHERITED.append(dict(self))
+
+
+_HELD = threading.local()
+_INHERITED: List[Dict[str, Any]] = []
+
+
+def _file_id(path: str) -> Optional[Tuple[int, int]]:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
 def connect_store(path: Path) -> sqlite3.Connection:
-    """A new connection to a store file: WAL, ``synchronous=NORMAL``,
-    30 s busy timeout.  Open one per operation, so none is shared
-    between threads or held open across a worker pool's fork."""
-    conn = sqlite3.connect(str(path), timeout=30.0)
-    conn.execute("PRAGMA journal_mode=WAL")
-    conn.execute("PRAGMA synchronous=NORMAL")
+    """This thread's connection to a store file: WAL,
+    ``synchronous=NORMAL``, 30 s busy timeout.
+
+    Each (file, process, thread) holds one connection across operations,
+    so an operation pays no open and no pragmas.  A fork's child opens
+    its own, and a file deleted and re-created at the same path gets a
+    new one.  Use it as ``with connect_store(path) as conn:`` (which
+    commits or rolls back) and fetch every cursor inside the block, so
+    no read snapshot outlives its operation."""
+    held = getattr(_HELD, "conns", None)
+    if held is None or held.pid != os.getpid():
+        held = _HELD.conns = _Held()
+    name = os.fspath(path)
+    conn, file_id = held.pop(name, (None, None))
+    if conn is not None and (file_id is None or file_id != _file_id(name)):
+        conn.close()
+        conn = None
+    if conn is None:
+        conn = sqlite3.connect(name, timeout=30.0)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        file_id = _file_id(name)
+    held[name] = (conn, file_id)
+    if len(held) > _HELD_PER_THREAD:
+        held.pop(next(iter(held)))[0].close()
     return conn
 
 

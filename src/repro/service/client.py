@@ -1,9 +1,10 @@
 """Stdlib HTTP client for the repro job service.
 
-Thin ``urllib`` wrapper speaking the :mod:`repro.service.server` wire
-protocol: submit a request document, follow its NDJSON progress stream,
-fetch the result document.  Used by the CI smoke script and the tests;
-any HTTP client works equally well.
+Thin :mod:`http.client` wrapper speaking the :mod:`repro.service.server`
+wire protocol: submit a request document, follow its NDJSON progress
+stream, fetch the result document.  Each thread keeps one kept-alive
+connection, so a round trip pays no connection set-up.  Used by the CI
+smoke script and the tests; any HTTP client works equally well.
 
 The wire protocol is versioned: every response body and streamed event
 must carry ``"schema": "repro/v1"`` (:data:`repro.api.SCHEMA`).  A
@@ -15,11 +16,12 @@ payloads against the facade's ``as_dict()`` output unchanged.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Iterator, Mapping, Optional
+from urllib.parse import urlsplit
 
 from repro.api import SCHEMA, ReproError
 
@@ -46,14 +48,72 @@ def _check_schema(doc: Any) -> Any:
     return {key: value for key, value in doc.items() if key != "schema"}
 
 
+def _message(raw: bytes) -> str:
+    """The ``error`` text of an error response body."""
+    try:
+        return json.loads(raw).get("error", raw.decode())
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return raw.decode(errors="replace")
+
+
+class _Connection(http.client.HTTPConnection):
+    """A kept-alive connection that closes its socket when collected:
+    a client's idle connections end with the client or its thread."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
+class _TLSConnection(http.client.HTTPSConnection, _Connection):
+    pass
+
+
 class ServiceClient:
     """Client for one service base URL (e.g. ``http://127.0.0.1:8642``)."""
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._url = urlsplit(self.base_url)
+        self._held = threading.local()
 
     # -- plumbing ----------------------------------------------------------
+
+    def _connect(self, timeout: Optional[float]) -> _Connection:
+        cls = _TLSConnection if self._url.scheme == "https" else _Connection
+        return cls(self._url.netloc, timeout=timeout)
+
+    def _exchange(
+        self, method: str, path: str, body: Optional[bytes], timeout: float
+    ) -> tuple:
+        """(status, raw body) over this thread's kept-alive connection.
+
+        Retries once, on a new connection, only when a reused one fails
+        before its status line (the server closed it while idle); a
+        timeout is never retried."""
+        conn = getattr(self._held, "conn", None)
+        if conn is None:
+            conn = self._held.conn = self._connect(timeout)
+        reused = conn.sock is not None
+        headers = {"Content-Type": "application/json"}
+        while True:
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            try:
+                try:
+                    conn.request(method, self._url.path + path, body, headers)
+                    response = conn.getresponse()
+                except (ConnectionError, http.client.BadStatusLine):
+                    if not reused:
+                        raise
+                    conn.close()
+                    reused = False
+                    continue
+                return response.status, response.read()
+            except BaseException:
+                conn.close()  # a broken or half-read exchange cannot be reused
+                raise
 
     def _request_status(
         self,
@@ -62,26 +122,15 @@ class ServiceClient:
         timeout: Optional[float] = None,
     ) -> tuple:
         """(HTTP status, decoded JSON body); raises on 4xx/5xx."""
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=None if body is None else json.dumps(body).encode(),
-            headers={"Content-Type": "application/json"},
-            method="GET" if body is None else "POST",
+        status, raw = self._exchange(
+            "GET" if body is None else "POST",
+            path,
+            None if body is None else json.dumps(body).encode(),
+            timeout or self.timeout,
         )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=timeout or self.timeout
-            ) as response:
-                return response.status, _check_schema(
-                    json.loads(response.read())
-                )
-        except urllib.error.HTTPError as err:
-            raw = err.read()
-            try:
-                message = json.loads(raw).get("error", raw.decode())
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                message = raw.decode(errors="replace")
-            raise ServiceError(err.code, message) from None
+        if status >= 400:
+            raise ServiceError(status, _message(raw))
+        return status, _check_schema(json.loads(raw))
 
     def _request(
         self,
@@ -128,15 +177,24 @@ class ServiceClient:
     def stream_events(
         self, job_id: str, start: int = 0
     ) -> Iterator[Dict[str, Any]]:
-        """Follow a job's NDJSON progress stream until it terminates."""
-        request = urllib.request.Request(
-            f"{self.base_url}/v1/jobs/{job_id}/events?start={start}"
-        )
-        with urllib.request.urlopen(request) as response:
+        """Follow a job's NDJSON progress stream until it terminates.
+
+        The stream has a connection of its own (the server closes it at
+        the end), so this thread's other requests may interleave."""
+        conn = self._connect(None)
+        try:
+            conn.request(
+                "GET", f"{self._url.path}/v1/jobs/{job_id}/events?start={start}"
+            )
+            response = conn.getresponse()
+            if response.status >= 400:
+                raise ServiceError(response.status, _message(response.read()))
             for line in response:
                 line = line.strip()
                 if line:
                     yield _check_schema(json.loads(line))
+        finally:
+            conn.close()
 
     def result(
         self,

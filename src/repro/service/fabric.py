@@ -23,7 +23,8 @@ executes identically on any replica, and a lease that expires while
 its owner is merely slow costs a duplicate execution — never a wrong
 answer (``complete_shard`` is idempotent; duplicate records are
 bit-identical).  Every read-modify-write runs under ``BEGIN
-IMMEDIATE`` with a connection per operation, so the store is safe
+IMMEDIATE`` on the calling thread's own held connection
+(:func:`~repro.experiments.pool.connect_store`), so the store is safe
 across threads and processes; a completed shard commits with
 ``synchronous=FULL``, so it is durable once ``complete_shard`` returns.
 """
@@ -338,16 +339,21 @@ class FabricStore:
         """Publish one shard's outcome record, durably (idempotent —
         duplicate executions of a deterministic shard write identical
         records)."""
-        with connect_store(self.path) as conn:
-            conn.execute("PRAGMA synchronous=FULL")
-            conn.execute("BEGIN IMMEDIATE")
-            conn.execute(
-                "UPDATE shards SET state = 'done', owner = NULL, "
-                "lease_expires = NULL, record = ? "
-                "WHERE job_key = ? AND scheme = ? AND idx = ?",
-                (json.dumps(record, sort_keys=True), job_key,
-                 record["scheme"], record["index"]),
-            )
+        conn = connect_store(self.path)
+        conn.execute("PRAGMA synchronous=FULL")
+        try:
+            with conn:
+                conn.execute("BEGIN IMMEDIATE")
+                conn.execute(
+                    "UPDATE shards SET state = 'done', owner = NULL, "
+                    "lease_expires = NULL, record = ? "
+                    "WHERE job_key = ? AND scheme = ? AND idx = ?",
+                    (json.dumps(record, sort_keys=True), job_key,
+                     record["scheme"], record["index"]),
+                )
+        finally:
+            # The connection is held: later operations keep NORMAL.
+            conn.execute("PRAGMA synchronous=NORMAL")
 
     def done_shards(
         self, job_key: str, keys: Sequence[Tuple[str, int]]

@@ -311,10 +311,11 @@ class JobStore:
 
         ``created`` is False when an identical request (same
         :func:`repro.api.request_key`) is already queued, running or
-        done — the caller shares that job.  A previously *failed* or
-        *canceled* key is retried with a fresh job.  A key any replica
-        already finished is served straight from the fabric's result
-        cache without executing.
+        done here — the caller shares that job, and the fabric is only
+        told of the submission.  A previously *failed* or *canceled*
+        key is retried with a fresh job.  A key any replica already
+        finished is served straight from the fabric's result cache
+        without executing.
 
         ``self._lock`` guards only the job-dict lookup/insert;
         request parsing, fabric I/O and per-job counters happen
@@ -329,28 +330,29 @@ class JobStore:
             ) from None
         request = api.request_from_dict(cls, payload)
         key = api.request_key(kind, request)
-        cached = self.fabric.cached_result(key)
         with self._lock:
-            existing = self._jobs.get(key)
-            if existing is not None and existing.state not in (
-                "error", "canceled",
-            ):
-                share = True
-            else:
-                job = Job(key, kind, request)
-                self._jobs[key] = job
-                share = False
-        if share:
-            with existing.cond:
-                existing.submissions += 1
+            job = self._jobs.get(key)
+            created = job is None or job.state in ("error", "canceled")
+            if created:
+                job = self._jobs[key] = Job(key, kind, request)
+        if not created:
+            with job.cond:
+                job.submissions += 1
             self.fabric.record_job(key, kind, request.as_dict())
-            return existing, False
-        self.fabric.record_job(key, kind, request.as_dict())
+            return job, False
+        try:
+            self.fabric.record_job(key, kind, request.as_dict())
+            cached = self.fabric.cached_result(key)
+        except sqlite3.Error as err:
+            # Fail the new job, not just this call: anyone who shared
+            # it meanwhile sees why, and the next submission retries.
+            job._finish("error", error=f"fabric error: {err}")
+            raise
         if cached is not None:
             job.emit({"type": "cached", "source": "fabric"})
             job._finish("done", result=_StoredResult(cached))
-            return job, True
-        self._queue.put(job)
+        else:
+            self._queue.put(job)
         return job, True
 
     def get(self, key: str) -> Optional[Job]:

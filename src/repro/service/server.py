@@ -36,15 +36,21 @@ clients reject documents without it (see
 Bad requests (unknown kind/field/benchmark — anything
 :class:`repro.api.ReproError`) are HTTP 400 with ``{"error": ...}``;
 unknown job ids are 404; a canceled job's result is 409.  The server is
-plain stdlib: HTTP/1.0 with ``Connection: close``, one thread per
-connection, so streaming a long-running campaign never blocks other
-clients.
+plain stdlib: keep-alive HTTP/1.1 (an HTTP/1.0 request still gets one
+response and a closed connection), one thread per connection, so
+streaming a long-running campaign never blocks other clients.  Every
+request's body is read whole before it is answered, so the next request
+on the connection starts at its own first byte; a body over
+:data:`MAX_BODY_BYTES` is refused (400) and its connection closed, as is
+every event stream (it has no ``Content-Length``).
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -62,7 +68,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     store: JobStore  # class attribute, set per-service
     server_version = "repro-service/1.0"
-    protocol_version = "HTTP/1.0"
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the second
+    # waits for the peer's delayed ACK (~40 ms per response).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -76,20 +85,39 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
-    def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise api.ReproError("request body too large")
-        raw = self.rfile.read(length) if length else b"{}"
+    def _take_body(self) -> Optional[bytes]:
+        """The request body, read whole; None once a body that cannot
+        be framed or is too large has been refused (400, connection
+        closed, since its bytes are left unread)."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if "Transfer-Encoding" in self.headers:
+            message = "chunked request bodies are not supported"
+        elif length < 0:
+            message = "bad Content-Length"
+        elif length > MAX_BODY_BYTES:
+            message = "request body too large"
+        else:
+            return self.rfile.read(length) if length else b""
+        self.close_connection = True
+        self._error(400, message)
+        return None
+
+    @staticmethod
+    def _json_object(raw: bytes) -> Dict[str, Any]:
         try:
             doc = json.loads(raw or b"{}")
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise api.ReproError(f"request body is not JSON: {err}") from None
         if not isinstance(doc, dict):
             raise api.ReproError("request body must be a JSON object")
@@ -112,10 +140,13 @@ class _Handler(BaseHTTPRequestHandler):
     # -- verbs -------------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+        raw = self._take_body()
+        if raw is None:
+            return
         path, _ = self._route()
         try:
             if path == "/v1/jobs":
-                doc = self._read_body()
+                doc = self._json_object(raw)
                 kind = doc.get("kind")
                 if not isinstance(kind, str):
                     raise api.ReproError("missing request kind")
@@ -143,6 +174,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, str(err))
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+        if self._take_body() is None:
+            return
         path, query = self._route()
         if path in ("/v1/health", "/v1/healthz"):
             jobs = self.store.list()
@@ -217,6 +250,9 @@ class _Handler(BaseHTTPRequestHandler):
             "text/event-stream" if sse else "application/x-ndjson",
         )
         self.send_header("Cache-Control", "no-cache")
+        # No Content-Length: the end of the stream is the closed
+        # connection.
+        self.send_header("Connection", "close")
         self.end_headers()
         try:
             for event in job.iter_events(start=start):
@@ -231,6 +267,50 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; the job keeps running
+
+
+class _Server(ThreadingHTTPServer):
+    """Thread-per-connection listener that ends its kept-alive
+    connections on close: a handler waiting for an idle client's next
+    request reads end-of-stream and exits before :meth:`server_close`
+    returns."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._open: Dict[Any, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            open_ = list(self._open.items())
+        for request, _ in open_:
+            try:
+                # Reading side only: a response being written still
+                # goes out whole.
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        # Idle handlers exit at once; one still answering (a long
+        # result wait, an event stream) is left to finish as a daemon.
+        deadline = time.monotonic() + 1.0
+        for _, thread in open_:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class ReproService:
@@ -257,8 +337,7 @@ class ReproService:
             replica_id=replica_id,
         )
         handler = type("BoundHandler", (_Handler,), {"store": self.store})
-        self.server = ThreadingHTTPServer((host, port), handler)
-        self.server.daemon_threads = True
+        self.server = _Server((host, port), handler)
         self.host, self.port = self.server.server_address[:2]
         self._thread: Optional[threading.Thread] = None
 

@@ -178,3 +178,16 @@ class TestUnusableStore:
         self._fails(
             capsys, ["serve", "--port", "0", "--data-dir", str(bad_dir)], bad_dir
         )
+
+
+class TestWorkers:
+    def test_unreachable_service_is_one_line(self, capsys):
+        import socket
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            url = "http://127.0.0.1:{}".format(probe.getsockname()[1])
+        _rejects(
+            capsys, ["workers", "--url", url],
+            f"cannot reach service at {url}: Connection refused",
+        )

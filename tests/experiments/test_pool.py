@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import pickle
+import shutil
 import signal
 import sqlite3
 import subprocess
@@ -244,6 +245,101 @@ class TestStoreCrashes:
         stored = rows()
         assert stored >= self.N
         assert _assert_whole_or_missing(tmp_path, stored + 50) >= stored
+
+
+def _child_env():
+    """This process's environment, with the tree under test importable."""
+    env = dict(os.environ)
+    src = str(Path(pool_mod.__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+class TestHeldConnection:
+    """``connect_store`` holds one connection per (file, process,
+    thread): never shared across threads or a fork, and never reading
+    an old snapshot."""
+
+    def test_get_and_put_from_two_threads(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        conns, errors = {}, []
+
+        def worker(t):
+            try:
+                for i in range(50):
+                    cache.put(f"{t}-{i}", (t, i))
+                    assert cache.get(f"{t}-{i}") == (t, i)
+                    assert cache.get(f"{1 - t}-{i + 60}") is None
+                conns[t] = pool_mod.connect_store(cache.file)
+                assert pool_mod.connect_store(cache.file) is conns[t]
+            except Exception as err:
+                errors.append(err)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert errors == []
+        assert conns[0] is not conns[1]
+        assert len(_rows(tmp_path)) == 100
+        assert cache.get("0-49") == (0, 49) and cache.get("1-49") == (1, 49)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_opens_its_own(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("parent", 1)
+        parent_conn = pool_mod.connect_store(cache.file)
+        pid = os.fork()
+        if pid == 0:  # the child: leave only through os._exit
+            code = 1
+            try:
+                own = pool_mod.connect_store(cache.file)
+                if own is not parent_conn and cache.get("parent") == 1:
+                    cache.put("child", 2)
+                    code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert pool_mod.connect_store(cache.file) is parent_conn
+        assert cache.get("child") == 2
+        cache.put("parent", 3)
+        assert cache.get("parent") == 3
+
+    def test_put_from_another_process_is_seen(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.get("late") is None  # the held connection has read
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from repro.experiments.pool import ResultCache; "
+             "ResultCache(sys.argv[1]).put('late', 7)", str(tmp_path)],
+            env=_child_env(), check=True, timeout=60,
+        )
+        assert cache.get("late") == 7
+
+    def test_recreated_data_dir_reads_as_empty(self, tmp_path):
+        directory = tmp_path / "data"
+        cache = ResultCache(directory)
+        cache.put("gone", 1)
+        held = pool_mod.connect_store(cache.file)
+        shutil.rmtree(directory)
+        fresh = ResultCache(directory)
+        assert fresh.get("gone") is None
+        assert pool_mod.connect_store(fresh.file) is not held
+        fresh.put("new", 2)
+        assert cache.get("new") == 2  # same path, same new file
 
 
 class TestEngineSequential:

@@ -15,7 +15,13 @@ import time
 import pytest
 
 from repro import api
-from repro.experiments.pool import Cell, ResultCache, SweepEngine, cell_key
+from repro.experiments.pool import (
+    Cell,
+    ResultCache,
+    SweepEngine,
+    cell_key,
+    connect_store,
+)
 from repro.experiments.runner import RefRunOutput
 from repro.reliability import CheckpointError
 from repro.service import FabricStore, JobStore, ShardCoordinator
@@ -86,6 +92,16 @@ class TestFabricStore:
         store.complete_shard("job", record)
         store.complete_shard("job", record)  # idempotent
         assert store.done_shards("job", [("s", 0), ("s", 1)]) == [record]
+
+    def test_durable_shard_commit_leaves_the_held_connection_normal(
+        self, tmp_path
+    ):
+        store = FabricStore(tmp_path)
+        store.lease_shards("job", [("s", 0)], "a")
+        store.complete_shard("job", {"scheme": "s", "index": 0})
+        with connect_store(store.path) as conn:
+            (level,) = conn.execute("PRAGMA synchronous").fetchone()
+        assert level == 1  # NORMAL: only the shard commit itself is FULL
 
     def test_close_releases_leases_and_deregisters(self, tmp_path):
         store = JobStore(data_dir=tmp_path, workers=0)

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service.fabric import FabricStore
+from repro.service.server import MAX_BODY_BYTES
 
 RUN_REQUEST = {"benchmark": "swim", "refs": 3000, "warmup": 1000}
 CAMPAIGN_REQUEST = {"trials": 200, "trials_per_shard": 50, "seed": 5}
@@ -675,3 +678,286 @@ class TestEventLocking:
         # not be serialized behind any of it.
         assert elapsed < 1.0
         job._finish("canceled")  # release the reader
+
+
+def _count_lookups(monkeypatch):
+    """Record every ``FabricStore.cached_result`` key from now on."""
+    calls = []
+    real = FabricStore.cached_result
+
+    def counted(self, key):
+        calls.append(key)
+        return real(self, key)
+
+    monkeypatch.setattr(FabricStore, "cached_result", counted)
+    return calls
+
+
+class TestLocalFirstSubmit:
+    """A submission asks the fabric for a stored document only when no
+    live local job has the key."""
+
+    def test_live_local_job_makes_no_fabric_lookup(
+        self, tmp_path, monkeypatch
+    ):
+        store = JobStore(
+            data_dir=tmp_path, workers=0, engine_factory=_plain_engine
+        )
+        try:
+            job, _ = store.submit("run", RUN_REQUEST)
+            calls = _count_lookups(monkeypatch)
+            assert store.submit("run", RUN_REQUEST) == (job, False)  # queued
+            store.run_pending()
+            assert store.submit("run", RUN_REQUEST) == (job, False)  # done
+            assert calls == []
+            assert job.submissions == 3
+            assert store.fabric.job_state(job.key) == "done"
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("ending", ["error", "canceled"])
+    def test_ended_local_job_is_served_from_the_fabric(
+        self, tmp_path, monkeypatch, ending
+    ):
+        store = JobStore(data_dir=tmp_path, workers=0)
+        try:
+            if ending == "error":
+                request = {"trace": "/no/such/trace.bin"}
+                job, _ = store.submit("run", request)
+                store.run_pending()
+            else:
+                request = RUN_REQUEST
+                job, _ = store.submit("run", request)
+                store.cancel(job.key)
+            assert job.state == ending
+            # Another replica finished the key meanwhile.
+            store.fabric.store_result(job.key, {"served": "from the fabric"})
+            calls = _count_lookups(monkeypatch)
+            retry, created = store.submit("run", request)
+            assert calls == [job.key]
+            assert created and retry is not job
+            assert retry.state == "done"
+            assert retry.result_doc() == {"served": "from the fabric"}
+            assert {"type": "cached", "source": "fabric"} in [
+                {k: e[k] for k in ("type", "source") if k in e}
+                for e in retry.events
+            ]
+            store.run_pending()
+            assert [e["state"] for e in retry.events if "state" in e] == [
+                "done"  # never queued, never run
+            ]
+        finally:
+            store.close()
+
+    def test_fabric_error_fails_the_new_job_and_is_retried(
+        self, tmp_path, monkeypatch
+    ):
+        store = JobStore(data_dir=tmp_path, workers=0)
+
+        def locked(self, key):
+            raise sqlite3.OperationalError("database is locked")
+
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(FabricStore, "cached_result", locked)
+                with pytest.raises(sqlite3.OperationalError):
+                    store.submit("run", RUN_REQUEST)
+            [failed] = store.list()
+            assert failed.state == "error"  # not queued forever
+            assert failed.error == "fabric error: database is locked"
+            retry, created = store.submit("run", RUN_REQUEST)
+            assert created and retry is not failed
+            assert store.run_pending() == 1
+            assert retry.state == "done"
+        finally:
+            store.close()
+
+    def test_racing_submitters_of_a_new_key_share_one_job(
+        self, tmp_path, monkeypatch
+    ):
+        store = JobStore(data_dir=tmp_path, workers=0)
+        real = FabricStore.cached_result
+
+        def slow(self, key):
+            time.sleep(0.05)  # widen the window between lookup and queue
+            return real(self, key)
+
+        monkeypatch.setattr(FabricStore, "cached_result", slow)
+        barrier = threading.Barrier(2)
+        results = []
+
+        def submit():
+            barrier.wait()
+            results.append(store.submit("run", RUN_REQUEST))
+
+        try:
+            threads = [threading.Thread(target=submit) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            (first, created_a), (second, created_b) = results
+            assert first is second
+            assert sorted([created_a, created_b]) == [False, True]
+            assert store.run_pending() == 1
+            assert first.state == "done"
+        finally:
+            store.close()
+
+
+def _count_accepts(service, monkeypatch):
+    """Record every connection the service's listener accepts."""
+    accepted = []
+    real = service.server.get_request
+
+    def get_request():
+        accepted.append(1)
+        return real()
+
+    monkeypatch.setattr(service.server, "get_request", get_request)
+    return accepted
+
+
+def _raw_exchange(service, request: bytes) -> bytes:
+    """Send raw bytes on a new connection; everything the server sends
+    until it closes (a connection left open times the test out)."""
+    with socket.create_connection(
+        (service.host, service.port), timeout=10
+    ) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _split_response(raw: bytes):
+    """(status line, {header: value}, body) of one raw response."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status, *lines = head.decode().split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    return status, headers, body
+
+
+class TestKeepAlive:
+    """HTTP/1.1 keep-alive: one connection carries many requests, and
+    every response is framed so the next request starts clean."""
+
+    def test_cached_round_trips_use_one_connection(
+        self, service, monkeypatch
+    ):
+        accepted = _count_accepts(service, monkeypatch)
+        client = ServiceClient(service.url)
+        job_id = client.submit("area", {})["job"]["id"]
+        first = client.result(job_id, timeout=60)
+        for _ in range(50):
+            submitted = client.submit("area", {})
+            assert not submitted["created"]
+            assert client.result(submitted["job"]["id"], timeout=60) == first
+        assert len(accepted) == 1
+
+    def test_cancel_then_404_on_one_connection(self, service, monkeypatch):
+        # The cancel's body must be read, or it prefixes the next
+        # request line and that request is answered 501.
+        accepted = _count_accepts(service, monkeypatch)
+        client = ServiceClient(service.url)
+        job_id = client.submit("run", RUN_REQUEST)["job"]["id"]
+        assert client.cancel(job_id)["job"]["id"] == job_id
+        with pytest.raises(ServiceError) as err:
+            client.job("deadbeef")
+        assert (err.value.status, err.value.message) == (
+            404, "unknown job 'deadbeef'"
+        )
+        assert len(accepted) == 1
+
+    def test_oversized_body_is_400_and_closes(self, service):
+        client = ServiceClient(service.url)
+        assert client.health()["ok"] is True
+        raw = _raw_exchange(
+            service,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+        )
+        status, headers, body = _split_response(raw)
+        assert status.split()[1] == "400"
+        assert headers["Connection"] == "close"
+        assert json.loads(body) == {
+            "error": "request body too large", "schema": api.SCHEMA,
+        }
+        assert client.health()["ok"] is True
+
+    def test_next_request_after_an_event_stream(self, service):
+        import http.client
+
+        client = ServiceClient(service.url)
+        job_id = client.submit("area", {})["job"]["id"]
+        assert list(client.stream_events(job_id))[-1]["state"] == "done"
+        assert client.job(job_id)["state"] == "done"
+        # A client that streams on its kept-alive connection: the
+        # stream ends the connection, and the next request opens one.
+        conn = http.client.HTTPConnection(service.host, service.port)
+        try:
+            conn.request("GET", f"/v1/jobs/{job_id}/events")
+            response = conn.getresponse()
+            assert response.getheader("Connection") == "close"
+            lines = response.read().splitlines()
+            assert json.loads(lines[-1])["state"] == "done"
+            conn.request("GET", "/v1/health")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["ok"] is True
+        finally:
+            conn.close()
+
+    def test_http10_request_gets_one_response_and_close(self, service):
+        raw = _raw_exchange(service, b"GET /v1/health HTTP/1.0\r\n\r\n")
+        status, headers, body = _split_response(raw)
+        assert status.split()[1] == "200"
+        assert headers["Connection"] == "close"
+        assert len(body) == int(headers["Content-Length"])  # nothing more
+        assert json.loads(body)["ok"] is True
+
+    def test_idle_connection_closed_by_the_server_is_retried(
+        self, service, monkeypatch
+    ):
+        accepted = _count_accepts(service, monkeypatch)
+        client = ServiceClient(service.url)
+        assert client.health()["ok"] is True
+        for request in list(service.server._open):
+            request.shutdown(socket.SHUT_RDWR)  # the server drops it
+        assert client.health()["ok"] is True  # once more, on a new one
+        assert len(accepted) == 2
+
+    def test_timeout_is_not_retried(self, service, monkeypatch):
+        accepted = _count_accepts(service, monkeypatch)
+        client = ServiceClient(service.url, timeout=0.5)
+        assert client.health()["ok"] is True
+        real = service.store.list
+        monkeypatch.setattr(
+            service.store, "list", lambda: time.sleep(1.5) or real()
+        )
+        with pytest.raises(TimeoutError):
+            client.health()
+        assert len(accepted) == 1
+
+    def test_shutdown_ends_idle_kept_alive_connections(self, tmp_path):
+        service = ReproService(port=0, data_dir=tmp_path, workers=1)
+        handlers = []
+        real = service.server.process_request_thread
+
+        def record(request, client_address):
+            handlers.append(threading.current_thread())
+            real(request, client_address)
+
+        service.server.process_request_thread = record
+        service.start()
+        client = ServiceClient(service.url)
+        assert client.health()["ok"] is True
+        assert len(handlers) == 1 and handlers[0].is_alive()  # idle
+        stopper = threading.Thread(target=service.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        assert not any(thread.is_alive() for thread in handlers)
