@@ -279,43 +279,41 @@ class SetAssociativeCache:
 
         # Miss path.
         result = AccessResult(False, is_write)
+        stats = self.stats
         if is_write:
-            self.stats.write_misses += 1
+            stats.write_misses += 1
             if not self.config.write_allocate:
                 # No-allocate write miss: forward the write downstream.
                 result.wrote_through = True
-                self.stats.write_throughs += 1
+                stats.write_throughs += 1
                 return result
         else:
-            self.stats.read_misses += 1
+            stats.read_misses += 1
 
-        way = self._fill(set_idx, tag, cycle, result)
-        if is_write:
-            self._handle_write(ways[way], set_idx, way, cycle, result)
-        return result
-
-    # -- internals / extension points ---------------------------------------
-
-    def _fill(self, set_idx: int, tag: int, cycle: int, result: AccessResult) -> int:
-        """Bring a block into the set, evicting a victim if needed."""
-        ways = self.sets[set_idx]
+        # Fill: the policy's victim is written back if dirty, then takes
+        # the new block with every state bit reset (the fields
+        # ``CacheLine.fill`` sets, assigned here without the call).
         way = self.policy.choose_victim(ways)
-        victim = ways[way]
-        stats = self.stats
-        if victim.valid:
-            # Evict: write the victim back if dirty.  ``fill`` below
-            # resets every state bit, so no separate invalidate.
+        line = ways[way]
+        if line.valid:
             stats.evictions += 1
-            if victim.dirty:
+            if line.dirty:
                 self._writeback_line(
                     set_idx, way, cycle, result, WritebackReason.REPLACEMENT
                 )
-        victim.fill(tag, cycle, self._stamp)
+        line.tag = tag
+        line.valid = True
+        line.dirty = False
+        line.written = False
+        line.lru_stamp = line.fifo_stamp = stamp
+        line.fill_cycle = line.last_touch_cycle = cycle
         stats.fills += 1
-        result.fill_addr = (
-            (tag << self._index_bits) | set_idx
-        ) << self._offset_bits
-        return way
+        result.fill_addr = block << self._offset_bits
+        if is_write:
+            self._handle_write(line, set_idx, way, cycle, result)
+        return result
+
+    # -- internals / extension points ---------------------------------------
 
     def _writeback_line(
         self,

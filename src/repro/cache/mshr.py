@@ -109,10 +109,14 @@ class MshrFile:
             del pending[block]
         elif old is None and len(pending) >= self.entries:
             # Full: if even the soonest fill is still in flight, nothing
-            # can be pruned and it is the one displaced; otherwise a
-            # prune of the completed fills makes room.
-            victim = min(pending, key=pending.__getitem__)
-            if pending[victim] > cycle:
+            # can be pruned and it is the one displaced (the earliest
+            # allocated of equals); otherwise a prune of the completed
+            # fills makes room.
+            soonest = min(pending.values())
+            if soonest > cycle:
+                for victim, due in pending.items():
+                    if due == soonest:
+                        break
                 del pending[victim]
                 self.stats.overflows += 1
             else:

@@ -35,7 +35,9 @@ clients reject documents without it (see
 
 Bad requests (unknown kind/field/benchmark — anything
 :class:`repro.api.ReproError`) are HTTP 400 with ``{"error": ...}``;
-unknown job ids are 404; a canceled job's result is 409.  The server is
+a ``?wait=`` that is not a finite number, or a ``?start=`` that is not
+a whole number ≥ 0, is 400 too; unknown job ids are 404; a canceled
+job's result is 409.  The server is
 plain stdlib: keep-alive HTTP/1.1 (an HTTP/1.0 request still gets one
 response and a closed connection), one thread per connection, so
 streaming a long-running campaign never blocks other clients.  Every
@@ -48,6 +50,7 @@ every event stream (it has no ``Content-Length``).
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
@@ -61,6 +64,20 @@ from repro.service.jobs import Job, JobStore
 #: Request-body size cap (a request document is small; anything larger
 #: is a mistake or abuse).
 MAX_BODY_BYTES = 1 << 20
+
+
+def _query_number(query: Dict[str, str], name: str, parse) -> float:
+    """``query[name]`` read by ``parse`` (``float`` or ``int``), 0 when
+    absent or empty; :class:`repro.api.ReproError` unless finite."""
+    raw = query.get(name) or "0"
+    try:
+        value = parse(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        kind = "a whole number" if parse is int else "a finite number"
+        raise api.ReproError(f"?{name}= must be {kind}, got {raw!r}")
+    return value
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -203,31 +220,37 @@ class _Handler(BaseHTTPRequestHandler):
             )
         elif path.startswith("/v1/jobs/"):
             rest = path[len("/v1/jobs/"):]
-            if rest.endswith("/events"):
-                job = self._job_or_404(rest[: -len("/events")])
-                if job is not None:
-                    self._stream_events(job, query)
-            elif rest.endswith("/result"):
-                job = self._job_or_404(rest[: -len("/result")])
-                if job is not None:
-                    self._send_result(job, query)
-            else:
-                job = self._job_or_404(rest)
-                if job is not None:
-                    doc = job.describe()
-                    result = job.result_doc()
-                    if result is not None:
-                        doc["result"] = result
-                    self._send_json(200, doc)
+            try:
+                if rest.endswith("/events"):
+                    job = self._job_or_404(rest[: -len("/events")])
+                    if job is not None:
+                        self._stream_events(job, query)
+                elif rest.endswith("/result"):
+                    job = self._job_or_404(rest[: -len("/result")])
+                    if job is not None:
+                        self._send_result(job, query)
+                else:
+                    job = self._job_or_404(rest)
+                    if job is not None:
+                        doc = job.describe()
+                        result = job.result_doc()
+                        if result is not None:
+                            doc["result"] = result
+                        self._send_json(200, doc)
+            except api.ReproError as err:
+                self._error(400, str(err))
         else:
             self._error(404, f"unknown path {path!r}")
 
     # -- job views ---------------------------------------------------------
 
     def _send_result(self, job: Job, query: Dict[str, str]) -> None:
-        wait = float(query.get("wait", 0) or 0)
+        wait = _query_number(query, "wait", float)
         if wait > 0:
-            job.wait(timeout=wait)
+            # A wait longer than a lock's timeout can hold (with room
+            # for rounding) lasts until the job ends.
+            long = wait >= threading.TIMEOUT_MAX / 2
+            job.wait(timeout=None if long else wait)
         if job.state == "error":
             self._error(500, job.error or "job failed")
         elif job.state == "canceled":
@@ -243,7 +266,9 @@ class _Handler(BaseHTTPRequestHandler):
             query.get("sse") == "1"
             or "text/event-stream" in (self.headers.get("Accept") or "")
         )
-        start = int(query.get("start", 0) or 0)
+        start = _query_number(query, "start", int)
+        if start < 0:
+            raise api.ReproError(f"?start= must be >= 0, got {start}")
         self.send_response(200)
         self.send_header(
             "Content-Type",

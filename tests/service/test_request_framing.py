@@ -3,12 +3,16 @@
 Any sequence of requests sent one after another on one HTTP/1.1
 connection gets exactly one well-formed, schema-tagged JSON response
 each, with the status its request calls for: bodies are read whole
-(also where they are ignored), so no request leaks into the next.
+(also where they are ignored), so no request leaks into the next.  A
+job view's query number that cannot be read gets a one-line 400 on the
+same connection.
 """
 
 import http.client
 import json
+import math
 import string
+from urllib.parse import quote
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +85,70 @@ def test_every_request_gets_one_framed_response(tmp_path):
                 assert (response.status >= 400) == ("error" in doc)
                 assert not response.will_close
                 assert conn.sock is sock  # still the first connection
+
+        check()
+    finally:
+        conn.close()
+        service.shutdown()
+
+
+#: Query numbers the job views refuse: not a number, not finite, or
+#: (for an event stream's ``start``) negative.
+BAD_QUERIES = [
+    ("result", "wait=soon"), ("result", "wait=inf"), ("result", "wait=-inf"),
+    ("result", "wait=nan"), ("result", "wait=1e400"), ("result", "wait=0x10"),
+    ("events", "start=soon"), ("events", "start=1.5"),
+    ("events", "start=-1"), ("events", "start=inf"),
+]
+
+
+def _expected_wait_status(text: str) -> int:
+    if not text:
+        return 200  # parse_qs drops a blank value: no wait
+    try:
+        return 200 if math.isfinite(float(text)) else 400
+    except ValueError:
+        return 400
+
+
+def test_bad_query_numbers_get_one_line_400(tmp_path):
+    service = ReproService(port=0, data_dir=tmp_path, workers=1).start()
+    conn = http.client.HTTPConnection(service.host, service.port, timeout=30)
+    try:
+        conn.request("POST", "/v1/jobs", body=_submit("area", {}))
+        job_id = json.loads(conn.getresponse().read())["job"]["id"]
+        conn.request("GET", f"/v1/jobs/{job_id}/result?wait=30")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+        sock = conn.sock
+
+        def get(view, query):
+            conn.request("GET", f"/v1/jobs/{job_id}/{view}?{query}")
+            response = conn.getresponse()
+            raw = response.read()
+            assert b"Traceback" not in raw
+            assert not response.will_close
+            assert conn.sock is sock  # still the first connection
+            doc = json.loads(raw)
+            assert doc["schema"] == api.SCHEMA
+            return response.status, doc
+
+        for view, query in BAD_QUERIES:
+            status, doc = get(view, query)
+            assert status == 400, (view, query)
+            assert "\n" not in doc["error"] and query.split("=")[0] in doc["error"]
+        # A finite wait past what a lock's timeout holds is still a wait.
+        assert get("result", "wait=1e10")[0] == 200
+
+        @settings(derandomize=True, max_examples=40, database=None)
+        @given(st.text(
+            alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8
+        ))
+        def check(text):
+            status, doc = get("result", "wait=" + quote(text))
+            assert status == _expected_wait_status(text), text
+            assert (status == 400) == ("error" in doc)
 
         check()
     finally:
