@@ -515,6 +515,35 @@ class TestIpcFrontEndSharing:
         ):
             assert pool_mod.front_end_key(other) != pool_mod.front_end_key(ipc)
 
+    def test_reference_cells_share_a_unit_only_with_enough_tapes(self):
+        """Cells with one tape key form one unit when there are at least
+        ``jobs`` keys; with fewer, each goes alone so no worker idles."""
+        small = RunConfig(n_refs=1_000, warmup_refs=200)
+
+        def unit_sizes(jobs, benchmarks):
+            cells = [
+                Cell(bench, protection, small)
+                for bench in benchmarks for protection in (None, PROT)
+            ]
+            engine = SweepEngine(jobs=jobs)
+            sizes = []
+
+            def inline(func, items):
+                sizes.extend(len(unit) for unit in items)
+                for i, item in enumerate(items):
+                    yield pool_mod._map_indexed((func, i, item))
+
+            engine._dispatch = inline
+            assert engine.run_cells(cells) == [
+                pool_mod.execute_cell(cell) for cell in cells
+            ]
+            return sizes
+
+        assert unit_sizes(1, ("mcf",)) == [2]
+        assert unit_sizes(2, ("mcf", "swim")) == [2, 2]
+        assert unit_sizes(2, ("mcf",)) == [1, 1]
+        assert unit_sizes(3, ("mcf", "swim")) == [1, 1, 1, 1]
+
 
 class TestEngineCaching:
     def test_second_invocation_served_from_cache(self, tmp_path):
