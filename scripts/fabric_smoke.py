@@ -5,8 +5,8 @@ Starts **two** service replicas on ephemeral ports sharing one data
 dir, submits the same reliability campaign to both over the wire, and
 asserts the fabric contract end to end:
 
-* the submissions dedupe cluster-wide (one logical job, one fabric
-  record with two submissions);
+* the submissions dedupe cluster-wide (one logical job, one row of
+  the fabric's ``jobs`` table);
 * both replicas report the campaign done and serve **bit-identical**
   result documents, equal to a direct :mod:`repro.api` call;
 * every shard executed exactly once across the cluster (work was
@@ -25,6 +25,7 @@ Usage: ``PYTHONPATH=src python scripts/fabric_smoke.py``
 """
 
 import json
+import sqlite3
 import sys
 import tempfile
 import time
@@ -101,6 +102,11 @@ def two_replica_campaign(data: str, expected) -> str:
         assert submitted[1]["job"]["id"] == job_id, (
             "the same request must map to one cluster-wide job key"
         )
+        with sqlite3.connect(Path(data, "fabric.db")) as conn:
+            rows = conn.execute(
+                "SELECT COUNT(*) FROM jobs WHERE key = ?", (job_id,)
+            ).fetchone()[0]
+        assert rows == 1, f"{rows} fabric jobs rows for one request"
         print(f"submitted campaign {job_id[:16]}… to both replicas")
 
         docs = [c.result(job_id, timeout=300) for c in clients]

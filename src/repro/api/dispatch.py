@@ -439,17 +439,14 @@ def figures(
 def ablate(
     request: AblateRequest, engine: Optional[SweepEngine] = None
 ) -> AblateResponse:
-    import inspect
-
     import repro.experiments as experiments
 
     func = getattr(experiments, ABLATIONS[request.study])
-    kwargs: Dict[str, Any] = {"config": _run_config(request)}
-    if request.benchmarks:
-        kwargs["benchmarks"] = list(request.benchmarks)
-    if "engine" in inspect.signature(func).parameters:
-        kwargs["engine"] = _engine(engine)
-    result = func(**kwargs)
+    result = func(
+        config=_run_config(request),
+        benchmarks=list(request.benchmarks) if request.benchmarks else None,
+        engine=_engine(engine),
+    )
     if request.study == "ecc-entries":
         return AblateResponse(
             request=request,

@@ -43,15 +43,13 @@ from repro.autotune.pareto import ObjectiveSpec
 from repro.experiments.pool import (
     Cell,
     SweepEngine,
-    build_cell_hierarchy,
     code_version,
+    execute_cell,
 )
 from repro.experiments.runner import (
     RunConfig,
     SCALED_GEOMETRY,
     interval_label,
-    run_ipc,
-    run_refs_with_hierarchy,
 )
 
 #: Campaign schemes the grid may sweep.  ``non-uniform`` is the paper's
@@ -77,7 +75,7 @@ class DesignPoint:
     interval: Optional[int]
     #: Shared ECC entries per set (non-uniform only).
     ecc_entries: Optional[int]
-    #: Write-buffer entries between L2 and memory.
+    #: Write-buffer entries between the L1D and the L2.
     write_buffer: int
     #: Policy variant (:func:`repro.core.policy.available_variants`).
     variant: str
@@ -310,10 +308,7 @@ def evaluate_point(task: PointTask) -> PointMetrics:
     cell = Cell(
         point.benchmark, protection, config, variant=point.variant
     )
-    hierarchy = build_cell_hierarchy(cell)
-    out = run_refs_with_hierarchy(
-        point.benchmark, hierarchy, config, protection
-    )
+    out = execute_cell(cell)
     dirty = min(max(out.dirty_fraction, 0.0), 1.0)
 
     estimate = _campaign_estimate(task, dirty)
@@ -321,28 +316,29 @@ def evaluate_point(task: PointTask) -> PointMetrics:
 
     area_kib = _point_area_kib(point, task.n_lines)
     ecc_scale = _codec_check_bits(point.codec) / 8.0
+    machine = geometry.hierarchy_config()
     if point.scheme == "uniform-ecc":
         energy = estimate_energy(
-            hierarchy, "conventional", 1.0,
+            out.snapshot, machine, "conventional", 1.0,
             EnergyParams(ecc_per_word=0.06 * ecc_scale),
         )
     elif point.scheme == "parity-only":
         # No ECC slot at all: zero its per-word energy instead of
         # teaching the energy model a third scheme.
         energy = estimate_energy(
-            hierarchy, "proposed", 0.0, EnergyParams(ecc_per_word=0.0)
+            out.snapshot, machine, "proposed", 0.0,
+            EnergyParams(ecc_per_word=0.0),
         )
     else:
         energy = estimate_energy(
-            hierarchy, "proposed", dirty,
+            out.snapshot, machine, "proposed", dirty,
             EnergyParams(ecc_per_word=0.06 * ecc_scale),
         )
 
     ipc = None
     if task.measure_ipc:
-        ipc = run_ipc(
-            point.benchmark, protection, config,
-            n_insts=task.insts, variant=point.variant,
+        ipc = execute_cell(
+            replace(cell, mode="ipc", n_insts=task.insts)
         ).ipc
 
     return PointMetrics(

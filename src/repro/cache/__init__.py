@@ -18,7 +18,6 @@ from repro.cache.cache import (
 from repro.cache.energy import (
     EnergyBreakdown,
     EnergyParams,
-    compare_schemes,
     estimate_energy,
 )
 from repro.cache.hierarchy import (
@@ -49,7 +48,6 @@ __all__ = [
     "DirtyIntegrator",
     "EnergyBreakdown",
     "EnergyParams",
-    "compare_schemes",
     "estimate_energy",
     "FifoPolicy",
     "HierarchyConfig",

@@ -20,9 +20,9 @@ era (130–180 nm, nanojoules); they are parameters, not claims — the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Mapping
 
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.hierarchy import HierarchyConfig
 
 
 @dataclass(frozen=True)
@@ -60,31 +60,29 @@ class EnergyBreakdown:
         return out
 
 
-def _common_components(
-    hierarchy: MemoryHierarchy, params: EnergyParams
-) -> Dict[str, float]:
-    """Array, bus and DRAM energy — identical formulas for both schemes."""
-    l1_accesses = (
-        hierarchy.l1i.stats.accesses + hierarchy.l1d.stats.accesses
+#: A ``MetricsRegistry.snapshot()``: component name -> counter -> value.
+Snapshot = Mapping[str, Mapping[str, float]]
+
+
+def _accesses(counters: Mapping[str, float]) -> int:
+    return (
+        counters["read_hits"] + counters["read_misses"]
+        + counters["write_hits"] + counters["write_misses"]
     )
-    l2_accesses = hierarchy.l2.stats.accesses
-    mem = hierarchy.memory.stats
-    return {
-        "L1 arrays": l1_accesses * params.l1_access,
-        "L2 array": l2_accesses * params.l2_access,
-        "off-chip bus": (mem.bytes_read + mem.bytes_written)
-        * params.bus_per_byte,
-        "DRAM": mem.transactions * params.dram_access,
-    }
 
 
 def estimate_energy(
-    hierarchy: MemoryHierarchy,
+    snapshot: Snapshot,
+    config: HierarchyConfig,
     scheme: str,
     dirty_fraction: float = 0.5,
     params: EnergyParams = EnergyParams(),
 ) -> EnergyBreakdown:
     """Estimate a run's memory-system energy under a protection scheme.
+
+    ``snapshot`` is the hierarchy's registry snapshot at the run's end
+    (``RefRunOutput.snapshot``/``IpcRunOutput.snapshot``) and ``config``
+    the machine it ran on, which gives the line sizes.
 
     ``scheme`` is ``"conventional"`` (SECDED checked/encoded on every L2
     access) or ``"proposed"`` (parity on every access; ECC work only for
@@ -100,23 +98,32 @@ def estimate_energy(
     if not 0.0 <= dirty_fraction <= 1.0:
         raise ValueError("dirty_fraction must be in [0, 1]")
 
-    words_per_l2_line = hierarchy.l2.config.line_bytes * 8 // 64
-    words_per_l1_line = hierarchy.l1d.config.line_bytes * 8 // 64
-    l2 = hierarchy.l2.stats
+    words_per_l2_line = config.l2.line_bytes * 8 // 64
+    words_per_l1_line = config.l1d.line_bytes * 8 // 64
+    l2 = snapshot[config.l2.name]
+    mem = snapshot["memory"]
+    l1_accesses = _accesses(snapshot["l1i"]) + _accesses(snapshot["l1d"])
 
-    components = _common_components(hierarchy, params)
+    # Array, bus and DRAM energy: identical formulas for both schemes.
+    components = {
+        "L1 arrays": l1_accesses * params.l1_access,
+        "L2 array": _accesses(l2) * params.l2_access,
+        "off-chip bus": (mem["bytes_read"] + mem["bytes_written"])
+        * params.bus_per_byte,
+        "DRAM": (mem["reads"] + mem["writes"]) * params.dram_access,
+        "L1 parity logic": (
+            l1_accesses * words_per_l1_line * params.parity_per_word
+        ),
+    }
 
-    l1_accesses = (
-        hierarchy.l1i.stats.accesses + hierarchy.l1d.stats.accesses
+    l2_reads = l2["read_hits"] + l2["read_misses"]
+    l2_writes = l2["write_hits"] + l2["write_misses"]
+    writebacks = (
+        l2["writebacks_replacement"] + l2["writebacks_cleaning"]
+        + l2["writebacks_ecc_eviction"] + l2["writebacks_eager"]
     )
-    components["L1 parity logic"] = (
-        l1_accesses * words_per_l1_line * params.parity_per_word
-    )
-
-    l2_reads = l2.read_hits + l2.read_misses
-    l2_writes = l2.write_hits + l2.write_misses
     #: Every fill and write-back also passes the coding logic.
-    l2_moves = l2.fills + l2.writebacks_total
+    l2_moves = l2["fills"] + writebacks
 
     if scheme == "conventional":
         checked = (l2_reads + l2_writes + l2_moves) * words_per_l2_line
@@ -131,27 +138,10 @@ def estimate_energy(
         # silent-write variant elided never reach the encoder, so their
         # word count comes straight back off (0 on the nominal path).
         ecc_words = (
-            (l2_writes - l2.elided_ecc_updates) * words_per_l2_line
+            (l2_writes - l2["elided_ecc_updates"]) * words_per_l2_line
             + l2_reads * dirty_fraction * words_per_l2_line
-            + l2.writebacks_total * words_per_l2_line
+            + writebacks * words_per_l2_line
         )
         components["L2 ECC logic"] = max(0.0, ecc_words) * params.ecc_per_word
 
     return EnergyBreakdown(scheme=scheme, components=components)
-
-
-def compare_schemes(
-    conventional_hierarchy: MemoryHierarchy,
-    proposed_hierarchy: MemoryHierarchy,
-    proposed_dirty_fraction: float,
-    params: EnergyParams = EnergyParams(),
-) -> Dict[str, EnergyBreakdown]:
-    """Energy of two same-workload runs, one per scheme."""
-    return {
-        "conventional": estimate_energy(
-            conventional_hierarchy, "conventional", 1.0, params
-        ),
-        "proposed": estimate_energy(
-            proposed_hierarchy, "proposed", proposed_dirty_fraction, params
-        ),
-    }

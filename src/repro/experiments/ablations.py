@@ -1,6 +1,6 @@
 """Ablation studies over the paper's design choices (DESIGN.md §6).
 
-Four studies the paper motivates but does not evaluate:
+Studies the paper motivates but does not evaluate, among them:
 
 * :func:`ablate_ecc_entries` — size of the shared ECC array: the paper
   picks one entry per set; more entries trade area for less ECC-WB
@@ -13,30 +13,31 @@ Four studies the paper motivates but does not evaluate:
 * :func:`ablate_written_bit` — the value of the written bit itself:
   cleaning without the second-chance bit (clean any dirty line on
   sweep) versus the paper's design.
+
+Every study is a grid of :class:`~repro.experiments.pool.Cell` objects
+that one :class:`~repro.experiments.pool.SweepEngine` runs, so each honours
+the engine's workers and result cache; a machine knob a study varies
+(write-buffer depth, L2 replacement or capacity, bus width) is a
+:class:`~repro.experiments.runner.Geometry` field of its cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.cache.cache import AccessResult, CacheConfig, WritebackReason
 from repro.cache.energy import EnergyParams, estimate_energy
-from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.area import proposed_overhead
 from repro.core.protected_cache import ProtectedL2, ProtectionConfig
 from repro.experiments.pool import Cell, SweepEngine
-from repro.experiments.runner import (
-    RunConfig,
-    interval_label,
-    run_refs_with_hierarchy,
-)
-
-
-def _engine(engine: Optional[SweepEngine]) -> SweepEngine:
-    """Default engine: sequential, uncached — identical to direct runs."""
-    return engine if engine is not None else SweepEngine()
+from repro.experiments.runner import RunConfig, interval_label
 from repro.workloads.spec2000 import BENCHMARKS
+
+
+def _with(config: RunConfig, **knobs) -> RunConfig:
+    """``config`` on its geometry with ``knobs`` changed."""
+    return replace(config, geometry=replace(config.geometry, **knobs))
 
 
 @dataclass
@@ -75,7 +76,7 @@ def ablate_ecc_entries(
         for name in names
         for entries in entries_grid
     ]
-    outputs = _engine(engine).run_cells(cells)
+    outputs = (engine or SweepEngine()).run_cells(cells)
     for e, entries in enumerate(entries_grid):
         dirty, ecc_wb, total_wb = 0.0, 0.0, 0.0
         for b in range(len(names)):
@@ -125,7 +126,7 @@ def ablate_best_interval(
             )
             for paper_interval in intervals
         )
-    outputs = iter(_engine(engine).run_cells(cells))
+    outputs = iter((engine or SweepEngine()).run_cells(cells))
     out: Dict[str, Dict[str, float]] = {}
     for name in names:
         org = next(outputs)
@@ -173,7 +174,7 @@ def ablate_eager_writeback(
                 config,
             )
         )
-    outputs = _engine(engine).run_cells(cells)
+    outputs = (engine or SweepEngine()).run_cells(cells)
     for name, eager, cleaned in zip(names, outputs[0::2], outputs[1::2]):
         out[name] = {
             "eager dirty %": 100.0 * eager.dirty_fraction,
@@ -189,6 +190,7 @@ def ablate_bus_width(
     benchmarks: Optional[List[str]] = None,
     widths: tuple = (4, 8, 16),
     n_insts: int = 60_000,
+    engine: Optional[SweepEngine] = None,
 ) -> Dict[str, Dict[str, float]]:
     """IPC cost of the scheme as a function of bus bandwidth.
 
@@ -196,60 +198,28 @@ def ablate_bus_width(
     the off-chip bus.  If so, the loss must shrink as the bus widens
     (fewer beats per transfer) and grow as it narrows — this sweep
     checks that mechanism directly.  Table 1's bus is 8 bytes wide.
+    Each width's org/ours pair shares one recorded front end.
     """
-    from dataclasses import replace as dc_replace
-
-    from repro.cache.mainmem import MemoryConfig
-    from repro.core.protected_cache import ProtectedL2 as _P
-    from repro.cpu.ooo import OoOCore
-    from repro.workloads.mix import InstructionMixer, MixConfig
-    from repro.workloads.spec2000 import get_benchmark, make_ref_stream
-    import itertools as _it
-
     names = benchmarks or ["swim"]
-    geometry = config.geometry
+    ours = ProtectionConfig(cleaning_interval=1 << 20, ecc_entries_per_set=1)
+    cells = [
+        Cell(
+            name, protection, _with(config, bus_width_bytes=width),
+            mode="ipc", n_insts=n_insts,
+        )
+        for name in names
+        for width in widths
+        for protection in (None, ours)
+    ]
+    outputs = iter((engine or SweepEngine()).run_cells(cells))
     out: Dict[str, Dict[str, float]] = {}
     for name in names:
         row: Dict[str, float] = {}
         for width in widths:
-            hier_cfg = dc_replace(
-                geometry.hierarchy_config(),
-                memory=MemoryConfig(bus_width_bytes=width),
+            org_ipc, ours_ipc = next(outputs).ipc, next(outputs).ipc
+            row[f"{width}B loss %"] = (
+                100.0 * (org_ipc - ours_ipc) / org_ipc if org_ipc else 0.0
             )
-            ipcs = {}
-            for label, l2 in (
-                ("org", None),
-                (
-                    "ours",
-                    _P(
-                        hier_cfg.l2,
-                        ProtectionConfig(
-                            cleaning_interval=geometry.scaled_interval(
-                                1 << 20
-                            ),
-                            ecc_entries_per_set=1,
-                        ),
-                        seed=config.seed,
-                    ),
-                ),
-            ):
-                hierarchy = MemoryHierarchy(config=hier_cfg, l2=l2)
-                spec = get_benchmark(name)
-                stream = make_ref_stream(spec, geometry.l2_bytes,
-                                         seed=config.seed)
-                mixer = InstructionMixer(
-                    MixConfig(fp_fraction=0.5 if spec.suite == "fp" else 0.1),
-                    seed=config.seed,
-                )
-                core = OoOCore(hierarchy)
-                res = core.run(_it.islice(mixer.expand(stream), n_insts))
-                ipcs[label] = res.ipc
-            loss = (
-                100.0 * (ipcs["org"] - ipcs["ours"]) / ipcs["org"]
-                if ipcs["org"]
-                else 0.0
-            )
-            row[f"{width}B loss %"] = loss
         out[name] = row
     return out
 
@@ -276,7 +246,7 @@ def ablate_cleaning_policy(
     for name in names:
         cells.append(Cell(name, protection, config))
         cells.append(Cell(name, protection, config, variant="decay"))
-    outputs = _engine(engine).run_cells(cells)
+    outputs = (engine or SweepEngine()).run_cells(cells)
     for name, written, decay in zip(names, outputs[0::2], outputs[1::2]):
         out[name] = {
             "written dirty %": 100.0 * written.dirty_fraction,
@@ -291,6 +261,7 @@ def ablate_write_buffer(
     config: RunConfig = RunConfig(),
     benchmarks: Optional[List[str]] = None,
     depths: tuple = (1, 4, 16, 64),
+    engine: Optional[SweepEngine] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Write-buffer depth sweep (Skadron & Clark [6] design space).
 
@@ -299,21 +270,21 @@ def ablate_write_buffer(
     the L2 — shallow buffers inflate L2 write traffic and, through it,
     the dirty-line population the protection scheme must manage.
     """
-    from dataclasses import replace as dc_replace
-
     names = benchmarks or sorted(BENCHMARKS)
+    cells = [
+        Cell(name, None, _with(config, write_buffer_entries=depth))
+        for name in names
+        for depth in depths
+    ]
+    outputs = iter((engine or SweepEngine()).run_cells(cells))
     out: Dict[str, Dict[str, float]] = {}
-    base = config.geometry.hierarchy_config()
     for name in names:
         row: Dict[str, float] = {}
         for depth in depths:
-            hier_cfg = dc_replace(base, write_buffer_entries=depth)
-            hierarchy = MemoryHierarchy(config=hier_cfg)
-            run_refs_with_hierarchy(name, hierarchy, config)
-            wb = hierarchy.write_buffer.stats
-            stores = wb.stores_seen
+            wb = next(outputs).snapshot["write_buffer"]
+            stores = wb["stores_seen"]
             row[f"coalesce@{depth}"] = (
-                100.0 * wb.coalesced / stores if stores else 0.0
+                100.0 * wb["coalesced"] / stores if stores else 0.0
             )
         out[name] = row
     return out
@@ -323,6 +294,7 @@ def ablate_cache_size(
     config: RunConfig = RunConfig(),
     benchmarks: Optional[List[str]] = None,
     scale_factors: tuple = (0.5, 1.0, 2.0),
+    engine: Optional[SweepEngine] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Dirty residency as a function of L2 capacity.
 
@@ -330,27 +302,23 @@ def ablate_cache_size(
     sweep shows how the dirty fraction moves when the cache shrinks
     (working sets spill, lines churn) or grows (resident dirty
     populations accumulate).  Working sets stay fixed at the reference
-    geometry's scale, as a real machine's programs would.
+    geometry's scale, as a real machine's programs would, so every
+    size replays the same L1 tape.
     """
-    from dataclasses import replace as dc_replace
-
     names = benchmarks or sorted(BENCHMARKS)
-    out: Dict[str, Dict[str, float]] = {}
-    geometry = config.geometry
-    base = geometry.hierarchy_config()
-    for name in names:
-        row: Dict[str, float] = {}
-        for factor in scale_factors:
-            size = int(base.l2.size_bytes * factor)
-            hier_cfg = dc_replace(base, l2=dc_replace(base.l2,
-                                                      size_bytes=size))
-            hierarchy = MemoryHierarchy(config=hier_cfg)
-            # The stream keeps the reference geometry's scale, so every
-            # size replays the same L1 tape.
-            res = run_refs_with_hierarchy(name, hierarchy, config)
-            row[f"{factor:g}x"] = 100.0 * res.dirty_fraction
-        out[name] = row
-    return out
+    cells = [
+        Cell(name, None, _with(config, l2_scale=factor))
+        for name in names
+        for factor in scale_factors
+    ]
+    outputs = iter((engine or SweepEngine()).run_cells(cells))
+    return {
+        name: {
+            f"{factor:g}x": 100.0 * next(outputs).dirty_fraction
+            for factor in scale_factors
+        }
+        for name in names
+    }
 
 
 def ablate_energy(
@@ -358,6 +326,7 @@ def ablate_energy(
     benchmarks: Optional[List[str]] = None,
     cleaning_interval: int = 1 << 20,
     params: EnergyParams = EnergyParams(),
+    engine: Optional[SweepEngine] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Memory-system energy: conventional vs the paper's scheme.
 
@@ -368,33 +337,25 @@ def ablate_energy(
     parity) against extra bus/DRAM energy from its additional
     write-backs — the balance the paper's interval choice manages.
     """
-    from repro.core.protected_cache import ProtectionConfig as _PC
-
     names = benchmarks or sorted(BENCHMARKS)
-    out: Dict[str, Dict[str, float]] = {}
-    geometry = config.geometry
+    protection = ProtectionConfig(
+        cleaning_interval=cleaning_interval, ecc_entries_per_set=1
+    )
+    cells: List[Cell] = []
     for name in names:
-        conv_h = MemoryHierarchy(config=geometry.hierarchy_config())
-        run_refs_with_hierarchy(name, conv_h, config)
-        conv = estimate_energy(conv_h, "conventional", params=params)
-
-        protection = _PC(
-            cleaning_interval=geometry.scaled_interval(cleaning_interval),
-            ecc_entries_per_set=1,
+        cells.append(Cell(name, None, config))
+        cells.append(Cell(name, protection, config))
+    outputs = (engine or SweepEngine()).run_cells(cells)
+    machine = config.geometry.hierarchy_config()
+    out: Dict[str, Dict[str, float]] = {}
+    for name, conv_out, ours_out in zip(names, outputs[0::2], outputs[1::2]):
+        conv = estimate_energy(
+            conv_out.snapshot, machine, "conventional", params=params
         )
-        from repro.core.protected_cache import ProtectedL2 as _P
-
-        ours_h = MemoryHierarchy(
-            config=geometry.hierarchy_config(),
-            l2=_P(geometry.hierarchy_config().l2, protection,
-                  seed=config.seed),
-        )
-        ours_out = run_refs_with_hierarchy(name, ours_h, config)
         ours = estimate_energy(
-            ours_h, "proposed",
+            ours_out.snapshot, machine, "proposed",
             dirty_fraction=ours_out.dirty_fraction, params=params,
         )
-
         coding_conv = conv.components["L2 ECC logic"]
         coding_ours = (
             ours.components["L2 ECC logic"]
@@ -418,28 +379,29 @@ def ablate_replacement(
     config: RunConfig = RunConfig(),
     benchmarks: Optional[List[str]] = None,
     policies: tuple = ("lru", "fifo", "random"),
+    engine: Optional[SweepEngine] = None,
 ) -> Dict[str, Dict[str, float]]:
     """L2 replacement-policy sensitivity of the dirty-residency metric.
 
     The paper assumes LRU.  This checks that its headline observation —
     roughly half the cache dirty, with the same outlier benchmarks — is
-    not an artifact of the replacement policy.
+    not an artifact of the replacement policy.  The ``random`` policy
+    draws from the run's seed.
     """
-    from dataclasses import replace as dc_replace
-
     names = benchmarks or sorted(BENCHMARKS)
-    out: Dict[str, Dict[str, float]] = {}
-    base = config.geometry.hierarchy_config()
-    for name in names:
-        row: Dict[str, float] = {}
-        for policy in policies:
-            hier_cfg = dc_replace(base, l2=dc_replace(base.l2,
-                                                      replacement=policy))
-            hierarchy = MemoryHierarchy(config=hier_cfg)
-            res = run_refs_with_hierarchy(name, hierarchy, config)
-            row[policy] = 100.0 * res.dirty_fraction
-        out[name] = row
-    return out
+    cells = [
+        Cell(name, None, _with(config, l2_replacement=policy))
+        for name in names
+        for policy in policies
+    ]
+    outputs = iter((engine or SweepEngine()).run_cells(cells))
+    return {
+        name: {
+            policy: 100.0 * next(outputs).dirty_fraction
+            for policy in policies
+        }
+        for name in names
+    }
 
 
 class _NoWrittenBitL2(ProtectedL2):
@@ -481,7 +443,7 @@ def ablate_written_bit(
     for name in names:
         cells.append(Cell(name, protection, config))
         cells.append(Cell(name, protection, config, variant="no-written-bit"))
-    outputs = _engine(engine).run_cells(cells)
+    outputs = (engine or SweepEngine()).run_cells(cells)
     for name, with_bit, without in zip(names, outputs[0::2], outputs[1::2]):
         out[name] = {
             "with dirty %": 100.0 * with_bit.dirty_fraction,

@@ -26,7 +26,8 @@ import math
 from typing import Dict, List, Optional
 
 from repro.core.protected_cache import ProtectionConfig
-from repro.experiments.runner import RefRunOutput, RunConfig, run_refs
+from repro.experiments.pool import Cell, SweepEngine
+from repro.experiments.runner import RefRunOutput, RunConfig
 from repro.workloads.spec2000 import BENCHMARKS
 
 #: Bits that must stay consistent per protected word: 64 data + 8 check.
@@ -83,26 +84,28 @@ def exposure_comparison(
     config: RunConfig = RunConfig(),
     benchmarks: Optional[List[str]] = None,
     cleaning_interval: int = 1 << 20,
-    engine=None,
+    engine: Optional[SweepEngine] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Dirty exposure of the conventional vs the protected L2.
 
     Returns, per benchmark: both exposures (in millions of dirty
     line-cycles), the exposure reduction factor, and the ratio of
-    expected residual uncorrectable events.  An optional
-    :class:`~repro.experiments.pool.SweepEngine` routes the runs through
-    its worker pool and result cache.
+    expected residual uncorrectable events.  ``engine`` (a
+    :class:`~repro.experiments.pool.SweepEngine`, sequential and
+    uncached by default) runs the org/ours grid.
     """
     names = benchmarks or sorted(BENCHMARKS)
     n_lines = config.geometry.hierarchy_config().l2.n_lines
     protection = ProtectionConfig(
         cleaning_interval=cleaning_interval, ecc_entries_per_set=1
     )
-    run = engine.run_refs if engine is not None else run_refs
-    out: Dict[str, Dict[str, float]] = {}
+    cells: List[Cell] = []
     for name in names:
-        org = run(name, None, config)
-        ours = run(name, protection, config)
+        cells.append(Cell(name, None, config))
+        cells.append(Cell(name, protection, config))
+    outputs = (engine or SweepEngine()).run_cells(cells)
+    out: Dict[str, Dict[str, float]] = {}
+    for name, org, ours in zip(names, outputs[0::2], outputs[1::2]):
         e_org = dirty_exposure(org, n_lines)
         e_ours = dirty_exposure(ours, n_lines)
         u_org = expected_uncorrectable(org, n_lines)

@@ -49,10 +49,12 @@ from repro.core.policy import get_variant
 from repro.core.protected_cache import ProtectionConfig
 from repro.experiments.runner import (
     RunConfig,
+    build_hierarchy,
     ipc_instructions,
+    l1_tape_key,
     run_ipc,
     run_ipc_group,
-    run_refs_with_hierarchy,
+    run_refs,
 )
 from repro.telemetry.profiling import PhaseProfiler
 
@@ -124,6 +126,9 @@ class Cell:
                 "interval_scale": geometry.interval_scale,
                 "paper_intervals": list(geometry.paper_intervals),
                 "write_buffer_entries": geometry.write_buffer_entries,
+                "l2_replacement": geometry.l2_replacement,
+                "bus_width_bytes": geometry.bus_width_bytes,
+                "l2_scale": geometry.l2_scale,
             },
         }
 
@@ -293,9 +298,8 @@ def execute_cell(cell: Cell) -> Any:
             cell.benchmark, cell.protection, cell.config,
             n_insts=cell.n_insts, variant=cell.variant,
         )
-    hierarchy = build_cell_hierarchy(cell)
-    return run_refs_with_hierarchy(
-        cell.benchmark, hierarchy, cell.config, cell.protection
+    return run_refs(
+        cell.benchmark, cell.protection, cell.config, variant=cell.variant
     )
 
 
@@ -313,13 +317,17 @@ def front_end_key(cell: Cell) -> Optional[tuple]:
 
 
 def tape_key(cell: Cell) -> Optional[tuple]:
-    """What a reference-mode cell's L1 tape depends on — the benchmark
-    and the run configuration (the geometry fixes the L1D and the write
-    buffer) — or None for an ipc cell.  Cells with one key share the
-    runner's memoised tape when they run back to back."""
+    """A reference-mode cell's :func:`~repro.experiments.runner.l1_tape_key`,
+    or None for an ipc cell.  Cells with one key (they may differ below
+    the L1: protection, variant, L2 replacement or capacity, bus) share
+    the runner's memoised tape when they run back to back."""
     if cell.mode == "ipc":
         return None
-    return ("refs", cell.benchmark, cell.config)
+    machine = cell.config.geometry.hierarchy_config()
+    return l1_tape_key(
+        cell.benchmark, cell.config, machine.l1d,
+        machine.write_buffer_entries, machine.l2.line_bytes,
+    )
 
 
 def execute_unit(unit: Tuple[Cell, ...]) -> Tuple[List[Any], PhaseProfiler]:
@@ -340,24 +348,9 @@ def execute_unit(unit: Tuple[Cell, ...]) -> Tuple[List[Any], PhaseProfiler]:
 
 
 def build_cell_hierarchy(cell: Cell):
-    """The :class:`~repro.cache.hierarchy.MemoryHierarchy` a reference-mode
-    cell runs against, for any variant.
-
-    Split out of :func:`execute_cell` so callers that need the hierarchy
-    *after* the run — the autotuner's energy accounting reads its event
-    counters — can drive :func:`run_refs_with_hierarchy` themselves.
-    The L2 under test comes from the variant registry
-    (:func:`repro.core.policy.build_variant_l2`); the import is local to
-    avoid an import cycle through the registered builders.
-    """
-    from repro.cache.hierarchy import MemoryHierarchy
-    from repro.core.policy import build_variant_l2
-
-    geometry = cell.config.geometry
-    l2 = build_variant_l2(
-        cell.variant, geometry, cell.protection, seed=cell.config.seed
-    )
-    return MemoryHierarchy(config=geometry.hierarchy_config(), l2=l2)
+    """The :class:`~repro.cache.hierarchy.MemoryHierarchy` a cell runs
+    against (:func:`~repro.experiments.runner.build_hierarchy`)."""
+    return build_hierarchy(cell.config, cell.protection, cell.variant)
 
 
 def _map_indexed(payload):

@@ -35,7 +35,8 @@ from repro.core.policy import (
     RecoveryAction,
 )
 from repro.core.protected_cache import ProtectionConfig
-from repro.experiments.runner import RunConfig, run_refs
+from repro.experiments.pool import Cell, SweepEngine
+from repro.experiments.runner import RunConfig
 
 
 @dataclass(frozen=True)
@@ -159,19 +160,18 @@ def measured_dirty_fractions(
     residency the campaign conditions on.  The unprotected baseline is
     always the standard cache.
 
-    ``engine`` is an optional :class:`~repro.experiments.pool.SweepEngine`
-    so the two runs share its cache and profiler with the campaign that
+    ``engine`` (a :class:`~repro.experiments.pool.SweepEngine`,
+    sequential and uncached by default) runs the two cells, so they
+    share its workers, cache and profiler with the campaign that
     follows.
     """
     protection = ProtectionConfig(
         cleaning_interval=cleaning_interval, ecc_entries_per_set=ecc_entries
     )
-    if engine is not None:
-        org = engine.run_refs(benchmark, None, config)
-        ours = engine.run_refs(benchmark, protection, config, variant=variant)
-    else:
-        org = run_refs(benchmark, None, config)
-        ours = run_refs(benchmark, protection, config, variant=variant)
+    org, ours = (engine or SweepEngine()).run_cells([
+        Cell(benchmark, None, config),
+        Cell(benchmark, protection, config, variant=variant),
+    ])
     return {
         "uniform-ecc": org.dirty_fraction,
         "parity-only": org.dirty_fraction,

@@ -231,6 +231,9 @@ def render_series(
         avg: List[Cell] = ["average"]
         for col in columns:
             vals = [series[r][col] for r in rows if col in series[r]]
-            avg.append(sum(vals) / len(vals) if vals else float("nan"))
+            if any(isinstance(v, str) for v in vals):
+                avg.append("")  # a label column has no mean
+            else:
+                avg.append(sum(vals) / len(vals) if vals else float("nan"))
         table_rows.append(avg)
     return render_table([row_label] + columns, table_rows, ndigits, title)

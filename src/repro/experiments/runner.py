@@ -36,7 +36,8 @@ import itertools
 from dataclasses import astuple, dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cache.cache import SetAssociativeCache
+from repro.cache.cache import CacheConfig, SetAssociativeCache
+from repro.cache.energy import estimate_energy
 from repro.cache.hierarchy import (
     HierarchyConfig,
     L1Recorder,
@@ -46,7 +47,9 @@ from repro.cache.hierarchy import (
     default_l1i_config,
     default_l2_config,
 )
+from repro.cache.mainmem import MemoryConfig
 from repro.cache.write_buffer import WriteBuffer
+from repro.core.policy import build_variant_l2
 from repro.core.protected_cache import ProtectedL2, ProtectionConfig
 from repro.core.scrub import check_invariants
 from repro.cpu.ooo import OoOCore, RunResult
@@ -72,10 +75,18 @@ class Geometry:
     interval_scale: float
     #: The paper's nominal cleaning intervals, in cycles.
     paper_intervals: Tuple[int, ...] = (65536, 262144, 1048576, 4194304)
-    #: Write-buffer entries between the L2 and memory (Table 1: 16).
-    #: A sweep axis for the autotuner; the write-buffer ablation varies
-    #: the same knob through :class:`~repro.cache.hierarchy.HierarchyConfig`.
+    # The machine knobs the autotuner and the ablation studies vary;
+    # the defaults are Table 1's machine.
+    #: Write-buffer entries between the L1D and the L2 (Table 1: 16).
     write_buffer_entries: int = 16
+    #: The L2's replacement policy (``lru``/``fifo``/``random``).
+    l2_replacement: str = "lru"
+    #: Off-chip bus width in bytes (Table 1: 8).
+    bus_width_bytes: int = 8
+    #: The L2's capacity as a multiple of ``l2_bytes``.  The stream's
+    #: working sets stay sized to ``l2_bytes``, as a real machine's
+    #: programs would.
+    l2_scale: float = 1.0
 
     def _naive_scaled(self, paper_interval: int) -> int:
         return max(1, int(paper_interval * self.interval_scale))
@@ -131,9 +142,14 @@ class Geometry:
     def hierarchy_config(self) -> HierarchyConfig:
         l1i = replace(default_l1i_config(), size_bytes=self.l1_bytes)
         l1d = replace(default_l1d_config(), size_bytes=self.l1_bytes)
-        l2 = replace(default_l2_config(), size_bytes=self.l2_bytes)
+        l2 = replace(
+            default_l2_config(),
+            size_bytes=int(self.l2_bytes * self.l2_scale),
+            replacement=self.l2_replacement,
+        )
         return HierarchyConfig(
             l1i=l1i, l1d=l1d, l2=l2,
+            memory=MemoryConfig(bus_width_bytes=self.bus_width_bytes),
             write_buffer_entries=self.write_buffer_entries,
         )
 
@@ -255,33 +271,36 @@ def build_l2(
     return ProtectedL2(l2_cfg, scaled, seed=seed)
 
 
-def _build_hierarchy(
-    config: RunConfig, protection: Optional[ProtectionConfig]
+def build_hierarchy(
+    config: RunConfig,
+    protection: Optional[ProtectionConfig],
+    variant: str = "standard",
 ) -> MemoryHierarchy:
+    """The machine a run measures: ``config.geometry``'s hierarchy around
+    the variant registry's L2 (:func:`repro.core.policy.build_variant_l2`),
+    seeded from the run.  Every reference-mode and CPU-mode run builds
+    its machine here."""
     geometry = config.geometry
-    l2 = build_l2(geometry, protection, seed=config.seed)
+    l2 = build_variant_l2(variant, geometry, protection, seed=config.seed)
     return MemoryHierarchy(config=geometry.hierarchy_config(), l2=l2)
 
 
-def _variant_hierarchy(
+def l1_tape_key(
+    benchmark: str,
     config: RunConfig,
-    protection: Optional[ProtectionConfig],
-    variant: str,
-) -> MemoryHierarchy:
-    """A hierarchy around the variant registry's L2 (or the standard one).
-
-    The ``standard`` variant routes through :func:`_build_hierarchy`
-    unchanged, so default-path runs are bit-identical to a world without
-    the variant registry.
-    """
-    if variant == "standard":
-        return _build_hierarchy(config, protection)
-    from repro.core.policy import build_variant_l2
-
-    l2 = build_variant_l2(
-        variant, config.geometry, protection, seed=config.seed
+    l1d: CacheConfig,
+    write_buffer_entries: int,
+    write_buffer_block_bytes: int,
+) -> tuple:
+    """Everything stage A reads: the benchmark, the stream's
+    ``l2_bytes``, the seed, both reference counts, the L1D's
+    configuration and the write buffer's shape.  Runs with one key
+    record the same L1 tape, whatever lies below the L1."""
+    return (
+        benchmark, config.geometry.l2_bytes, config.seed, config.warmup_refs,
+        config.n_refs, astuple(l1d), write_buffer_entries,
+        write_buffer_block_bytes,
     )
-    return MemoryHierarchy(config=config.geometry.hierarchy_config(), l2=l2)
 
 
 def _reset_measurement(hierarchy: MemoryHierarchy, cycle: int) -> None:
@@ -305,7 +324,7 @@ def run_refs(
     variant: str = "standard",
 ) -> RefRunOutput:
     """Reference-mode run of one benchmark under one protection config."""
-    hierarchy = _variant_hierarchy(config, protection, variant)
+    hierarchy = build_hierarchy(config, protection, variant)
     return run_refs_with_hierarchy(
         benchmark, hierarchy, config, protection,
         tracer=tracer, profiler=profiler,
@@ -338,26 +357,21 @@ def run_refs_with_hierarchy(
     tracer: Optional[EventTracer] = None,
     profiler: Optional[PhaseProfiler] = None,
 ) -> RefRunOutput:
-    """Reference-mode run against a caller-supplied hierarchy.
-
-    Used by the ablation experiments to measure non-standard L2s (e.g.
-    the eager-writeback baseline) under identical workload conditions.
+    """Reference-mode run against a caller-supplied hierarchy (one
+    :func:`build_hierarchy` made, or a hand-configured or used one).
 
     A fresh hierarchy (clock 0, no reference seen) reuses the tape of
-    the previous call when everything stage A reads is the same: the
-    benchmark, the stream's ``l2_bytes``, the seed, both reference
-    counts, the L1D's configuration and the write buffer's shape.  A
-    run of at most :data:`_MEMO_REFS` references on a fresh hierarchy
-    leaves its tape for the next call.  A used hierarchy records its own
-    tape from its current L1D and write buffer.
+    the previous call when everything stage A reads is the same (its
+    :func:`l1_tape_key`).  A run of at most :data:`_MEMO_REFS`
+    references on a fresh hierarchy leaves its tape for the next call.
+    A used hierarchy records its own tape from its current L1D and write
+    buffer.
     """
     global _LAST_TAPE
     wb = hierarchy.write_buffer
     fresh = hierarchy.fresh
-    key = (
-        benchmark, config.geometry.l2_bytes, config.seed, config.warmup_refs,
-        config.n_refs, astuple(hierarchy.l1d.config), wb.entries,
-        wb.block_bytes,
+    key = l1_tape_key(
+        benchmark, config, hierarchy.l1d.config, wb.entries, wb.block_bytes
     )
     last = _LAST_TAPE
     if fresh and last is not None and last[0] == key:
@@ -507,7 +521,7 @@ def run_trace(
     variant: str = "standard",
 ) -> RefRunOutput:
     """Reference-mode run of an arbitrary trace (e.g. from a file)."""
-    hierarchy = _variant_hierarchy(config, protection, variant)
+    hierarchy = build_hierarchy(config, protection, variant)
     return run_ref_stream(
         stream, hierarchy, config, label, protection,
         tracer=tracer, profiler=profiler,
@@ -567,7 +581,7 @@ def run_ipc_group(
     """
     spec = get_benchmark(benchmark)
     cores = [
-        OoOCore(_variant_hierarchy(config, protection, variant), config=processor)
+        OoOCore(build_hierarchy(config, protection, variant), config=processor)
         for protection, variant in members
     ]
     phases = [
@@ -610,16 +624,18 @@ def _ipc_output(
         check_invariants(level)
     l2 = hierarchy.l2
     dirty = l2.dirty.average_dirty_fraction(hierarchy.clock)
+    snapshot = hierarchy.snapshot()
     # Charge the unprotected baseline as the conventional (uniform-ECC)
     # design and any protected L2 as the paper's proposed scheme — the
-    # same pairing compare_schemes uses for the org/ours tables.
-    from repro.cache.energy import estimate_energy
-
+    # same pairing the energy ablation uses for its org/ours tables.
     if protection is None and variant == "standard":
-        energy = estimate_energy(hierarchy, "conventional", 1.0)
+        energy = estimate_energy(
+            snapshot, hierarchy.config, "conventional", 1.0
+        )
     else:
         energy = estimate_energy(
-            hierarchy, "proposed", min(max(dirty, 0.0), 1.0)
+            snapshot, hierarchy.config, "proposed",
+            min(max(dirty, 0.0), 1.0),
         )
     return IpcRunOutput(
         benchmark=benchmark,
@@ -632,5 +648,5 @@ def _ipc_output(
         wb_bytes_raw=l2.stats.wb_bytes_raw,
         wb_bytes_compressed=l2.stats.wb_bytes_compressed,
         energy_uj=energy.total_uj,
-        snapshot=hierarchy.snapshot(),
+        snapshot=snapshot,
     )

@@ -7,8 +7,8 @@ table of finished results, so *any* replica serves a job *any* replica
 computed, it holds four tables:
 
 * ``jobs`` — every request ever submitted anywhere in the cluster,
-  keyed by :func:`repro.api.request_key`, with its lifecycle state and
-  cluster-wide submission count;
+  keyed by :func:`repro.api.request_key`, with its lifecycle state (a
+  ``submissions`` column that older stores carry is left unused);
 * ``shards`` — one row per campaign shard, the work-stealing unit:
   ``pending`` → ``leased`` (owner + expiry) → ``done`` (with the
   shard's outcome record), the only copy of a service campaign's shards;
@@ -49,8 +49,7 @@ CREATE TABLE IF NOT EXISTS jobs (
     state TEXT NOT NULL,
     error TEXT,
     created_at REAL NOT NULL,
-    finished_at REAL,
-    submissions INTEGER NOT NULL DEFAULT 1
+    finished_at REAL
 );
 CREATE TABLE IF NOT EXISTS shards (
     job_key TEXT NOT NULL,
@@ -74,6 +73,9 @@ CREATE TABLE IF NOT EXISTS workers (
     host TEXT
 );
 """
+
+#: Job states a new submission sends back to ``queued``.
+_RETRIED = ("error", "canceled")
 
 #: Keeps job documents apart from sweep cells: a plain run's request key
 #: *is* its cell's key.
@@ -176,31 +178,30 @@ class FabricStore:
     def record_job(
         self, key: str, kind: str, request: Dict[str, Any]
     ) -> None:
-        """Record a submission: insert the job or bump its cluster-wide
-        submission count.  A previously failed/canceled job re-enters
-        ``queued`` (the retry semantics the local store already has)."""
+        """Record a submission: insert the job if it is new.  A
+        previously failed/canceled job re-enters ``queued`` (the retry
+        semantics the local store already has).  A repeat submission of
+        a queued, running or done job writes nothing and takes no write
+        lock."""
         with connect_store(self.path) as conn:
-            conn.execute("BEGIN IMMEDIATE")
             row = conn.execute(
                 "SELECT state FROM jobs WHERE key = ?", (key,)
             ).fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT INTO jobs "
-                    "(key, kind, request, state, created_at) "
-                    "VALUES (?, ?, ?, 'queued', ?)",
-                    (key, kind, json.dumps(request, sort_keys=True),
-                     time.time()),
-                )
-            else:
-                retry = row[0] in ("error", "canceled")
-                conn.execute(
-                    "UPDATE jobs SET submissions = submissions + 1, "
-                    "state = CASE WHEN ? THEN 'queued' ELSE state END, "
-                    "error = CASE WHEN ? THEN NULL ELSE error END "
-                    "WHERE key = ?",
-                    (retry, retry, key),
-                )
+            if row is not None and row[0] not in _RETRIED:
+                return
+            conn.execute("BEGIN IMMEDIATE")
+            conn.execute(
+                "INSERT OR IGNORE INTO jobs "
+                "(key, kind, request, state, created_at) "
+                "VALUES (?, ?, ?, 'queued', ?)",
+                (key, kind, json.dumps(request, sort_keys=True),
+                 time.time()),
+            )
+            conn.execute(
+                "UPDATE jobs SET state = 'queued', error = NULL "
+                "WHERE key = ? AND state IN ('error', 'canceled')",
+                (key,),
+            )
 
     def set_job_state(
         self, key: str, state: str, error: Optional[str] = None

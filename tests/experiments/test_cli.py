@@ -223,6 +223,15 @@ class TestCommands:
         assert "entries/set" in out
         assert "54.00" in out
 
+    def test_ablate_best_interval_renders(self, capsys):
+        """The default study has a label column (the chosen interval)."""
+        assert main([
+            "ablate", "best-interval", "--benchmarks", "swim", "mesa",
+            "--refs", "600", "--warmup", "200", "--no-cache",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "interval" in out and "average" in out
+
     def test_ablate_unknown_study_rejected(self):
         with pytest.raises(SystemExit):
             main(["ablate", "voltage"])

@@ -137,6 +137,18 @@ class TestOneTapePerBenchmark:
         api.figures(request, engine=SweepEngine(jobs=2))
         assert counts["tapes"]() == 14
 
+    @pytest.mark.parametrize("study", ["cache-size", "replacement"])
+    def test_two_workers_record_one_tape_per_benchmark_in_a_study(
+        self, counts, study
+    ):
+        """A study's cells differ only below the L1, so each benchmark's
+        share one work unit and one tape."""
+        request = api.AblateRequest(
+            study=study, benchmarks=("mesa", "mcf"), refs=1_500, warmup=500,
+        )
+        api.ablate(request, engine=SweepEngine(jobs=2))
+        assert counts["tapes"]() == 2
+
     def test_grid_equals_its_parts(self):
         sweeps, full = reference_grid(SMALL)
         assert sweeps == {

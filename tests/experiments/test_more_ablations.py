@@ -3,6 +3,7 @@ cleaning policy, energy, replacement)."""
 
 import pytest
 
+from repro import api
 from repro.experiments import (
     RunConfig,
     ablate_cache_size,
@@ -11,6 +12,7 @@ from repro.experiments import (
     ablate_replacement,
     ablate_write_buffer,
 )
+from repro.experiments.pool import SweepEngine
 
 FAST = RunConfig(n_refs=8_000, warmup_refs=2_000)
 
@@ -98,3 +100,40 @@ class TestReplacementAblation:
         res = ablate_replacement(FAST, benchmarks=["mcf"],
                                  policies=("lru",))
         assert 0.0 <= res["mcf"]["lru"] <= 100.0
+
+    def test_random_policy_follows_the_seed(self):
+        """The ``random`` L2 draws from the run's seed, as every cell's
+        L2 does (a hand-built L2 once drew from seed 0 at any seed)."""
+        from dataclasses import replace
+
+        from repro.cache import MemoryHierarchy, SetAssociativeCache
+        from repro.experiments.runner import run_refs_with_hierarchy
+
+        config = RunConfig(n_refs=6000, warmup_refs=2000, seed=3)
+        res = ablate_replacement(config, benchmarks=["mcf"])
+        machine = config.geometry.hierarchy_config()
+        l2 = replace(machine.l2, replacement="random")
+        hierarchy = MemoryHierarchy(
+            config=replace(machine, l2=l2),
+            l2=SetAssociativeCache(l2, seed=3),
+        )
+        out = run_refs_with_hierarchy("mcf", hierarchy, config)
+        assert res["mcf"]["random"] == 100.0 * out.dirty_fraction
+        assert round(res["mcf"]["random"], 2) == 12.70
+
+
+class TestEveryStudyRunsOnTheEngine:
+    """Each registered study is a grid the engine runs, with the same
+    document at one worker and at two."""
+
+    @pytest.mark.parametrize("study", sorted(api.ABLATIONS))
+    def test_study_runs_cells_identically_at_any_jobs(self, study):
+        request = api.AblateRequest(
+            study=study, benchmarks=("mesa", "mcf"), refs=600, warmup=200,
+        )
+        docs = []
+        for jobs in (1, 2):
+            engine = SweepEngine(jobs=jobs)
+            docs.append(api.ablate(request, engine=engine).as_dict())
+            assert engine.stats.cells > 0
+        assert docs[0] == docs[1]

@@ -62,6 +62,43 @@ class TestCellKey:
         assert base != cell_key(Cell("mesa", PROT, FAST, mode="ipc"))
         assert base != cell_key(Cell("mesa", PROT, FAST, variant="decay"))
 
+    def test_key_covers_every_geometry_field(self):
+        geometry = FAST.geometry
+        described = Cell("mesa", PROT, FAST).describe()["geometry"]
+        assert set(described) == {
+            f.name for f in dataclasses.fields(geometry)
+        }
+        base = cell_key(Cell("mesa", PROT, FAST))
+        for knobs in (
+            {"write_buffer_entries": 4}, {"l2_replacement": "fifo"},
+            {"bus_width_bytes": 16}, {"l2_scale": 2.0},
+        ):
+            config = dataclasses.replace(
+                FAST, geometry=dataclasses.replace(geometry, **knobs)
+            )
+            assert cell_key(Cell("mesa", PROT, config)) != base, knobs
+
+    def test_tape_key_ignores_what_lies_below_the_l1(self):
+        def cell(protection=PROT, variant="standard", **knobs):
+            config = dataclasses.replace(
+                FAST, geometry=dataclasses.replace(FAST.geometry, **knobs)
+            )
+            return Cell("mesa", protection, config, variant=variant)
+
+        key = pool_mod.tape_key(cell())
+        for other in (
+            cell(None), cell(variant="decay"), cell(l2_replacement="random"),
+            cell(l2_scale=2.0), cell(bus_width_bytes=4),
+        ):
+            assert pool_mod.tape_key(other) == key
+        assert pool_mod.tape_key(cell(write_buffer_entries=4)) != key
+        assert pool_mod.tape_key(Cell("mesa", PROT, FAST, mode="ipc")) is None
+        # The key the engine groups by is the runner's tape memo key.
+        from repro.experiments import runner
+
+        pool_mod.execute_cell(cell(l2_scale=2.0))
+        assert runner._LAST_TAPE[0] == key
+
     def test_key_covers_code_version(self):
         cell = Cell("mesa", PROT, FAST)
         assert cell_key(cell, version="aaaa") != cell_key(cell, version="bbbb")

@@ -26,6 +26,16 @@ class TestRenderTable:
         assert "42.00" not in out
 
 
+class TestRenderSeries:
+    def test_label_column_has_a_blank_average(self):
+        out = render_series({
+            "a": {"interval": "64K", "dirty %": 10.0},
+            "b": {"interval": "1M", "dirty %": 20.0},
+        })
+        average = out.splitlines()[-1].split()
+        assert average == ["average", "15.00"]
+
+
 class TestRenderBars:
     def test_scaled_to_peak(self):
         out = render_bars({"a": 50.0, "b": 100.0}, width=10)

@@ -38,6 +38,19 @@ class TestGeometry:
         # L1:L2 capacity ratio preserved (32KB : 1MB = 1 : 32).
         assert hc.l2.size_bytes // hc.l1d.size_bytes == 32
 
+    def test_study_knobs_reach_the_machine(self):
+        g = replace(
+            SCALED_GEOMETRY, write_buffer_entries=4, l2_replacement="fifo",
+            bus_width_bytes=16, l2_scale=0.5,
+        )
+        hc = g.hierarchy_config()
+        assert hc.write_buffer_entries == 4
+        assert hc.l2.replacement == "fifo"
+        assert hc.memory.bus_width_bytes == 16
+        assert hc.l2.size_bytes == SCALED_GEOMETRY.l2_bytes // 2
+        # Only the L2 and below change: stage A's tape is shared.
+        assert hc.l1d == SCALED_GEOMETRY.hierarchy_config().l1d
+
     def test_interval_scaling(self):
         g = Geometry("g", 1024, 65536, interval_scale=0.25)
         assert g.scaled_interval(1 << 20) == 1 << 18

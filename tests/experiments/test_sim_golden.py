@@ -326,6 +326,12 @@ EDGE_GOLDEN = {
         "285a922b2d973cee4e9595028d28409a68cd285a4cea9f3b43fa2f9dab2b9771",
     "ablate-cache-size":
         "1dfcb4a706b39d4c75526dd56f4a6aaa8249b0b0f5f5f3b0a4f1944239731a02",
+    "ablate-replacement":
+        "3812a51c7680e19c9583994285b4766b1054aca6ef75172b831f28ace11c1fbc",
+    "ablate-energy":
+        "6810939ded3a296baae80e2e48d3ab8f814b42c8129ac7c8ee00f6cc5cf4e496",
+    "ablate-bus-width":
+        "f31a57005fb7885a4af6d34bc40eddc890bcdc8a4623eb39b44ad142034a4c80",
 }
 
 
@@ -379,3 +385,26 @@ def test_cache_size_ablation_is_pinned():
 
     doc = ablate_cache_size(CONFIG, ["swim", "mcf"])
     assert doc_digest(doc) == EDGE_GOLDEN["ablate-cache-size"]
+
+
+def test_replacement_ablation_is_pinned():
+    from repro.experiments.ablations import ablate_replacement
+
+    doc = ablate_replacement(CONFIG, ["swim", "mcf"])
+    assert doc_digest(doc) == EDGE_GOLDEN["ablate-replacement"]
+
+
+def test_energy_ablation_is_pinned():
+    from repro.experiments.ablations import ablate_energy
+
+    doc = ablate_energy(CONFIG, ["swim", "mcf"])
+    assert doc_digest(doc) == EDGE_GOLDEN["ablate-energy"]
+
+
+def test_bus_width_ablation_is_pinned():
+    from repro.experiments.ablations import ablate_bus_width
+
+    doc = ablate_bus_width(
+        CONFIG, ["swim", "mcf"], widths=(4, 8, 16), n_insts=12000
+    )
+    assert doc_digest(doc) == EDGE_GOLDEN["ablate-bus-width"]

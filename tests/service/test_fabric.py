@@ -144,6 +144,54 @@ class TestFabricStore:
         assert reopened.open_campaign("job", "digest") == [record]
 
 
+    def test_a_repeat_submission_takes_no_write_lock(self, tmp_path):
+        store = FabricStore(tmp_path)
+        for state in ("queued", "running", "done"):
+            store.record_job("job", "run", {"benchmark": "swim"})
+            store.set_job_state("job", state)
+            holder = sqlite3.connect(store.path, timeout=0)
+            holder.execute("BEGIN IMMEDIATE")  # every writer now waits
+            try:
+                store.record_job("job", "run", {"benchmark": "swim"})
+            finally:
+                holder.rollback()
+                holder.close()
+            assert store.job_state("job") == state
+
+    @pytest.mark.parametrize("ending", ["error", "canceled"])
+    def test_a_failed_or_canceled_job_requeues(self, tmp_path, ending):
+        store = FabricStore(tmp_path)
+        store.record_job("job", "run", {"benchmark": "swim"})
+        store.set_job_state("job", ending, error="boom")
+        store.record_job("job", "run", {"benchmark": "swim"})
+        with connect_store(store.path) as conn:
+            row = conn.execute(
+                "SELECT state, error FROM jobs WHERE key = 'job'"
+            ).fetchone()
+        assert row == ("queued", None)
+
+    def test_a_jobs_table_with_a_submissions_column_still_opens(
+        self, tmp_path
+    ):
+        """A store written with the old ``jobs.submissions`` counter."""
+        with sqlite3.connect(tmp_path / "fabric.db") as conn:
+            conn.execute(
+                "CREATE TABLE jobs (key TEXT PRIMARY KEY, kind TEXT NOT "
+                "NULL, request TEXT NOT NULL, state TEXT NOT NULL, error "
+                "TEXT, created_at REAL NOT NULL, finished_at REAL, "
+                "submissions INTEGER NOT NULL DEFAULT 1)"
+            )
+            conn.execute(
+                "INSERT INTO jobs VALUES ('old', 'run', '{}', 'done', "
+                "NULL, 0.0, 1.0, 3)"
+            )
+        store = FabricStore(tmp_path)
+        store.record_job("old", "run", {})
+        store.record_job("new", "run", {})
+        assert store.job_state("old") == "done"
+        assert store.job_state("new") == "queued"
+
+
 class TestTwoReplicaCampaign:
     def test_disjoint_shards_merge_bit_identical(self, tmp_path):
         """Two stores on one data dir split one campaign's shards;
