@@ -19,10 +19,12 @@ era (130–180 nm, nanojoules); they are parameters, not claims — the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping
 
 from repro.cache.hierarchy import HierarchyConfig
+from repro.cache.mainmem import MemoryStats
+from repro.cache.stats import CacheStats
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,9 @@ class EnergyBreakdown:
 Snapshot = Mapping[str, Mapping[str, float]]
 
 
-def _accesses(counters: Mapping[str, float]) -> int:
-    return (
-        counters["read_hits"] + counters["read_misses"]
-        + counters["write_hits"] + counters["write_misses"]
-    )
+def _stats(cls, counters: Mapping[str, float]):
+    """The ``cls`` counters object a snapshot component was taken from."""
+    return cls(**{f.name: counters[f.name] for f in fields(cls)})
 
 
 def estimate_energy(
@@ -100,30 +100,29 @@ def estimate_energy(
 
     words_per_l2_line = config.l2.line_bytes * 8 // 64
     words_per_l1_line = config.l1d.line_bytes * 8 // 64
-    l2 = snapshot[config.l2.name]
-    mem = snapshot["memory"]
-    l1_accesses = _accesses(snapshot["l1i"]) + _accesses(snapshot["l1d"])
+    l2 = _stats(CacheStats, snapshot[config.l2.name])
+    mem = _stats(MemoryStats, snapshot["memory"])
+    l1_accesses = (
+        _stats(CacheStats, snapshot["l1i"]).accesses
+        + _stats(CacheStats, snapshot["l1d"]).accesses
+    )
 
     # Array, bus and DRAM energy: identical formulas for both schemes.
     components = {
         "L1 arrays": l1_accesses * params.l1_access,
-        "L2 array": _accesses(l2) * params.l2_access,
-        "off-chip bus": (mem["bytes_read"] + mem["bytes_written"])
+        "L2 array": l2.accesses * params.l2_access,
+        "off-chip bus": (mem.bytes_read + mem.bytes_written)
         * params.bus_per_byte,
-        "DRAM": (mem["reads"] + mem["writes"]) * params.dram_access,
+        "DRAM": mem.transactions * params.dram_access,
         "L1 parity logic": (
             l1_accesses * words_per_l1_line * params.parity_per_word
         ),
     }
 
-    l2_reads = l2["read_hits"] + l2["read_misses"]
-    l2_writes = l2["write_hits"] + l2["write_misses"]
-    writebacks = (
-        l2["writebacks_replacement"] + l2["writebacks_cleaning"]
-        + l2["writebacks_ecc_eviction"] + l2["writebacks_eager"]
-    )
+    l2_reads = l2.read_hits + l2.read_misses
+    l2_writes = l2.write_hits + l2.write_misses
     #: Every fill and write-back also passes the coding logic.
-    l2_moves = l2["fills"] + writebacks
+    l2_moves = l2.fills + l2.writebacks_total
 
     if scheme == "conventional":
         checked = (l2_reads + l2_writes + l2_moves) * words_per_l2_line
@@ -138,9 +137,9 @@ def estimate_energy(
         # silent-write variant elided never reach the encoder, so their
         # word count comes straight back off (0 on the nominal path).
         ecc_words = (
-            (l2_writes - l2["elided_ecc_updates"]) * words_per_l2_line
+            (l2_writes - l2.elided_ecc_updates) * words_per_l2_line
             + l2_reads * dirty_fraction * words_per_l2_line
-            + writebacks * words_per_l2_line
+            + l2.writebacks_total * words_per_l2_line
         )
         components["L2 ECC logic"] = max(0.0, ecc_words) * params.ecc_per_word
 

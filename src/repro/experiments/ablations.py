@@ -15,10 +15,11 @@ Studies the paper motivates but does not evaluate, among them:
   sweep) versus the paper's design.
 
 Every study is a grid of :class:`~repro.experiments.pool.Cell` objects
-that one :class:`~repro.experiments.pool.SweepEngine` runs, so each honours
-the engine's workers and result cache; a machine knob a study varies
-(write-buffer depth, L2 replacement or capacity, bus width) is a
-:class:`~repro.experiments.runner.Geometry` field of its cells.
+that one :class:`~repro.experiments.pool.SweepEngine` runs, so each study
+that takes ``engine=`` honours its workers and result cache (the
+bus-width sweep runs on a sequential, uncached one); a machine knob a
+study varies (write-buffer depth, L2 replacement or capacity, bus width)
+is a :class:`~repro.experiments.runner.Geometry` field of its cells.
 """
 
 from __future__ import annotations
@@ -190,7 +191,6 @@ def ablate_bus_width(
     benchmarks: Optional[List[str]] = None,
     widths: tuple = (4, 8, 16),
     n_insts: int = 60_000,
-    engine: Optional[SweepEngine] = None,
 ) -> Dict[str, Dict[str, float]]:
     """IPC cost of the scheme as a function of bus bandwidth.
 
@@ -211,7 +211,7 @@ def ablate_bus_width(
         for width in widths
         for protection in (None, ours)
     ]
-    outputs = iter((engine or SweepEngine()).run_cells(cells))
+    outputs = iter(SweepEngine().run_cells(cells))
     out: Dict[str, Dict[str, float]] = {}
     for name in names:
         row: Dict[str, float] = {}

@@ -41,13 +41,14 @@ import sqlite3
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.policy import get_variant
 from repro.core.protected_cache import ProtectionConfig
 from repro.experiments.runner import (
+    Geometry,
     RunConfig,
     build_hierarchy,
     ipc_instructions,
@@ -57,6 +58,17 @@ from repro.experiments.runner import (
     run_refs,
 )
 from repro.telemetry.profiling import PhaseProfiler
+
+#: The machine knobs the ablation studies vary, with Table 1's values;
+#: a cell's label names each one it sets away from these.
+_STUDY_KNOBS = {
+    f.name: f.default
+    for f in fields(Geometry)
+    if f.name in (
+        "write_buffer_entries", "l2_replacement", "bus_width_bytes",
+        "l2_scale",
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,11 @@ class Cell:
             parts.append(self.variant)
         if self.mode != "refs":
             parts.append(self.mode)
+        geometry = self.config.geometry
+        for knob, default in _STUDY_KNOBS.items():
+            value = getattr(geometry, knob)
+            if value != default:
+                parts.append(f"{knob}={value}")
         return ":".join(parts)
 
     def describe(self) -> Dict[str, Any]:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.protected_cache import ProtectionConfig
-from repro.experiments.pool import Cell, SweepEngine
-from repro.experiments.runner import RefRunOutput, RunConfig
+from repro.experiments.runner import RefRunOutput, RunConfig, run_refs
 
 
 @dataclass(frozen=True)
@@ -56,20 +55,17 @@ def multi_seed(
     protection: Optional[ProtectionConfig],
     config: RunConfig = RunConfig(),
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    engine: Optional[SweepEngine] = None,
 ) -> SeedStats:
     """Rerun ``benchmark`` over ``seeds``; summarise ``metric``.
 
     ``metric`` maps a :class:`RefRunOutput` to the scalar of interest,
-    e.g. ``lambda out: out.dirty_fraction``.  ``engine`` (sequential and
-    uncached by default) runs one cell per seed.
+    e.g. ``lambda out: out.dirty_fraction``.
     """
-    cells = [
-        Cell(benchmark, protection, replace(config, seed=seed))
-        for seed in seeds
-    ]
-    outputs = (engine or SweepEngine()).run_cells(cells)
-    return summarize([metric(out) for out in outputs])
+    values: List[float] = []
+    for seed in seeds:
+        out = run_refs(benchmark, protection, replace(config, seed=seed))
+        values.append(metric(out))
+    return summarize(values)
 
 
 def dirty_fraction_stats(

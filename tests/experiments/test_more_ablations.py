@@ -137,3 +137,20 @@ class TestEveryStudyRunsOnTheEngine:
             docs.append(api.ablate(request, engine=engine).as_dict())
             assert engine.stats.cells > 0
         assert docs[0] == docs[1]
+
+    def test_cells_of_one_study_carry_distinct_labels(self):
+        """A cell's label names each study knob it sets away from Table
+        1's machine, so a study's per-cell records tell its cells apart."""
+        engine = SweepEngine()
+        api.ablate(
+            api.AblateRequest(
+                study="replacement", benchmarks=("mcf",), refs=600,
+                warmup=200,
+            ),
+            engine=engine,
+        )
+        labels = [record.label for record in engine.stats.records]
+        assert labels == [
+            "mcf:org", "mcf:org:l2_replacement=fifo",
+            "mcf:org:l2_replacement=random",
+        ]
