@@ -31,8 +31,17 @@ drains and forwarding depend on the stream alone.  Stage A
 levels and memory from a tape with the same calls, in the same order,
 that :meth:`~MemoryHierarchy.load` and :meth:`~MemoryHierarchy.store`
 make.  Both stages live here, beside ``load``/``store``, so every
-L1, write-buffer and MSHR rule is in one module.  The CPU path keeps
-``load``, ``store`` and ``ifetch``.
+L1, write-buffer and MSHR rule is in one module.
+
+The CPU path is cut at the L1s too: the core's stage A
+(:class:`repro.cpu.tape.CoreRecorder`) runs copies of the L1I, L1D and
+write buffer in program order and records their answers, and its
+stage B (``OoOCore.run``) hands each answer to
+:meth:`~MemoryHierarchy.replay_ifetch`,
+:meth:`~MemoryHierarchy.replay_load` or
+:meth:`~MemoryHierarchy.replay_store`, which do everything below the
+L1s.  ``ifetch``, ``load`` and ``store`` are the live L1 step followed
+by the same entry point.
 
 Most of stage B's work is L2 reads for load misses.  When the hierarchy
 has one unified level and neither that cache's class nor the instance
@@ -215,6 +224,18 @@ def _widened(column, value):
     return column
 
 
+def copy_of(part):
+    """A new L1 cache or write buffer of ``part``'s shape holding a copy
+    of its state (contents, replacement state and counters), with no
+    tracer: what a stage A recorder runs on."""
+    if isinstance(part, WriteBuffer):
+        twin = WriteBuffer(part.entries, part.block_bytes)
+    else:
+        twin = SetAssociativeCache(part.config)
+    twin.copy_state_from(part)
+    return twin
+
+
 def _frozen(column):
     """A read-only view of a finished column."""
     if isinstance(column, array):
@@ -259,6 +280,8 @@ class MemoryHierarchy:
         self.l1d_mshr = MshrFile(self.config.mshr_entries)
         self.l1i_mshr = MshrFile(self.config.mshr_entries)
         self._block_shift = self.l2.config.line_bytes.bit_length() - 1
+        self._l1i_latency = self.l1i.config.hit_latency
+        self._l1d_latency = self.l1d.config.hit_latency
         self.memory = MainMemory(self.config.memory)
         self.stats = HierarchyStats()
         #: Monotonic clock: out-of-order cores may present slightly
@@ -321,13 +344,45 @@ class MemoryHierarchy:
 
     # -- reference entry points ---------------------------------------------
     #
-    # Each entry point first clamps ``cycle`` to the monotonic clock and
-    # runs the cleaning sweeps due by then, if any, then computes the
-    # L2-granular block of ``addr`` once for the MSHR lookup and, on a
-    # miss, its allocation.
+    # ``ifetch``, ``load`` and ``store`` are the live CPU-mode path: the
+    # L1 (and for data, the write buffer) answers, then the matching
+    # ``replay_*`` entry point does the rest.  Stage B of the core
+    # (``OoOCore.run``) calls the ``replay_*`` points directly with the
+    # outcomes stage A recorded (:class:`repro.cpu.tape.CoreRecorder`).
+    # Each one first clamps ``cycle`` to the monotonic clock and runs
+    # the cleaning sweeps due by then, if any; ``replay_ifetch`` and
+    # ``replay_load`` then look the L2-granular block up in the MSHRs
+    # and, on an unmerged miss, read the level below and allocate.
 
     def ifetch(self, addr: int, cycle: int) -> int:
         """Instruction fetch; returns latency in cycles."""
+        if cycle < self._clock:
+            cycle = self._clock
+        hit = self.l1i.access(addr, False, cycle).hit
+        return self.replay_ifetch(addr, cycle, hit)
+
+    def load(self, addr: int, cycle: int) -> int:
+        """Data load; returns latency in cycles."""
+        if cycle < self._clock:
+            cycle = self._clock
+        if self.l1d.access(addr, False, cycle).hit:
+            outcome = LOAD_HIT
+        elif self.write_buffer.contains(addr):
+            outcome = LOAD_FORWARD
+        else:
+            outcome = LOAD_MISS
+        return self.replay_load(addr, cycle, outcome)
+
+    def store(self, addr: int, cycle: int) -> int:
+        """Data store; write-through L1 into the coalescing buffer."""
+        if cycle < self._clock:
+            cycle = self._clock
+        self.l1d.access(addr, True, cycle)
+        return self.replay_store(self.write_buffer.push(addr), cycle)
+
+    def replay_ifetch(self, addr: int, cycle: int, hit: bool) -> int:
+        """Stage B of an instruction fetch whose L1I lookup answered
+        ``hit``; returns latency in cycles."""
         if cycle > self._clock:
             self._clock = cycle
         else:
@@ -335,21 +390,24 @@ class MemoryHierarchy:
         self.stats.ifetches += 1
         if cycle >= self._next_due:
             self._advance_l2(cycle)
-        res = self.l1i.access(addr, False, cycle)
         block = addr >> self._block_shift
-        hit_latency = self.l1i.config.hit_latency
-        pending = self.l1i_mshr.pending_ready(block, cycle)
-        if pending is not None:
+        hit_latency = self._l1i_latency
+        mshr = self.l1i_mshr
+        ready = mshr._pending.get(block)
+        if ready is not None and ready > cycle:
             # The block's fill is still in flight: wait for it.
-            return hit_latency + (pending - cycle)
-        if res.hit:
+            mshr.stats.merges += 1
+            return hit_latency + (ready - cycle)
+        if hit:
             return hit_latency
         latency = hit_latency + self._level_access(addr, False, cycle, 0)
-        self.l1i_mshr.allocate(block, cycle + latency, cycle)
+        mshr.allocate(block, cycle + latency, cycle)
         return latency
 
-    def load(self, addr: int, cycle: int) -> int:
-        """Data load; returns latency in cycles."""
+    def replay_load(self, addr: int, cycle: int, outcome: int) -> int:
+        """Stage B of a load whose L1D and write buffer answered
+        ``outcome`` (:data:`LOAD_HIT`, :data:`LOAD_MISS` or
+        :data:`LOAD_FORWARD`); returns latency in cycles."""
         if cycle > self._clock:
             self._clock = cycle
         else:
@@ -357,25 +415,28 @@ class MemoryHierarchy:
         self.stats.loads += 1
         if cycle >= self._next_due:
             self._advance_l2(cycle)
-        res = self.l1d.access(addr, False, cycle)
         block = addr >> self._block_shift
-        hit_latency = self.l1d.config.hit_latency
-        pending = self.l1d_mshr.pending_ready(block, cycle)
-        if pending is not None:
+        hit_latency = self._l1d_latency
+        mshr = self.l1d_mshr
+        ready = mshr._pending.get(block)
+        if ready is not None and ready > cycle:
             # Merge with the in-flight miss (MSHR semantics): the line
             # looks resident functionally but its data arrives later.
-            return hit_latency + (pending - cycle)
-        if res.hit:
+            mshr.stats.merges += 1
+            return hit_latency + (ready - cycle)
+        if outcome == LOAD_HIT:
             return hit_latency
-        if self.write_buffer.contains(addr):
+        if outcome == LOAD_FORWARD:
             # Store-to-load forwarding out of the write buffer.
             return hit_latency + 1
         latency = hit_latency + self._level_access(addr, False, cycle, 0)
-        self.l1d_mshr.allocate(block, cycle + latency, cycle)
+        mshr.allocate(block, cycle + latency, cycle)
         return latency
 
-    def store(self, addr: int, cycle: int) -> int:
-        """Data store; write-through L1 into the coalescing buffer."""
+    def replay_store(self, drained: Optional[int], cycle: int) -> int:
+        """Stage B of a store: ``drained`` is the block its push drained
+        from the write buffer (:data:`STORE_DRAIN`), or None
+        (:data:`STORE`)."""
         if cycle > self._clock:
             self._clock = cycle
         else:
@@ -383,12 +444,10 @@ class MemoryHierarchy:
         self.stats.stores += 1
         if cycle >= self._next_due:
             self._advance_l2(cycle)
-        self.l1d.access(addr, True, cycle)
-        drained = self.write_buffer.push(addr)
         if drained is not None:
             self._level_access(drained, True, cycle, 0)
         # A buffered store retires immediately from the core's view.
-        return self.l1d.config.hit_latency
+        return self._l1d_latency
 
     def replay_l1_tape(self, tape: L1Tape, cycle: int) -> int:
         """Stage B: replay ``tape`` below the L1s.
@@ -428,7 +487,7 @@ class MemoryHierarchy:
         pending_ready = mshr.pending_ready
         allocate = mshr.allocate
         level_access = self._level_access
-        l1_latency = self.l1d.config.hit_latency
+        l1_latency = self._l1d_latency
         shift = self._block_shift
         if fast:
             in_flight = mshr._pending
@@ -526,14 +585,20 @@ class MemoryHierarchy:
         return cycle
 
     def adopt_l1_state(
-        self, l1d: SetAssociativeCache, write_buffer: WriteBuffer
+        self,
+        l1d: SetAssociativeCache,
+        write_buffer: WriteBuffer,
+        l1i: Optional[SetAssociativeCache] = None,
     ) -> None:
-        """Stage B's last step: take a copy of stage A's final L1D and
-        write-buffer state, as a live run through :meth:`load`/:meth:`store`
-        would have left it.  The objects (and so the registry entries
-        and an attached tracer) stay the hierarchy's own."""
+        """Stage B's last step: take a copy of stage A's final L1D,
+        write-buffer and (given ``l1i``) L1I state, as a live run through
+        :meth:`load`/:meth:`store`/:meth:`ifetch` would have left it.
+        The objects (and so the registry entries and an attached tracer)
+        stay the hierarchy's own."""
         self.l1d.copy_state_from(l1d)
         self.write_buffer.copy_state_from(write_buffer)
+        if l1i is not None:
+            self.l1i.copy_state_from(l1i)
 
     def drain_write_buffer(self, cycle: int) -> None:
         """Flush all pending buffered stores into the L2."""
@@ -639,11 +704,8 @@ class L1Recorder:
     chunk_refs = 1 << 16
 
     def __init__(self, hierarchy: MemoryHierarchy, stream) -> None:
-        self.l1d = SetAssociativeCache(hierarchy.l1d.config)
-        self.l1d.copy_state_from(hierarchy.l1d)
-        wb = hierarchy.write_buffer
-        self.write_buffer = WriteBuffer(wb.entries, wb.block_bytes)
-        self.write_buffer.copy_state_from(wb)
+        self.l1d = copy_of(hierarchy.l1d)
+        self.write_buffer = copy_of(hierarchy.write_buffer)
         # Sequences must behave like generators: islice over a list would
         # *replay* the warm-up references in the measured window.
         self._stream = iter(stream)

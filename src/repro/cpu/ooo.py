@@ -21,20 +21,24 @@ than iterating cycle by cycle, which keeps Python fast enough for
 million-instruction runs while preserving the latency/bandwidth/
 occupancy interactions the paper's IPC experiment depends on.
 
-The model runs in two stages split at the front end.  Stage A
+The model runs in two stages split below the L1s.  Stage A
 (:class:`~repro.cpu.tape.CoreRecorder`) walks the stream once through
-the fetch blocks, the TLBs and the branch predictor, none of which
-depend on timing, and records :class:`~repro.cpu.tape.CoreTape`
-chunks.  Stage B, :meth:`OoOCore.run`, replays a chunk against the
-memory hierarchy in one flat loop and keeps the pipeline state for the
-next chunk, so machines that differ only below the core (org and ours)
-replay one recorded front end.  Stage A runs inside
+the fetch blocks, the TLBs, the branch predictor and copies of the
+L1I, L1D and write buffer, none of which depend on timing, and records
+:class:`~repro.cpu.tape.CoreTape` chunks.  Stage B, :meth:`OoOCore.run`,
+replays a chunk in one flat loop, handing each recorded L1 outcome to
+the hierarchy's stage B entry points (``replay_ifetch``,
+``replay_load``, ``replay_store``: the MSHRs and everything below the
+L1s), and keeps the pipeline state for the next chunk, so machines
+that differ only below the L1s (org and ours) replay one recording.
+Once the stream is used up, each machine's hierarchy adopts the
+recorder's L1 state (``adopt_l1_state``).  Stage A runs inside
 :meth:`OoOCore.run` too: given a recorder, the core records its next
 chunk and replays it, and an :class:`Inst` iterable goes through both
-stages on the core's own predictor and TLBs.  The stage-by-stage
-longhand of the timing model lives in ``tests/cpu/longhand.py`` as
-the oracle both stages together must match
-(``tests/cpu/test_ooo_differential.py``).
+stages on the core's own predictor and TLBs and then adopts the L1
+state.  The stage-by-stage longhand of the timing model lives in
+``tests/cpu/longhand.py`` as the oracle both stages together must
+match (``tests/cpu/test_ooo_differential.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, Iterable, List, Optional, Union
 
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.hierarchy import STORE_DRAIN, MemoryHierarchy
 from repro.cpu.branch import BranchPredictor, BranchPredictorConfig
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.tape import CoreRecorder, CoreTape
@@ -131,10 +135,11 @@ class OoOCore:
             reg.register_source(name, source)
 
     def recorder(self, insts: Iterable[Inst]) -> CoreRecorder:
-        """Stage A over ``insts`` on this core's predictor and TLBs."""
+        """Stage A over ``insts`` on this core's predictor and TLBs and
+        on copies of its hierarchy's L1s."""
         return CoreRecorder(
             insts, self.config.fetch_block_bytes, self.predictor,
-            self.itlb, self.dtlb,
+            self.itlb, self.dtlb, self.hierarchy,
         )
 
     def adopt_front_end(self, other: "OoOCore") -> None:
@@ -166,9 +171,11 @@ class OoOCore:
         :meth:`recorder` records its next chunk, which stays its
         ``tape`` for other cores to replay, and this core replays it.
         Any other iterable of :class:`Inst` is recorded and replayed a
-        chunk at a time on this core's predictor and TLBs.  Stage A runs
-        inside this call either way, so a caller timing ``run`` times
-        the whole core.  ``profiler`` (opt-in) accounts recording to
+        chunk at a time on this core's predictor and TLBs, and the
+        hierarchy then adopts the recorder's L1 state; after a tape or a
+        recorder, adopting it is the caller's step, once the stream is
+        used up.  Stage A runs inside this call either way, so a caller
+        timing ``run`` times the whole core.  ``profiler`` (opt-in) accounts recording to
         ``core-record`` and replay to ``phase``.
 
         Hot loop: this runs once per simulated instruction, so it is one
@@ -178,10 +185,10 @@ class OoOCore:
         16 and ``MISPREDICT`` 32, the highest, so ``code >= 32`` tests
         it and ``code < 8`` means none is set), unit free lists are per-op
         lists indexed by op, the fetch and commit bandwidth gates are
-        local ``(cycle, count)`` pairs, the hierarchy methods are bound
-        to locals and the pipeline state lives in locals until the end
-        of the chunk.  The unit chosen is the first with the minimum
-        free time.
+        local ``(cycle, count)`` pairs, the hierarchy's stage B entry
+        points are bound to locals and the pipeline state lives in
+        locals until the end of the chunk.  The unit chosen is the first
+        with the minimum free time.
         """
         if isinstance(insts, CoreRecorder):
             start = time.perf_counter()
@@ -196,6 +203,9 @@ class OoOCore:
             self.run(recorder, profiler, phase)
             while len(recorder.tape):
                 self.run(recorder, profiler, phase)
+            self.hierarchy.adopt_l1_state(
+                recorder.l1d, recorder.write_buffer, recorder.l1i
+            )
             return self.result
         start = time.perf_counter()
         tape = insts
@@ -206,11 +216,13 @@ class OoOCore:
         lsq_entries = cfg.lsq_entries
         mispredict_penalty = cfg.mispredict_penalty
         fu_free = self._fu_free
-        ifetch = self.hierarchy.ifetch
-        load = self.hierarchy.load
-        store = self.hierarchy.store
+        ifetch = self.hierarchy.replay_ifetch
+        load = self.hierarchy.replay_load
+        store = self.hierarchy.replay_store
         block_pcs = tape.block_pcs
         itlb_penalties = tape.itlb_penalties
+        block_hits = tape.block_hits
+        drains = tape.drains
         extra_srcs = tape.extra_srcs
 
         ruu, lsq = self._ruu, self._lsq
@@ -226,11 +238,11 @@ class OoOCore:
             stall_until, block_ready, last_commit, fetch_cycle, fetch_count,
             commit_cycle, commit_count,
         ) = self._pipeline
-        block = extra = load_latency_total = 0
+        block = extra = drain = load_latency_total = 0
 
-        for code, addr, dest, src1, src2, latency in zip(
+        for code, addr, dest, src1, src2, latency, outcome in zip(
             tape.codes, tape.addrs, tape.dests, tape.src1, tape.src2,
-            tape.latencies,
+            tape.latencies, tape.outcomes,
         ):
             # ---- fetch ----
             if code < 8:
@@ -240,7 +252,7 @@ class OoOCore:
                 if code & 8:
                     t = stall_until if stall_until > block_ready else block_ready
                     block_ready = t + itlb_penalties[block] + (
-                        ifetch(block_pcs[block], t) - 1
+                        ifetch(block_pcs[block], t, block_hits[block]) - 1
                     )
                     block += 1
             cycle = stall_until if stall_until > block_ready else block_ready
@@ -294,7 +306,7 @@ class OoOCore:
 
             # ---- execute ----
             if op == 4:
-                latency += load(addr, issue)
+                latency += load(addr, issue, outcome)
                 load_latency_total += latency
             complete = issue + latency
             # Pipelined units accept a new op next cycle; the single
@@ -330,7 +342,11 @@ class OoOCore:
                 lsq_append(last_commit)
                 if op == 5:
                     # Write-through L1 + write buffer at retirement.
-                    store(addr, last_commit)
+                    if outcome == STORE_DRAIN:
+                        store(drains[drain], last_commit)
+                        drain += 1
+                    else:
+                        store(None, last_commit)
 
         self._pipeline = (
             stall_until, block_ready, last_commit, fetch_cycle, fetch_count,

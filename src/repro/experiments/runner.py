@@ -14,13 +14,14 @@ Two run modes:
 * **CPU mode** (:func:`run_ipc`) — expands the stream into full
   instructions and runs the out-of-order core, so bus contention turns
   into IPC.  Used for the Section 5.2 performance-loss numbers.  It
-  runs in two stages split at the front end: stage A
+  runs in two stages split below the L1s: stage A
   (:class:`~repro.cpu.tape.CoreRecorder`) generates and expands the
-  stream and runs the fetch blocks, TLBs and branch predictor, and
-  records :class:`~repro.cpu.tape.CoreTape` chunks; stage B
+  stream and runs the fetch blocks, TLBs, branch predictor and copies
+  of the L1I, L1D and write buffer, and records
+  :class:`~repro.cpu.tape.CoreTape` chunks; stage B
   (:meth:`~repro.cpu.ooo.OoOCore.run`) replays each chunk against the
-  hierarchy.  The org and ours machines of a comparison replay the
-  same chunks (:func:`run_ipc_group`).
+  MSHRs, the unified levels and memory.  The org and ours machines of
+  a comparison replay the same chunks (:func:`run_ipc_group`).
 
 Geometry scaling (DESIGN.md §5): Python cannot simulate the paper's
 10^9-instruction runs, so the default geometry shrinks every capacity
@@ -574,7 +575,8 @@ def run_ipc_group(
     member's core before the next is recorded, and memory holds one
     chunk whatever ``n_insts`` is.  The first member's core records on
     its own predictor and TLBs (inside its ``run``); the others adopt
-    their final state.
+    their final state.  Every member's hierarchy adopts the recorder's
+    final L1I, L1D and write buffer.
     ``profiler`` (opt-in) accounts wall time to ``core-record`` and to
     one ``core-replay-<member>`` phase per member (``org`` for the
     plain standard L2, ``ours`` for a protected one, then the variant).
@@ -608,6 +610,9 @@ def run_ipc_group(
     for core, (protection, variant) in zip(cores, members):
         if core is not cores[0]:
             core.adopt_front_end(cores[0])
+        core.hierarchy.adopt_l1_state(
+            recorder.l1d, recorder.write_buffer, recorder.l1i
+        )
         outputs.append(_ipc_output(benchmark, protection, variant, core))
     return outputs
 

@@ -6,12 +6,14 @@ of the timing model: one step per pipeline stage, the fetch and commit
 bandwidth limits as :class:`BandwidthGate` objects, functional units
 keyed by :class:`OpClass`, and the predictor, TLBs and hierarchy
 called live.  ``OoOCore.run`` is the same model split at the front
-end: a :class:`~repro.cpu.tape.CoreTape` recorded once and replayed in
-one flat loop.  Random instruction lists on random machine shapes,
-replayed whole or in chunks of random size, must give the same
+end and below the L1s: a :class:`~repro.cpu.tape.CoreTape` recorded
+once (front end, L1I, L1D and write buffer) and replayed in one flat
+loop.  Random instruction lists on random machine shapes, replayed
+whole or in chunks of random size, must give the same
 :class:`RunResult`, the same unit free times and the same
-hierarchy/predictor/TLB state; a group of ``run_ipc`` machines sharing
-one recorded front end must give each member its solo output.
+hierarchy/predictor/TLB state, the L1 lines, write buffer and MSHR
+tables included; a group of ``run_ipc`` machines sharing one recorded
+front end must give each member its solo output.
 """
 
 import dataclasses
@@ -103,6 +105,7 @@ def test_run_matches_longhand(processor, insts):
         want_units[op] for op in OpClass
     ]
     assert core.hierarchy.snapshot() == oracle.hierarchy.snapshot()
+    assert below_core_state(core) == below_core_state(oracle)
 
 
 def test_longhand_agrees_on_a_mixed_stream():
@@ -115,6 +118,28 @@ def test_longhand_agrees_on_a_mixed_stream():
     want, _ = longhand_run(oracle, insts)
     assert core.run(insts) == want
     assert core.hierarchy.snapshot() == oracle.hierarchy.snapshot()
+
+
+def below_core_state(core):
+    """The L1I and L1D lines (every field but the two cycle fields,
+    which stage A cannot know), their ``_stamp``, the write buffer's
+    blocks in order, and both MSHR tables."""
+    hierarchy = core.hierarchy
+    return (
+        [
+            [
+                [(l.valid, l.tag, l.dirty, l.written, l.lru_stamp,
+                  l.fifo_stamp, l.dirty_since) for l in ways]
+                for ways in cache.sets
+            ] + [cache._stamp]
+            for cache in (hierarchy.l1i, hierarchy.l1d)
+        ],
+        list(hierarchy.write_buffer._pending),
+        [
+            (dict(mshr._pending), mshr._last_cycle, mshr._last_block)
+            for mshr in (hierarchy.l1i_mshr, hierarchy.l1d_mshr)
+        ],
+    )
 
 
 def front_end_state(core):
@@ -154,7 +179,8 @@ mixed_lists = st.integers(0, 160).flatmap(
 def test_chunked_tape_replay_matches_longhand(processor, insts, data):
     """Stage A on one core, chunks of random sizes (1 to the stream
     length) replayed into it and into a second core that then adopts
-    its front end: both equal the longhand live run."""
+    its front end; both adopt the recorder's L1 state: both equal the
+    longhand live run."""
     sizes = data.draw(st.lists(
         st.integers(1, max(1, len(insts))), min_size=1, max_size=6,
     ))
@@ -170,6 +196,10 @@ def test_chunked_tape_replay_matches_longhand(processor, insts, data):
         recording.run(tape)
         replaying.run(tape)
     replaying.adopt_front_end(recording)
+    for core in (recording, replaying):
+        core.hierarchy.adopt_l1_state(
+            recorder.l1d, recorder.write_buffer, recorder.l1i
+        )
     want, want_units = longhand_run(oracle, insts)
 
     for core in (recording, replaying):
@@ -178,6 +208,7 @@ def test_chunked_tape_replay_matches_longhand(processor, insts, data):
             want_units[op] for op in OpClass
         ]
         assert core.hierarchy.snapshot() == oracle.hierarchy.snapshot()
+        assert below_core_state(core) == below_core_state(oracle)
         assert front_end_state(core) == front_end_state(oracle)
 
 

@@ -513,6 +513,37 @@ class TestIpcFrontEndSharing:
         # One stream for the reference-mode tape, one for the core.
         assert calls == {"streams": 2, "expands": 1}
 
+    def test_pair_makes_one_pass_of_l1_accesses(self, monkeypatch):
+        """Stage A runs the L1s: an org/ours pair accesses the L1D once
+        per load and store and the L1I once per fetch block, not once
+        per member."""
+        from repro.cache.cache import SetAssociativeCache
+        from repro.experiments.runner import run_ipc_group
+
+        counts = {"l1i": 0, "l1d": 0}
+        access = SetAssociativeCache.access
+
+        def counted(cache, addr, is_write, cycle):
+            name = cache.config.name
+            if name in counts:
+                counts[name] += 1
+            return access(cache, addr, is_write, cycle)
+
+        monkeypatch.setattr(SetAssociativeCache, "access", counted)
+        org, ours = run_ipc_group(
+            "swim", [(None, "standard"), (PROT, "standard")], FAST,
+            n_insts=1_500,
+        )
+        for out in (org, ours):
+            l1d = out.snapshot["l1d"]
+            assert counts["l1d"] == sum(
+                l1d[name] for name in (
+                    "read_hits", "read_misses", "write_hits", "write_misses",
+                )
+            )
+            assert counts["l1d"] == out.result.loads + out.result.stores > 0
+            assert out.snapshot["hierarchy"]["ifetches"] == counts["l1i"] > 0
+
     def test_group_outputs_equal_solo_cells_at_any_jobs(self):
         small = RunConfig(n_refs=2_000, warmup_refs=500)
         cells = [

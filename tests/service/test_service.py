@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.experiments.pool import SweepEngine
+from repro.experiments.pool import SweepEngine, code_version
 from repro.service import (
     JobStore,
     ReproService,
@@ -287,10 +287,17 @@ class TestRestartResume:
 
     #: Run in a child process: one service store executing a campaign
     #: whose rounds are slowed down, so a SIGKILL lands mid-campaign.
+    #: The child takes this process's ``code_version()`` (its third
+    #: argument) rather than hashing ``src/`` itself: should the sources
+    #: change between the two hashes, the two sides would derive
+    #: different request keys and the resume would find no shards.
     CHILD = """
 import json, sys, time
+import repro.experiments.pool as pool
 from repro.experiments.pool import SweepEngine
 from repro.service import JobStore
+
+pool._CODE_VERSION = sys.argv[3]
 
 class Slow(SweepEngine):
     def map_tasks(self, func, items, phase="map"):
@@ -314,7 +321,7 @@ store.run_pending()
         )
         child = subprocess.Popen(
             [sys.executable, "-c", self.CHILD, str(tmp_path),
-             json.dumps(request)],
+             json.dumps(request), code_version()],
             env=env,
         )
         db = tmp_path / "fabric.db"
